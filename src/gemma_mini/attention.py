@@ -99,6 +99,17 @@ def qk_norm(
     return rms_norm(q, q_gain, eps), rms_norm(k, k_gain, eps)
 
 
+def attention_probs(
+    q: np.ndarray, k: np.ndarray, cfg: AttentionConfig, mask: np.ndarray
+) -> np.ndarray:
+    """Attention weights (num_query_heads, Tq, Tk): softmax over keys of the
+    1/sqrt(head_dim)-scaled logits plus the additive mask. Query head h reads
+    kv head h // group_size; inputs are not validated."""
+    k_exp = np.repeat(k, cfg.group_size, axis=0)  # (Hq, Tk, head_dim)
+    logits = q @ k_exp.transpose(0, 2, 1) / np.sqrt(cfg.head_dim)
+    return softmax_rows(logits + mask[None, :, :])
+
+
 def gqa_attend(
     q: np.ndarray,
     k: np.ndarray,
@@ -124,8 +135,4 @@ def gqa_attend(
         raise ShapeError(f"bad head shapes: q {q.shape}, k {k.shape}, v {v.shape}")
     if mask.shape != (q.shape[1], k.shape[1]):
         raise ShapeError(f"mask shape {mask.shape} != ({q.shape[1]}, {k.shape[1]})")
-    k_exp = np.repeat(k, cfg.group_size, axis=0)  # (Hq, Tk, head_dim)
-    v_exp = np.repeat(v, cfg.group_size, axis=0)
-    logits = q @ k_exp.transpose(0, 2, 1) / np.sqrt(cfg.head_dim)
-    probs = softmax_rows(logits + mask[None, :, :])
-    return probs @ v_exp
+    return attention_probs(q, k, cfg, mask) @ np.repeat(v, cfg.group_size, axis=0)

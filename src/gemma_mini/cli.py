@@ -19,6 +19,13 @@ from .model import ModelConfig, generate, init_params, layer_kinds, load_weights
 from .attention import LayerKind
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gemma-mini")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -29,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="weight + KV memory plan for a preset")
     p.add_argument("--preset", required=True)
-    p.add_argument("--context", type=int, default=32768)
+    p.add_argument("--context", type=_positive_int, default=32768)
     p.add_argument("--kv-bits", type=int, default=8)
     p.add_argument("--scheme", choices=sorted(memplan.SCHEMES), default=None,
                    help="restrict the table to one precision scheme")

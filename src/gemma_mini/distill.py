@@ -180,17 +180,17 @@ def run_toy_distillation(
         teacher_cfg, train, steps=teacher_steps, lr=lr, seed=seed, batch_len=batch_len
     )
 
-    target_cache: dict = {}
+    last: dict = {}  # window bytes -> targets, for the latest window only
 
     def grad_fn_for(window: np.ndarray):
-        # identical windows get identical targets (seeded per position), so
-        # cache them; full-batch training then queries the teacher once
+        # identical windows get identical targets (seeded per position);
+        # full-batch training repeats one window, so it queries the teacher once
         key = window.tobytes()
-        targets = target_cache.get(key)
-        if targets is None:
+        if key not in last:
             teacher_logits, _ = forward_full(teacher.params, teacher_cfg, window[:-1])
-            targets = build_targets(teacher_logits, k=k, seed=seed)
-            target_cache[key] = targets
+            last.clear()
+            last[key] = build_targets(teacher_logits, k=k, seed=seed)
+        targets = last[key]
         return lambda student_logits: sequence_distill_grad(student_logits, targets)
 
     student = train_byte_lm(

@@ -1,8 +1,9 @@
 """Per-layer key/value storage plus cache-size accounting.
 
 Local layers keep a ring buffer of the last `window` entries; Global layers
-keep everything up to max_context. Absolute positions are stored alongside
-entries so rotary embeddings and window masks stay correct after eviction.
+keep everything up to max_context. Positions are appended in order, so a
+layer's next position fixes which absolute positions it holds and in which
+slots; none are stored.
 
 A cache instance has a single owner and is not thread-safe; separate
 generation streams each get their own cache.
@@ -37,7 +38,6 @@ class KvCache:
         ]
         self._keys = [np.zeros((c, num_kv_heads, head_dim)) for c in self._caps]
         self._values = [np.zeros((c, num_kv_heads, head_dim)) for c in self._caps]
-        self._positions = [np.full(c, -1, dtype=np.int64) for c in self._caps]
         self._next_pos = [0] * len(self.layer_kinds)
 
     def __len__(self) -> int:
@@ -63,24 +63,21 @@ class KvCache:
         slot = pos % cap  # ring for local layers; never wraps for global
         self._keys[layer][slot] = k
         self._values[layer][slot] = v
-        self._positions[layer][slot] = pos
         self._next_pos[layer] = pos + 1
 
     def view(self, layer: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stored (keys, values, positions) in increasing position order.
+        """Copies of the stored (keys, values, positions) in increasing position order.
 
         keys/values: (n, num_kv_heads, head_dim), positions: (n,).
         """
-        if self._next_pos[layer] == 0:
-            empty = np.zeros((0, self.num_kv_heads, self.head_dim))
-            return empty, empty.copy(), np.zeros(0, dtype=np.int64)
-        filled = self._positions[layer] >= 0
-        order = np.argsort(self._positions[layer][filled])
-        return (
-            self._keys[layer][filled][order],
-            self._values[layer][filled][order],
-            self._positions[layer][filled][order],
+        n, cap = self._next_pos[layer], self._caps[layer]
+        start, end = max(0, n - cap), min(n, cap)
+        oldest = start % cap  # once a ring wraps, its oldest entry is in the next slot to write
+        keys, values = (
+            np.concatenate((a[oldest:end], a[:oldest]))
+            for a in (self._keys[layer], self._values[layer])
         )
+        return keys, values, np.arange(start, n)
 
 
 def kv_bytes(

@@ -119,7 +119,10 @@ class ModelPreset:
 
 
 def report(preset: ModelPreset, context: int, kv_bits: int = 8) -> MemoryReport:
-    """Weights per scheme and the KV bytes they all share at this context."""
+    """Weights per scheme and the KV bytes they all share at this context;
+    context 0 means weights only."""
+    if context < 0:
+        raise ValueError(f"context must be >= 0, got {context}")
     if context > 0:
         pattern = layer_kinds(preset.n_layers, preset.local_per_global)
         kv = kv_bytes(

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .attention import AttentionConfig, LayerKind, build_mask, gqa_attend, qk_norm
+from .attention import AttentionConfig, LayerKind, attention_probs, build_mask, qk_norm
 from .errors import CapacityError, ConfigError, ShapeError
 from .kvcache import KvCache
 from .tensor import RopeParams, rms_norm, rope_apply, softmax_rows
@@ -187,6 +187,58 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
 
 
+def _layer(params, cfg, i, kind, h, positions, cache=None):
+    """Decoder block i over rows h at absolute `positions`: (new h, saved).
+
+    Without a cache the rows attend to one another. With one, the single row
+    appends its key and value to layer i first and attends over everything
+    the layer retains. `saved` holds what backward_full reads from the tape.
+    """
+    p = lambda name: params[f"layer{i}.{name}"]
+    att, eps = cfg.attn_for(kind), cfg.rms_eps
+    ln1 = rms_norm(h, p("pre_attn_norm"), eps)
+    q = _split_heads(ln1 @ p("wq"), att.num_query_heads, att.head_dim)
+    k = _split_heads(ln1 @ p("wk"), att.num_kv_heads, att.head_dim)
+    v = _split_heads(ln1 @ p("wv"), att.num_kv_heads, att.head_dim)
+    qn, kn = qk_norm(q, k, p("q_gain"), p("k_gain"), eps)
+    qr = rope_apply(qn, positions, att.rope)
+    kr = rope_apply(kn, positions, att.rope)
+    keys, values, key_positions = kr, v, positions
+    if cache is not None:
+        cache.append(i, kr[:, 0, :], v[:, 0, :], int(positions[0]))
+        keys, values, key_positions = cache.view(i)  # (S, Hkv, hd) chronological
+        keys, values = keys.transpose(1, 0, 2), values.transpose(1, 0, 2)
+    probs = attention_probs(qr, keys, att, build_mask(kind, positions, key_positions, att.window))
+    merged = _merge_heads(probs @ np.repeat(values, att.group_size, axis=0))
+    attn_out = merged @ p("wo")
+    x1 = h + rms_norm(attn_out, p("post_attn_norm"), eps)
+
+    ln2 = rms_norm(x1, p("pre_mlp_norm"), eps)
+    gate = ln2 @ p("w_gate")
+    up = ln2 @ p("w_up")
+    act = gelu(gate) * up
+    mlp_out = act @ p("w_down")
+    saved = dict(
+        kind=kind, x0=h, ln1=ln1, q=q, k=k, v=v, qr=qr, kr=kr, probs=probs,
+        merged=merged, attn_out=attn_out, x1=x1, ln2=ln2, gate=gate, up=up, act=act,
+        mlp_out=mlp_out,
+    )
+    return x1 + rms_norm(mlp_out, p("post_mlp_norm"), eps), saved
+
+
+def _run(params, cfg, tokens, positions, cache=None, tape=None):
+    """Embed, run every layer, read out logits; appends to `tape` if given."""
+    h = params["embed"][tokens]
+    for i, kind in enumerate(cfg.kinds()):
+        h, saved = _layer(params, cfg, i, kind, h, positions, cache)
+        if tape is not None:
+            tape["layers"].append(saved)
+    hf = rms_norm(h, params["final_norm"], cfg.rms_eps)
+    if tape is not None:
+        tape["h_last"], tape["hf"] = h, hf
+    return hf @ (params["embed"].T if cfg.tie_embeddings else params["lm_head"])
+
+
 def forward_full(
     params: dict,
     cfg: ModelConfig,
@@ -205,56 +257,8 @@ def forward_full(
         raise CapacityError(f"sequence length {T} exceeds max_context {cfg.max_context}")
     if positions is None:
         positions = np.arange(T)
-    eps = cfg.rms_eps
-    h = params["embed"][tokens]
     tape = {"tokens": tokens, "positions": positions, "layers": []} if keep_tape else None
-
-    for i, kind in enumerate(cfg.kinds()):
-        p = lambda name: params[f"layer{i}.{name}"]
-        att = cfg.attn_for(kind)
-        x0 = h
-        ln1 = rms_norm(x0, p("pre_attn_norm"), eps)
-        q = _split_heads(ln1 @ p("wq"), att.num_query_heads, att.head_dim)
-        k = _split_heads(ln1 @ p("wk"), att.num_kv_heads, att.head_dim)
-        v = _split_heads(ln1 @ p("wv"), att.num_kv_heads, att.head_dim)
-        qn, kn = qk_norm(q, k, p("q_gain"), p("k_gain"), eps)
-        qr = rope_apply(qn, positions, att.rope)
-        kr = rope_apply(kn, positions, att.rope)
-        mask = build_mask(kind, positions, positions, att.window)
-
-        k_exp = np.repeat(kr, att.group_size, axis=0)
-        v_exp = np.repeat(v, att.group_size, axis=0)
-        scores = qr @ k_exp.transpose(0, 2, 1) / np.sqrt(att.head_dim)
-        probs = softmax_rows(scores + mask[None, :, :])
-        attn = probs @ v_exp
-
-        merged = _merge_heads(attn)
-        attn_out = merged @ p("wo")
-        x1 = x0 + rms_norm(attn_out, p("post_attn_norm"), eps)
-
-        ln2 = rms_norm(x1, p("pre_mlp_norm"), eps)
-        gate = ln2 @ p("w_gate")
-        up = ln2 @ p("w_up")
-        act = gelu(gate) * up
-        mlp_out = act @ p("w_down")
-        h = x1 + rms_norm(mlp_out, p("post_mlp_norm"), eps)
-
-        if keep_tape:
-            tape["layers"].append(
-                dict(
-                    kind=kind, x0=x0, ln1=ln1, q=q, k=k, v=v, qr=qr, kr=kr,
-                    probs=probs, merged=merged, attn_out=attn_out, x1=x1,
-                    ln2=ln2, gate=gate, up=up, act=act, mlp_out=mlp_out,
-                )
-            )
-
-    hf = rms_norm(h, params["final_norm"], eps)
-    head = params["embed"].T if cfg.tie_embeddings else params["lm_head"]
-    logits = hf @ head
-    if keep_tape:
-        tape["h_last"] = h
-        tape["hf"] = hf
-    return logits, tape
+    return _run(params, cfg, tokens, positions, tape=tape), tape
 
 
 def make_cache(cfg: ModelConfig) -> KvCache:
@@ -266,38 +270,8 @@ def decode_step(params: dict, cfg: ModelConfig, cache: KvCache, token: int) -> n
     pos = cache.next_pos
     if pos >= cfg.max_context:
         raise CapacityError(f"context is full at {cfg.max_context} tokens")
-    eps = cfg.rms_eps
-    h = params["embed"][np.asarray([token], dtype=np.int64)]
-    pos_arr = np.asarray([pos])
-
-    for i, kind in enumerate(cfg.kinds()):
-        p = lambda name: params[f"layer{i}.{name}"]
-        att = cfg.attn_for(kind)
-        x0 = h
-        ln1 = rms_norm(x0, p("pre_attn_norm"), eps)
-        q = _split_heads(ln1 @ p("wq"), att.num_query_heads, att.head_dim)
-        k = _split_heads(ln1 @ p("wk"), att.num_kv_heads, att.head_dim)
-        v = _split_heads(ln1 @ p("wv"), att.num_kv_heads, att.head_dim)
-        qn, kn = qk_norm(q, k, p("q_gain"), p("k_gain"), eps)
-        qr = rope_apply(qn, pos_arr, att.rope)
-        kr = rope_apply(kn, pos_arr, att.rope)
-        cache.append(i, kr[:, 0, :], v[:, 0, :], pos)
-
-        keys, values, key_positions = cache.view(i)  # (S, Hkv, hd) chronological
-        mask = build_mask(kind, pos_arr, key_positions, att.window)
-        attn = gqa_attend(
-            qr, keys.transpose(1, 0, 2), values.transpose(1, 0, 2), att, mask
-        )
-        attn_out = _merge_heads(attn) @ p("wo")
-        x1 = x0 + rms_norm(attn_out, p("post_attn_norm"), eps)
-
-        ln2 = rms_norm(x1, p("pre_mlp_norm"), eps)
-        act = gelu(ln2 @ p("w_gate")) * (ln2 @ p("w_up"))
-        h = x1 + rms_norm(act @ p("w_down"), p("post_mlp_norm"), eps)
-
-    hf = rms_norm(h, params["final_norm"], eps)
-    head = params["embed"].T if cfg.tie_embeddings else params["lm_head"]
-    return (hf @ head)[0]
+    tokens = np.asarray([token], dtype=np.int64)
+    return _run(params, cfg, tokens, np.asarray([pos]), cache)[0]
 
 
 def forward(

@@ -226,8 +226,17 @@ def train_byte_lm(
 
 
 def mean_ce(params: dict, cfg: ModelConfig, data: Sequence[int]) -> float:
-    """Held-out next-token cross-entropy of a trained model."""
+    """Held-out next-token cross-entropy of a trained model.
+
+    Data with more than max_context targets is scored in consecutive windows
+    of up to max_context targets, each weighted by its target count.
+    """
     data = np.asarray(data, dtype=np.int64)
-    logits, _ = forward_full(params, cfg, data[:-1])
-    loss, _ = cross_entropy(logits, data[1:])
-    return loss
+    if len(data) < 2:
+        raise ValueError(f"need at least 2 tokens to score, got {len(data)}")
+    total = 0.0
+    for start in range(0, len(data) - 1, cfg.max_context):
+        window = data[start : start + cfg.max_context + 1]
+        logits, _ = forward_full(params, cfg, window[:-1])
+        total += cross_entropy(logits, window[1:])[0] * (len(window) - 1)
+    return total / (len(data) - 1)

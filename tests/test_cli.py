@@ -43,6 +43,16 @@ class TestPlan:
         assert data["model"] == "gemma3-1b"
         assert data["weights_gb"]["bf16"] == pytest.approx(2.0)
 
+    def test_negative_context_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "plan", "--preset", "gemma3-1b", "--context", "-5")
+        assert code == 2
+        assert out == "" and "--context" in err
+
+    def test_zero_context_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "plan", "--preset", "gemma3-1b", "--context", "0")
+        assert code == 2
+        assert out == "" and "--context" in err
+
     def test_unknown_preset_is_runtime_error(self, capsys):
         code, _, err = run_cli(capsys, "plan", "--preset", "nope")
         assert code == 1
@@ -110,6 +120,21 @@ class TestChatGenerate:
         )
         assert code == 0
         assert out.endswith("\n")
+
+
+class TestDistillCommand:
+    def test_held_out_longer_than_max_context(self, capsys, tmp_path):
+        # 5,456 tokens with BOS: the held-out fifth has 1,091 targets, more
+        # than the toy student's max_context of 512
+        corpus = tmp_path / "big.txt"
+        rng = np.random.default_rng(0)
+        corpus.write_bytes(bytes(rng.choice(list(b"abcdefgh \n"), size=5455).tolist()))
+        code, out, err = run_cli(
+            capsys, "distill", "--corpus", str(corpus), "--teacher-steps", "1", "--steps", "1",
+        )
+        assert code == 0, err
+        assert out.splitlines()[0] == "step,loss"
+        assert "held-out ce (distilled)" in err
 
 
 class TestPanscanCommand:

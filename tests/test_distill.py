@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gemma_mini import distill
 from gemma_mini.distill import (
     DistillTarget,
     build_targets,
@@ -12,7 +13,7 @@ from gemma_mini.distill import (
     sample_support,
     sequence_distill_grad,
 )
-from gemma_mini.model import ModelConfig
+from gemma_mini.model import ModelConfig, forward_full
 from gemma_mini.tensor import softmax_rows
 from gemma_mini.tokenizer import VOCAB_SIZE
 
@@ -223,6 +224,26 @@ def _cfg(layers, d, head_dim, window):
         max_context=1024, num_query_heads=4, num_kv_heads=2,
         head_dim=head_dim, window=window,
     )
+
+
+class TestTeacherQueries:
+    def test_full_batch_queries_the_teacher_once(self, monkeypatch):
+        """Every full-batch step trains on the same window, so the teacher's
+        targets for it are computed once and reused."""
+        calls = []
+
+        def counting_forward_full(params, cfg, tokens, *args, **kwargs):
+            calls.append(cfg)
+            return forward_full(params, cfg, tokens, *args, **kwargs)
+
+        monkeypatch.setattr(distill, "forward_full", counting_forward_full)
+        teacher_cfg = _cfg(2, 16, 4, window=4)
+        student_cfg = _cfg(1, 16, 4, window=4)
+        run_toy_distillation(
+            word_corpus(n_words=12), teacher_cfg, student_cfg, teacher_steps=1,
+            student_steps=3, k=8, batch_len=None,
+        )
+        assert calls == [teacher_cfg]
 
 
 class TestDistilledStudentBeatsHardLabels:

@@ -74,6 +74,22 @@ class TestCache:
         np.testing.assert_array_equal(keys[0], vecs[2])
         np.testing.assert_array_equal(values[-1], -vecs[4])
 
+    def test_views_are_copies_across_a_ring_wrap(self):
+        # views taken part-full, exactly full and wrapped, then every slot of
+        # the ring is overwritten: no earlier view may change
+        cache = small_cache([L], window=3)
+        rng = np.random.default_rng(3)
+        views, snapshots = [], []
+        for pos in range(10):
+            cache.append(0, rng.normal(size=(2, 4)), rng.normal(size=(2, 4)), pos)
+            if pos < 7:
+                views.append(cache.view(0))
+                snapshots.append([a.copy() for a in views[-1]])
+        for view, snapshot in zip(views, snapshots):
+            for got, want in zip(view, snapshot):
+                np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(cache.view(0)[2], [7, 8, 9])
+
 
 class TestKvBytes:
     def test_five_to_one_ratio_at_32k(self):

@@ -81,6 +81,10 @@ class TestReport:
         assert rep.kv_gb == 0.0
         assert rep.totals_gb == rep.weights_gb
 
+    def test_negative_context_rejected(self):
+        with pytest.raises(ValueError):
+            report(load_preset("gemma3-1b"), context=-5)
+
     def test_kv_grows_with_context(self):
         preset = load_preset("gemma3-27b")
         small = report(preset, context=1024).kv_gb

@@ -67,6 +67,16 @@ class TestForward:
                 full = forward(params, cfg, tokens)
                 cached = forward(params, cfg, tokens, make_cache(cfg))
                 np.testing.assert_allclose(cached, full, atol=1e-9)
+        for extra in (
+            dict(tie_embeddings=False),
+            dict(rope_scale_local=8.0, rope_scale_global=8.0),
+        ):
+            cfg = toy_config(window=4, local_per_global=3, **extra)
+            params = init_params(cfg, seed=7)
+            tokens = rng.integers(0, cfg.vocab_size, size=24)
+            full = forward(params, cfg, tokens)
+            cached = forward(params, cfg, tokens, make_cache(cfg))
+            np.testing.assert_allclose(cached, full, atol=1e-9)
 
     def test_cached_matches_full_across_lengths(self):
         rng = np.random.default_rng(12)

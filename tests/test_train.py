@@ -147,6 +147,27 @@ class TestTrainByteLm:
             np.testing.assert_array_equal(result.params[name], value, err_msg=name)
 
 
+class TestMeanCe:
+    def test_data_longer_than_max_context_is_scored_in_windows(self):
+        """99 targets at max_context 64: every target is scored once, in a
+        window of 64 then one of 35, and the mean is over all 99."""
+        cfg = tiny_config()
+        params = init_params(cfg, seed=4, scale=0.3)
+        data = np.random.default_rng(5).integers(0, cfg.vocab_size, size=100)
+        nll = []
+        for inputs, targets in ((data[:64], data[1:65]), (data[64:99], data[65:100])):
+            logits, _ = forward_full(params, cfg, inputs)
+            logp = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+            nll += list(-logp[np.arange(len(targets)), targets])
+        assert len(nll) == 99
+        assert mean_ce(params, cfg, data) == pytest.approx(np.mean(nll), rel=1e-12)
+
+    def test_needs_one_target(self):
+        cfg = tiny_config()
+        with pytest.raises(ValueError):
+            mean_ce(init_params(cfg, seed=0), cfg, [3])
+
+
 class TestOverfit:
     def test_two_layer_model_memorizes_small_corpus(self, overfit_run):
         """Mean CE drops under 0.1 within the step budget (forward/backward sanity)."""
