@@ -16,6 +16,7 @@ from gemma_mini.distill import (
 from gemma_mini.model import ModelConfig, forward_full
 from gemma_mini.tensor import softmax_rows
 from gemma_mini.tokenizer import VOCAB_SIZE
+from gemma_mini.train import train_byte_lm
 
 
 def full_cross_entropy(student_logits, teacher_probs):
@@ -227,23 +228,59 @@ def _cfg(layers, d, head_dim, window):
 
 
 class TestTeacherQueries:
-    def test_full_batch_queries_the_teacher_once(self, monkeypatch):
-        """Every full-batch step trains on the same window, so the teacher's
-        targets for it are computed once and reused."""
-        calls = []
+    @staticmethod
+    def _run(monkeypatch, corpus, batch_len, student_steps):
+        """Distill on corpus; return the teacher forward passes and the bytes
+        of every window the student trained on."""
+        calls, windows = [], []
 
         def counting_forward_full(params, cfg, tokens, *args, **kwargs):
             calls.append(cfg)
             return forward_full(params, cfg, tokens, *args, **kwargs)
 
+        def recording_train_byte_lm(cfg, data, *args, grad_fn_for=None, **kwargs):
+            def recording_grad_fn_for(window):
+                windows.append(window.tobytes())
+                return grad_fn_for(window)
+
+            if grad_fn_for is not None:
+                kwargs["grad_fn_for"] = recording_grad_fn_for
+            return train_byte_lm(cfg, data, *args, **kwargs)
+
         monkeypatch.setattr(distill, "forward_full", counting_forward_full)
+        monkeypatch.setattr(distill, "train_byte_lm", recording_train_byte_lm)
         teacher_cfg = _cfg(2, 16, 4, window=4)
         student_cfg = _cfg(1, 16, 4, window=4)
         run_toy_distillation(
-            word_corpus(n_words=12), teacher_cfg, student_cfg, teacher_steps=1,
-            student_steps=3, k=8, batch_len=None,
+            corpus, teacher_cfg, student_cfg, teacher_steps=1,
+            student_steps=student_steps, k=8, batch_len=batch_len,
         )
-        assert calls == [teacher_cfg]
+        assert all(cfg is teacher_cfg for cfg in calls)
+        return calls, windows
+
+    def test_full_batch_queries_the_teacher_once(self, monkeypatch):
+        """Every full-batch step trains on the same window, so the teacher's
+        targets for it are computed once and reused."""
+        calls, windows = self._run(
+            monkeypatch, word_corpus(n_words=12), batch_len=None, student_steps=3
+        )
+        assert len(windows) == 3 and len(calls) == 1
+
+    def test_random_windows_reuse_only_the_two_end_windows(self, monkeypatch):
+        """Clamped draws keep landing on the first and last window of the
+        training head, and those targets are computed once. Any other window
+        is recomputed each time it is drawn, so at most two windows' targets
+        are kept however long the run."""
+        corpus = word_corpus(n_words=12)
+        train = np.asarray(corpus[: int(len(corpus) * 0.8)], dtype=np.int64)
+        first, last = train[:9].tobytes(), train[-9:].tobytes()
+        calls, windows = self._run(monkeypatch, corpus, batch_len=8, student_steps=40)
+        ends = [w for w in windows if w in (first, last)]
+        middle = [w for w in windows if w not in (first, last)]
+        # the run exercises both rules: end windows and middle windows recur
+        assert len(ends) > len(set(ends)) == 2
+        assert len(middle) > len(set(middle))
+        assert len(calls) == 2 + len(middle)
 
 
 class TestDistilledStudentBeatsHardLabels:
