@@ -7,6 +7,7 @@ Structured output goes to stdout, diagnostics to stderr; exit codes are 0
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -23,6 +24,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {value}")
     return value
 
 
@@ -43,22 +51,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("generate", help="decode from a prompt with the byte model")
-    p.add_argument("--preset", default="toy", help="config preset name (default: toy)")
-    p.add_argument("--config", default=None, help="config file overriding --preset")
-    p.add_argument("--weights", default=None, help="weight file; random init if omitted")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--preset", default=None, help="config preset name (default: toy)")
+    source.add_argument("--config", default=None, help="config file")
+    source.add_argument("--weights", default=None, help="weight file; random init if omitted")
     p.add_argument("--prompt", required=True)
     p.add_argument("--chat", action="store_true",
                    help="wrap the prompt as a single user turn and stop at end_of_turn")
-    p.add_argument("--max-new", type=int, default=64)
+    p.add_argument("--max-new", type=_positive_int, default=64)
     p.add_argument("--sampler", choices=["greedy", "temperature"], default="greedy")
-    p.add_argument("--temperature", type=float, default=1.0)
+    p.add_argument("--temperature", type=_positive_float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("distill", help="toy teacher->student run; emits step,loss CSV")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--k", type=int, default=distill_mod.SUPPORT_K)
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--teacher-steps", type=int, default=300)
+    p.add_argument("--k", type=_positive_int, default=distill_mod.SUPPORT_K)
+    p.add_argument("--steps", type=_positive_int, default=200)
+    p.add_argument("--teacher-steps", type=_positive_int, default=300)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.add_argument("--save-student", default=None, help="write student weights here")
@@ -75,12 +84,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="discoverable-extraction audit of a trained model")
     p.add_argument("--corpus", action="append", required=True,
                    help="text file; blank-line-separated docs; repeatable per source")
-    p.add_argument("--weights", required=True)
-    p.add_argument("--preset", default="toy")
-    p.add_argument("--config", default=None)
-    p.add_argument("--stride", type=int, default=100)
+    p.add_argument("--weights", required=True, help="weight file, which carries its config")
+    p.add_argument("--stride", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-samples", type=int, default=None)
+    p.add_argument("--max-samples", type=_positive_int, default=None)
     p.add_argument("--out", required=True, help="report JSON path")
 
     p = sub.add_parser("kv-curve", help="KV cache bytes vs context length, CSV")
@@ -93,12 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--contexts", required=True, help="comma-separated, ascending")
 
     return parser
-
-
-def _load_model_config(args) -> ModelConfig:
-    if args.config:
-        return presets.model_config_from_file(args.config)
-    return ModelConfig.from_dict(presets.preset_values(args.preset))
 
 
 def _cmd_pattern(args) -> int:
@@ -119,10 +120,11 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    cfg = _load_model_config(args)
     if args.weights:
-        params = load_weights(args.weights)
+        params, cfg = load_weights(args.weights)
     else:
+        cfg = (presets.model_config_from_file(args.config) if args.config
+               else ModelConfig.from_dict(presets.preset_values(args.preset or "toy")))
         print("no weights given; using random init", file=sys.stderr)
         params = init_params(cfg, seed=args.seed)
     if args.chat:
@@ -155,12 +157,17 @@ def _toy_teacher_config(vocab: int = tokenizer.VOCAB_SIZE) -> ModelConfig:
 
 
 def _cmd_distill(args) -> int:
+    for flag, path in (("--out", args.out), ("--save-student", args.save_student),
+                       ("--save-teacher", args.save_teacher)):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(f"{flag}: directory of {path!r} does not exist")
     with open(args.corpus, "rb") as f:
         corpus = [tokenizer.BOS_ID] + list(f.read())
+    teacher_cfg, student_cfg = _toy_teacher_config(), _toy_student_config()
     result = distill_mod.run_toy_distillation(
         corpus,
-        teacher_cfg=_toy_teacher_config(),
-        student_cfg=_toy_student_config(),
+        teacher_cfg=teacher_cfg,
+        student_cfg=student_cfg,
         teacher_steps=args.teacher_steps,
         student_steps=args.steps,
         k=args.k,
@@ -175,13 +182,9 @@ def _cmd_distill(args) -> int:
         print(csv, end="")
     print(f"held-out ce (distilled): {result.held_out_ce_distilled:.4f}", file=sys.stderr)
     if args.save_student:
-        save_weights(result.student_params, args.save_student)
-        with open(args.save_student + ".cfg", "w") as f:
-            f.write(presets.config_to_text(_toy_student_config()))
+        save_weights(result.student_params, student_cfg, args.save_student)
     if args.save_teacher:
-        save_weights(result.teacher_params, args.save_teacher)
-        with open(args.save_teacher + ".cfg", "w") as f:
-            f.write(presets.config_to_text(_toy_teacher_config()))
+        save_weights(result.teacher_params, teacher_cfg, args.save_teacher)
     return 0
 
 
@@ -221,8 +224,7 @@ def _cmd_panscan(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    cfg = _load_model_config(args)
-    params = load_weights(args.weights)
+    params, cfg = load_weights(args.weights)
     corpus = []
     for path in args.corpus:
         with open(path, "rb") as f:

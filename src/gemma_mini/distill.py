@@ -175,6 +175,11 @@ def run_toy_distillation(
     data = np.asarray(corpus_tokens, dtype=np.int64)
     split = int(len(data) * train_frac)
     train, held_out = data[:split], data[split:]
+    if len(train) < 2 or len(held_out) < 2:
+        raise ValueError(
+            f"corpus of {len(data)} tokens gives a {len(train)}-token training head and a "
+            f"{len(held_out)}-token held-out tail; each needs at least 2"
+        )
 
     teacher = train_byte_lm(
         teacher_cfg, train, steps=teacher_steps, lr=lr, seed=seed, batch_len=batch_len

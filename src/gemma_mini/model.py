@@ -12,7 +12,8 @@ Weights are immutable after load and can be shared across threads; each
 generation stream owns its private KvCache.
 """
 
-from dataclasses import dataclass
+import zipfile
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -327,6 +328,8 @@ def generate(
         raise ValueError("prompt must be non-empty")
     if sampler not in ("greedy", "temperature"):
         raise ValueError(f"unknown sampler {sampler!r}")
+    if not temperature > 0:
+        raise ValueError(f"temperature must be > 0, got {temperature}")
     cache = make_cache(cfg)
     logits = forward(params, cfg, prompt, cache)
     out = list(prompt)
@@ -347,37 +350,46 @@ def generate(
 
 
 # ---------------------------------------------------------------------------
-# Weight files: raw little-endian float64 + text manifest
+# Weight files: one np.savez archive of the tensors, the config and a format
 # ---------------------------------------------------------------------------
 
-def save_weights(params: dict, path: str) -> None:
-    """Write tensors back to back as '<f8' bytes; manifest maps name/shape/offset."""
-    manifest_lines = []
-    offset = 0
-    with open(path, "wb") as f:
-        for name, arr in params.items():
-            data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-            f.write(data)
-            shape = ",".join(str(s) for s in arr.shape)
-            manifest_lines.append(f"{name} {shape} {offset}")
-            offset += len(data)
-    with open(path + ".manifest", "w") as f:
-        f.write("\n".join(manifest_lines) + "\n")
+WEIGHTS_FORMAT = 1
 
 
-def load_weights(path: str) -> dict:
-    params = {}
-    with open(path, "rb") as f:
-        blob = f.read()
-    with open(path + ".manifest") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            name, shape_s, offset_s = line.split()
-            shape = tuple(int(s) for s in shape_s.split(","))
-            count = int(np.prod(shape)) if shape else 1
-            offset = int(offset_s)
-            arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-            params[name] = arr.reshape(shape).astype(np.float64)
-    return params
+def save_weights(params: dict, cfg: ModelConfig, path: str) -> None:
+    """Write one archive at exactly `path`: '<f8' tensors, 0-d `config.<field>`s, `format`."""
+    entries = {f"config.{f.name}": np.asarray(getattr(cfg, f.name), dtype=f.type)
+               for f in fields(cfg)}
+    entries.update({name: np.asarray(arr, dtype="<f8") for name, arr in params.items()})
+    with open(path, "wb") as fh:  # a handle, so numpy does not append ".npz"
+        np.savez(fh, format=np.asarray(WEIGHTS_FORMAT), **entries)
+
+
+def load_weights(path: str) -> tuple[dict, ModelConfig]:
+    """(params, cfg) from a save_weights archive. Any failure, including another file
+    format or a missing, unknown or malformed entry, is one ValueError naming path and cause."""
+    try:
+        with open(path, "rb") as fh:
+            if fh.read(4) != b"PK\x03\x04":
+                raise ValueError("not an np.savez archive; the old .bin + .manifest is not read")
+            fh.seek(0)
+            entries = dict(np.load(fh, allow_pickle=False))
+        if not np.array_equal(entries.pop("format", None), WEIGHTS_FORMAT):
+            raise ValueError(f"format entry is missing or not {WEIGHTS_FORMAT}")
+        dtypes = {f.name: np.dtype(f.type) for f in fields(ModelConfig)}
+        values = {k[7:]: entries.pop(k) for k in list(entries) if k.startswith("config.")}
+        if set(values) != set(dtypes):
+            raise ValueError(f"config field mismatch: {sorted(set(dtypes) ^ set(values))}")
+        for name, arr in values.items():
+            if arr.shape != () or arr.dtype != dtypes[name]:
+                raise ValueError(f"config.{name} is not a 0-d {dtypes[name]}")
+        cfg = ModelConfig(**{name: arr.item() for name, arr in values.items()})
+        shapes = param_shapes(cfg)
+        if set(entries) != set(shapes):
+            raise ValueError(f"tensor name mismatch: {sorted(set(shapes) ^ set(entries))}")
+        for name, arr in entries.items():
+            if arr.shape != shapes[name] or arr.dtype != "<f8" or not np.isfinite(arr).all():
+                raise ValueError(f"tensor {name} is not finite float64 of shape {shapes[name]}")
+    except (ValueError, EOFError, OSError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return {name: entries[name] for name in shapes}, cfg

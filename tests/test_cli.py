@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gemma_mini import cli
+from gemma_mini import distill as distill_mod
 from gemma_mini.kvcache import kv_bytes
 from gemma_mini.model import ModelConfig, init_params, layer_kinds, save_weights
 from gemma_mini.presets import parse_config_text
@@ -91,9 +92,9 @@ class TestDeterminism:
         )
         cfg = ModelConfig.from_dict(parse_config_text(cfg_path.read_text()))
         weights = tmp_path / "w.bin"
-        save_weights(init_params(cfg, seed=1), str(weights))
+        save_weights(init_params(cfg, seed=1), cfg, str(weights))
         args = [
-            "generate", "--config", str(cfg_path), "--weights", str(weights),
+            "generate", "--weights", str(weights),
             "--prompt", "ab", "--max-new", "8", "--sampler", "temperature",
             "--seed", "5",
         ]
@@ -113,9 +114,9 @@ class TestChatGenerate:
         )
         cfg = ModelConfig.from_dict(parse_config_text(cfg_path.read_text()))
         weights = tmp_path / "w.bin"
-        save_weights(init_params(cfg, seed=3), str(weights))
+        save_weights(init_params(cfg, seed=3), cfg, str(weights))
         code, out, _ = run_cli(
-            capsys, "generate", "--config", str(cfg_path), "--weights", str(weights),
+            capsys, "generate", "--weights", str(weights),
             "--chat", "--prompt", "hi", "--max-new", "6",
         )
         assert code == 0
@@ -135,6 +136,74 @@ class TestDistillCommand:
         assert code == 0, err
         assert out.splitlines()[0] == "step,loss"
         assert "held-out ce (distilled)" in err
+
+    @pytest.mark.parametrize("text, head, tail", [(b"", 0, 1), (b"abc", 3, 1)],
+                             ids=["empty", "three-bytes"])
+    def test_corpus_too_small_fails_before_training(self, capsys, tmp_path, monkeypatch,
+                                                    text, head, tail):
+        monkeypatch.setattr(distill_mod, "train_byte_lm", _no_training)
+        corpus = tmp_path / "small.txt"
+        corpus.write_bytes(text)
+        code, out, err = run_cli(capsys, "distill", "--corpus", str(corpus))
+        assert code == 1 and out == ""
+        assert f"{head}-token training head" in err and f"{tail}-token held-out tail" in err
+
+    @pytest.mark.parametrize("flag", ["--out", "--save-student", "--save-teacher"])
+    def test_missing_output_directory_fails_before_training(self, capsys, tmp_path,
+                                                            monkeypatch, flag):
+        monkeypatch.setattr(distill_mod, "train_byte_lm", _no_training)
+        corpus = tmp_path / "docs.txt"
+        corpus.write_text("abcdefgh " * 20)
+        code, out, err = run_cli(
+            capsys, "distill", "--corpus", str(corpus), flag, str(tmp_path / "nodir" / "x"),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {flag}: ") and "nodir" in err
+
+
+def _no_training(*args, **kwargs):
+    raise AssertionError("train_byte_lm ran before the inputs were checked")
+
+
+class TestWeightFileFlow:
+    def test_saved_student_runs_generate_and_audit(self, capsys, tmp_path):
+        """The README flow: distill writes one self-describing file, and
+        generate and audit read the config from it."""
+        corpus = tmp_path / "corpus.txt"
+        rng = np.random.default_rng(1)
+        corpus.write_text("".join(rng.choice(list("abcdefgh "), size=300)))
+        student = str(tmp_path / "s.bin")
+        code, _, err = run_cli(
+            capsys, "distill", "--corpus", str(corpus), "--teacher-steps", "1",
+            "--steps", "1", "--save-student", student,
+        )
+        assert code == 0, err
+        assert sorted(os.listdir(tmp_path)) == ["corpus.txt", "s.bin"]
+        code, out, err = run_cli(
+            capsys, "generate", "--weights", student, "--prompt", "the ", "--max-new", "4",
+        )
+        assert code == 0, err
+        assert out.endswith("\n")
+        report = str(tmp_path / "report.json")
+        code, _, err = run_cli(
+            capsys, "audit", "--corpus", str(corpus), "--weights", student,
+            "--max-samples", "1", "--out", report,
+        )
+        assert code == 0, err
+        assert json.loads(open(report).read())["n_samples"] == 1
+        code, _, err = run_cli(
+            capsys, "generate", "--preset", "toy", "--weights", student, "--prompt", "a",
+        )
+        assert code == 2 and "not allowed with argument" in err
+
+    def test_old_format_file_is_one_line_error(self, capsys, tmp_path):
+        old = tmp_path / "old.bin"
+        np.ones(48, dtype="<f8").tofile(old)
+        (tmp_path / "old.bin.manifest").write_text("final_norm 48 0\n")
+        code, out, err = run_cli(capsys, "generate", "--weights", str(old), "--prompt", "a")
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {old}: not an np.savez archive")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestPanscanCommand:
@@ -181,10 +250,10 @@ class TestAuditCommand:
         )
         cfg = ModelConfig.from_dict(parse_config_text(cfg_path.read_text()))
         weights = tmp_path / "w.bin"
-        save_weights(init_params(cfg, seed=2), str(weights))
+        save_weights(init_params(cfg, seed=2), cfg, str(weights))
         out_path = tmp_path / "report.json"
         code, _, err = run_cli(
-            capsys, "audit", "--corpus", str(corpus), "--config", str(cfg_path),
+            capsys, "audit", "--corpus", str(corpus),
             "--weights", str(weights), "--out", str(out_path),
         )
         assert code == 0, err
@@ -197,6 +266,25 @@ class TestUsageErrors:
     def test_unknown_flag_is_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "pattern", "--bogus", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("argv, option", [
+        (["generate", "--prompt", "a", "--max-new", "-3"], "--max-new"),
+        (["generate", "--prompt", "a", "--temperature", "0"], "--temperature"),
+        (["generate", "--prompt", "a", "--temperature", "nan"], "--temperature"),
+        (["distill", "--corpus", "c.txt", "--k", "0"], "--k"),
+        (["distill", "--corpus", "c.txt", "--steps", "0"], "--steps"),
+        (["distill", "--corpus", "c.txt", "--teacher-steps", "-1"], "--teacher-steps"),
+        (["audit", "--corpus", "c.txt", "--weights", "w.bin", "--out", "r.json",
+          "--stride", "0"], "--stride"),
+        (["audit", "--corpus", "c.txt", "--weights", "w.bin", "--out", "r.json",
+          "--max-samples", "0"], "--max-samples"),
+        (["audit", "--corpus", "c.txt", "--weights", "w.bin", "--out", "r.json",
+          "--preset", "toy"], "--preset"),
+    ])
+    def test_bad_option_is_exit_2_before_work(self, capsys, argv, option):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert option in err
 
     def test_missing_subcommand_is_exit_2(self, capsys):
         code, _, _ = run_cli(capsys)

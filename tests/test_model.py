@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,13 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(init_params(cfg, seed=0), cfg, [], max_new=1)
 
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan")])
+    def test_nonpositive_temperature_rejected(self, temperature):
+        cfg = toy_config()
+        with pytest.raises(ValueError, match="temperature"):
+            generate(init_params(cfg, seed=0), cfg, [1], max_new=1,
+                     sampler="temperature", temperature=temperature)
+
 
 class TestCountParams:
     def test_matches_tensor_walk(self):
@@ -226,8 +235,8 @@ class TestWeightsIO:
         cfg = toy_config(n_layers=2)
         params = init_params(cfg, seed=10)
         path = str(tmp_path / "model.weights")
-        save_weights(params, path)
-        loaded = load_weights(path)
+        save_weights(params, cfg, path)
+        loaded, _ = load_weights(path)
         assert set(loaded) == set(params)
         for name in params:
             np.testing.assert_array_equal(loaded[name], params[name])
@@ -236,7 +245,77 @@ class TestWeightsIO:
         cfg = toy_config(n_layers=2)
         params = init_params(cfg, seed=11)
         path = str(tmp_path / "model.weights")
-        save_weights(params, path)
+        save_weights(params, cfg, path)
         want = forward(params, cfg, [1, 2, 3])
-        got = forward(load_weights(path), cfg, [1, 2, 3])
+        loaded, _ = load_weights(path)
+        got = forward(loaded, cfg, [1, 2, 3])
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"tie_embeddings": False, "rope_scale_global": 8},
+        {"window": 4, "local_per_global": 1, "rope_local_base": 500.0, "rms_eps": 1e-5},
+    ])
+    def test_file_carries_its_config(self, tmp_path, overrides):
+        """One file at exactly the given path rebuilds an equal config and
+        bit-identical tensors."""
+        cfg = toy_config(n_layers=2, **overrides)
+        params = init_params(cfg, seed=12)
+        path = tmp_path / "model.bin"
+        save_weights(params, cfg, str(path))
+        assert os.listdir(tmp_path) == ["model.bin"]
+        loaded, loaded_cfg = load_weights(str(path))
+        assert loaded_cfg == cfg
+        assert list(loaded) == list(param_shapes(cfg))
+        for name in params:
+            assert loaded[name].dtype == np.float64
+            assert loaded[name].tobytes() == params[name].tobytes()
+
+    @staticmethod
+    def _saved(tmp_path, edit=None):
+        """Save a two-layer model, apply edit to the archive's entries, and
+        return the path."""
+        cfg = toy_config(n_layers=2)
+        path = tmp_path / "model.bin"
+        save_weights(init_params(cfg, seed=13), cfg, str(path))
+        if edit is not None:
+            with np.load(path) as archive:
+                entries = dict(archive)
+            edit(entries)
+            with open(path, "wb") as f:
+                np.savez(f, **entries)
+        return str(path)
+
+    @staticmethod
+    def _rejects(path, cause):
+        with pytest.raises(ValueError, match=cause) as info:
+            load_weights(path)
+        message = str(info.value)
+        assert message.startswith(path) and "\n" not in message
+
+    def test_old_raw_blob_with_manifest_rejected(self, tmp_path):
+        path = tmp_path / "old.bin"
+        np.ones(4, dtype="<f8").tofile(path)
+        (tmp_path / "old.bin.manifest").write_text("final_norm 4 0\n")
+        self._rejects(str(path), "not an np.savez archive")
+
+    def test_truncated_file_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        with open(path, "rb") as f:
+            data = f.read()
+        with open(path, "wb") as f:
+            f.write(data[: len(data) // 2])
+        self._rejects(path, "not a zip file")
+
+    @pytest.mark.parametrize("edit, cause", [
+        (lambda e: e.pop("layer1.wq"), r"tensor name mismatch: \['layer1.wq'\]"),
+        (lambda e: e.update({"lm_head": np.zeros((24, 48))}), r"mismatch: \['lm_head'\]"),
+        (lambda e: e.update({"final_norm": np.ones(23)}), "tensor final_norm is not"),
+        (lambda e: e["embed"].__setitem__((3, 4), np.nan), "tensor embed is not finite"),
+        (lambda e: e.update({"config.bogus": np.asarray(1)}), r"config field .*\['bogus'\]"),
+        (lambda e: e.update({"config.window": np.asarray(8.0)}), "config.window is not a 0-d"),
+        (lambda e: e.update({"format": np.asarray(2)}), "format entry"),
+    ], ids=["missing-tensor", "extra-tensor", "wrong-shape", "nan", "unknown-config-field",
+            "float-window", "format-2"])
+    def test_malformed_archive_rejected(self, tmp_path, edit, cause):
+        self._rejects(self._saved(tmp_path, edit), cause)
