@@ -3,6 +3,12 @@
 Local layers attend inside a trailing window (the query position counts as
 part of the window); Global layers attend to the whole causal prefix. Both
 kinds carry their own rotary parameters.
+
+Scores are computed in blocks, with query heads grouped under the kv head
+they read. A dense pass is one block: every query against every key under
+a (Tq, Tk) mask. A banded LOCAL pass cuts the rows into blocks of `window`
+queries, each scoring only its own key block and the one before, so it
+costs O(T * window) instead of O(T^2).
 """
 
 from dataclasses import dataclass
@@ -99,15 +105,117 @@ def qk_norm(
     return rms_norm(q, q_gain, eps), rms_norm(k, k_gain, eps)
 
 
-def attention_probs(
-    q: np.ndarray, k: np.ndarray, cfg: AttentionConfig, mask: np.ndarray
-) -> np.ndarray:
-    """Attention weights (num_query_heads, Tq, Tk): softmax over keys of the
-    1/sqrt(head_dim)-scaled logits plus the additive mask. Query head h reads
-    kv head h // group_size; inputs are not validated."""
-    k_exp = np.repeat(k, cfg.group_size, axis=0)  # (Hq, Tk, head_dim)
-    logits = q @ k_exp.transpose(0, 2, 1) / np.sqrt(cfg.head_dim)
-    return softmax_rows(logits + mask[None, :, :])
+def uses_band(cfg: AttentionConfig, n_rows: int) -> bool:
+    """Whether an uncached pass over n_rows consecutive positions runs banded.
+
+    A banded LOCAL pass scores 2 * window keys per query; at n_rows <=
+    2 * window that is no fewer than the dense causal pass scores.
+    """
+    return cfg.kind is LayerKind.LOCAL and n_rows > 2 * cfg.window
+
+
+def band_mask(n_rows: int, window: int) -> np.ndarray:
+    """Additive mask (n_blocks, window, 2 * window) of a banded LOCAL pass.
+
+    Query block b holds rows [b * window, (b + 1) * window) and scores the
+    keys of blocks b - 1 and b. Every block shares one relative mask; the
+    first half of block 0 is padding before row 0 and is masked too.
+    """
+    n_blocks = -(-n_rows // window)
+    mask = np.empty((n_blocks, window, 2 * window))
+    mask[:] = build_mask(
+        LayerKind.LOCAL, np.arange(window, 2 * window), np.arange(2 * window), window
+    )
+    mask[0, :, :window] = NEG_INF
+    return mask
+
+
+def _query_blocks(x: np.ndarray, cfg: AttentionConfig, band: bool) -> np.ndarray:
+    """(num_query_heads, T, hd) -> (num_kv_heads, group_size, n_blocks, rows, hd).
+
+    Query head h sits at [h // group_size, h % group_size]. A dense pass is
+    one block of T rows; a banded one is zero-padded to whole windows.
+    """
+    rows = x.shape[1]
+    if band:
+        rows = cfg.window
+        x = np.pad(x, ((0, 0), (0, -x.shape[1] % rows), (0, 0)))
+    return x.reshape(cfg.num_kv_heads, cfg.group_size, -1, rows, x.shape[-1])
+
+
+def _merge_query_blocks(xb: np.ndarray, n_rows: int) -> np.ndarray:
+    """Inverse of _query_blocks: (num_query_heads, n_rows, hd), padding dropped."""
+    h_kv, group, n_blocks, rows, hd = xb.shape
+    return xb.reshape(h_kv * group, n_blocks * rows, hd)[:, :n_rows]
+
+
+def _key_blocks(x: np.ndarray, cfg: AttentionConfig, band: bool) -> np.ndarray:
+    """(num_kv_heads, T, hd) -> (num_kv_heads, 1, n_blocks, keys, hd).
+
+    A dense pass is one block of all T keys. Banded block b holds key rows
+    [(b - 1) * window, (b + 1) * window), zero-padded outside [0, T).
+    """
+    if not band:
+        return x[:, None, None]
+    w = cfg.window
+    padded = np.pad(x, ((0, 0), (w, -x.shape[1] % w), (0, 0)))
+    padded = padded.reshape(x.shape[0], -1, w, x.shape[-1])
+    return np.concatenate([padded[:, :-1], padded[:, 1:]], axis=2)[:, None]
+
+
+def _fold_key_blocks(xb: np.ndarray, n_rows: int, band: bool) -> np.ndarray:
+    """Adjoint of _key_blocks, group axis summed: (num_kv_heads, n_blocks, keys,
+    hd) -> (num_kv_heads, n_rows, hd), adding the two copies of each banded row."""
+    if not band:
+        return xb[:, 0]
+    h_kv, n_blocks, keys, hd = xb.shape
+    w = keys // 2
+    out = np.zeros((h_kv, n_blocks + 1, w, hd))
+    out[:, :-1] += xb[:, :, :w]
+    out[:, 1:] += xb[:, :, w:]
+    return out.reshape(h_kv, -1, hd)[:, w : w + n_rows]
+
+
+def attend(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, cfg: AttentionConfig, mask: np.ndarray,
+    band: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(probs, out): attention of q (num_query_heads, Tq, hd) over k, v
+    (num_kv_heads, Tk, hd), query head h reading kv head h // group_size.
+
+    Dense (band False): one block under a (Tq, Tk) additive mask. Banded:
+    q, k, v cover the same consecutive rows and mask is band_mask(Tq,
+    window). probs (num_kv_heads, group_size, n_blocks, rows, keys) is the
+    softmax over keys of the 1/sqrt(head_dim)-scaled logits plus the mask;
+    out is (num_query_heads, Tq, hd). Inputs are not validated.
+    """
+    qb, kb = _query_blocks(q, cfg, band), _key_blocks(k, cfg, band)
+    probs = softmax_rows(qb @ kb.swapaxes(-1, -2) / np.sqrt(cfg.head_dim) + mask)
+    return probs, _merge_query_blocks(probs @ _key_blocks(v, cfg, band), q.shape[1])
+
+
+def attend_backward(
+    probs: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray, dout: np.ndarray,
+    cfg: AttentionConfig, band: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dq, dk, dv) of attend over rows 0 .. T-1, given its probs and d(out).
+
+    A key row sits in every block that reads it and under every query head
+    of its group; its gradient sums those copies.
+    """
+    n_rows = q.shape[1]
+    dout = _query_blocks(dout, cfg, band)
+    dprobs = dout @ _key_blocks(v, cfg, band).swapaxes(-1, -2)
+    dscores = probs * (dprobs - np.sum(dprobs * probs, axis=-1, keepdims=True))
+    scale = 1.0 / np.sqrt(cfg.head_dim)
+    dq = _merge_query_blocks(dscores @ _key_blocks(k, cfg, band) * scale, n_rows)
+    dk = dscores.swapaxes(-1, -2) @ _query_blocks(q, cfg, band) * scale
+    dv = probs.swapaxes(-1, -2) @ dout
+    return (
+        dq,
+        _fold_key_blocks(dk.sum(axis=1), n_rows, band),
+        _fold_key_blocks(dv.sum(axis=1), n_rows, band),
+    )
 
 
 def gqa_attend(
@@ -135,4 +243,4 @@ def gqa_attend(
         raise ShapeError(f"bad head shapes: q {q.shape}, k {k.shape}, v {v.shape}")
     if mask.shape != (q.shape[1], k.shape[1]):
         raise ShapeError(f"mask shape {mask.shape} != ({q.shape[1]}, {k.shape[1]})")
-    return attention_probs(q, k, cfg, mask) @ np.repeat(v, cfg.group_size, axis=0)
+    return attend(q, k, v, cfg, mask, band=False)[1]

@@ -27,6 +27,21 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _positive_int_list(text: str) -> list[int]:
+    try:
+        return [_positive_int(item) for item in text.split(",") if item]
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers >= 1, got {text!r}") from exc
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not (value > 0 and math.isfinite(value)):
@@ -39,13 +54,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pattern", help="render the local/global layer interleaving")
-    p.add_argument("--layers", type=int, required=True)
-    p.add_argument("--ratio", type=int, default=5, help="local layers per global (default 5)")
+    p.add_argument("--layers", type=_positive_int, required=True)
+    p.add_argument("--ratio", type=_nonnegative_int, default=5,
+                   help="local layers per global (default 5)")
 
     p = sub.add_parser("plan", help="weight + KV memory plan for a preset")
     p.add_argument("--preset", required=True)
     p.add_argument("--context", type=_positive_int, default=32768)
-    p.add_argument("--kv-bits", type=int, default=8)
+    p.add_argument("--kv-bits", type=_positive_int, default=8)
     p.add_argument("--scheme", choices=sorted(memplan.SCHEMES), default=None,
                    help="restrict the table to one precision scheme")
     p.add_argument("--json", action="store_true")
@@ -91,13 +107,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="report JSON path")
 
     p = sub.add_parser("kv-curve", help="KV cache bytes vs context length, CSV")
-    p.add_argument("--ratio", type=int, default=5)
-    p.add_argument("--window", type=int, default=1024)
-    p.add_argument("--layers", type=int, default=6)
-    p.add_argument("--kv-heads", type=int, default=8)
-    p.add_argument("--head-dim", type=int, default=256)
-    p.add_argument("--kv-bits", type=int, default=8)
-    p.add_argument("--contexts", required=True, help="comma-separated, ascending")
+    p.add_argument("--ratio", type=_nonnegative_int, default=5)
+    p.add_argument("--window", type=_positive_int, default=1024)
+    p.add_argument("--layers", type=_positive_int, default=6)
+    p.add_argument("--kv-heads", type=_positive_int, default=8)
+    p.add_argument("--head-dim", type=_positive_int, default=256)
+    p.add_argument("--kv-bits", type=_positive_int, default=8)
+    p.add_argument("--contexts", type=_positive_int_list, required=True,
+                   help="comma-separated, ascending")
 
     return parser
 
@@ -249,10 +266,9 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_kv_curve(args) -> int:
-    contexts = [int(c) for c in args.contexts.split(",") if c]
     pattern = layer_kinds(args.layers, args.ratio)
     points = kvcache.kv_curve(
-        pattern, args.kv_heads, args.head_dim, args.kv_bits / 8, contexts, args.window
+        pattern, args.kv_heads, args.head_dim, args.kv_bits / 8, args.contexts, args.window
     )
     print(kvcache.kv_curve_csv(points), end="")
     return 0

@@ -14,11 +14,14 @@ generation stream owns its private KvCache.
 
 import zipfile
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .attention import AttentionConfig, LayerKind, attention_probs, build_mask, qk_norm
+from .attention import (
+    AttentionConfig, LayerKind, attend, band_mask, build_mask, qk_norm, uses_band,
+)
 from .errors import CapacityError, ConfigError, ShapeError
 from .kvcache import KvCache
 from .tensor import RopeParams, rms_norm, rope_apply, softmax_rows
@@ -86,13 +89,19 @@ class ModelConfig:
             raise ConfigError("head_dim must be even")
 
     def attn_for(self, kind: LayerKind) -> AttentionConfig:
-        if kind is LayerKind.LOCAL:
-            rope = RopeParams(self.rope_local_base, self.rope_scale_local, self.head_dim)
-            return AttentionConfig(
-                self.num_query_heads, self.num_kv_heads, self.head_dim, kind, rope, self.window
-            )
-        rope = RopeParams(self.rope_global_base, self.rope_scale_global, self.head_dim)
-        return AttentionConfig(self.num_query_heads, self.num_kv_heads, self.head_dim, kind, rope)
+        return self._attn_configs[kind]
+
+    @cached_property
+    def _attn_configs(self) -> dict:
+        # built on first use and kept in the instance __dict__, outside the fields
+        # that equality, hashing and weight files read
+        heads = (self.num_query_heads, self.num_kv_heads, self.head_dim)
+        local = RopeParams(self.rope_local_base, self.rope_scale_local, self.head_dim)
+        glob = RopeParams(self.rope_global_base, self.rope_scale_global, self.head_dim)
+        return {
+            LayerKind.LOCAL: AttentionConfig(*heads, LayerKind.LOCAL, local, self.window),
+            LayerKind.GLOBAL: AttentionConfig(*heads, LayerKind.GLOBAL, glob),
+        }
 
     def kinds(self) -> list[LayerKind]:
         return layer_kinds(self.n_layers, self.local_per_global)
@@ -191,9 +200,12 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 def _layer(params, cfg, i, kind, h, positions, cache=None):
     """Decoder block i over rows h at absolute `positions`: (new h, saved).
 
-    Without a cache the rows attend to one another. With one, the single row
-    appends its key and value to layer i first and attends over everything
-    the layer retains. `saved` holds what backward_full reads from the tape.
+    Without a cache the rows attend to one another; a LOCAL layer over more
+    than 2 * window rows does so in query blocks of `window` rows, each over
+    its own and the previous key block (banded), any other layer through one
+    dense masked block. With a cache, the single row appends its key and
+    value to layer i first and attends densely over everything the layer
+    retains. `saved` holds what backward_full reads from the tape.
     """
     p = lambda name: params[f"layer{i}.{name}"]
     att, eps = cfg.attn_for(kind), cfg.rms_eps
@@ -209,8 +221,14 @@ def _layer(params, cfg, i, kind, h, positions, cache=None):
         cache.append(i, kr[:, 0, :], v[:, 0, :], int(positions[0]))
         keys, values, key_positions = cache.view(i)  # (S, Hkv, hd) chronological
         keys, values = keys.transpose(1, 0, 2), values.transpose(1, 0, 2)
-    probs = attention_probs(qr, keys, att, build_mask(kind, positions, key_positions, att.window))
-    merged = _merge_heads(probs @ np.repeat(values, att.group_size, axis=0))
+    T = h.shape[0]
+    band = cache is None and uses_band(att, T)  # the band reads keys by row, not position
+    if band:
+        mask = band_mask(T, att.window)
+    else:
+        mask = build_mask(kind, positions, key_positions, att.window)
+    probs, out = attend(qr, keys, values, att, mask, band)
+    merged = _merge_heads(out)
     attn_out = merged @ p("wo")
     x1 = h + rms_norm(attn_out, p("post_attn_norm"), eps)
 
@@ -244,11 +262,11 @@ def forward_full(
     params: dict,
     cfg: ModelConfig,
     tokens: Sequence[int],
-    positions: Optional[np.ndarray] = None,
     keep_tape: bool = False,
 ):
-    """Whole-sequence forward pass with explicit masks.
+    """Whole-sequence forward pass over positions 0 .. len(tokens) - 1.
 
+    Long LOCAL layers run banded, every other layer dense (see _layer).
     Returns (logits, tape); tape holds the per-layer intermediates the
     backward pass needs and is None unless keep_tape is set.
     """
@@ -256,8 +274,7 @@ def forward_full(
     T = tokens.shape[0]
     if T > cfg.max_context:
         raise CapacityError(f"sequence length {T} exceeds max_context {cfg.max_context}")
-    if positions is None:
-        positions = np.arange(T)
+    positions = np.arange(T)
     tape = {"tokens": tokens, "positions": positions, "layers": []} if keep_tape else None
     return _run(params, cfg, tokens, positions, tape=tape), tape
 

@@ -58,9 +58,10 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
     entirely -inf has no legal attention target and raises MaskError.
     """
     m = np.asarray(m, dtype=np.float64)
-    if np.isnan(m).any() or np.isposinf(m).any():
-        raise ValueError("softmax input must be finite or -inf")
     row_max = np.max(m, axis=-1, keepdims=True)
+    # a NaN anywhere in a row makes its max NaN, a +inf makes it +inf
+    if np.isnan(row_max).any() or np.isposinf(row_max).any():
+        raise ValueError("softmax input must be finite or -inf")
     if np.isneginf(row_max).any():
         raise MaskError("fully masked row: every entry is -inf")
     e = np.exp(m - row_max)  # exp(-inf) == 0, no nan because row_max is finite

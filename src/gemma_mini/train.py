@@ -10,6 +10,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .attention import attend_backward, uses_band
 from .model import ModelConfig, forward_full, gelu, gelu_grad, init_params
 from .tensor import rope_unapply, softmax_rows
 
@@ -80,19 +81,8 @@ def backward_full(params: dict, cfg: ModelConfig, tape: dict, dlogits: np.ndarra
         T = dmerged.shape[0]
         dattn = dmerged.reshape(T, att.num_query_heads, att.head_dim).transpose(1, 0, 2)
 
-        # attn = probs @ v_exp ; scores = (qr @ kr_exp.T) / sqrt(hd) + mask
-        probs = t["probs"]
-        v_exp = np.repeat(t["v"], att.group_size, axis=0)
-        kr_exp = np.repeat(t["kr"], att.group_size, axis=0)
-        dprobs = dattn @ v_exp.transpose(0, 2, 1)
-        dv_exp = probs.transpose(0, 2, 1) @ dattn
-        dscores = probs * (dprobs - np.sum(dprobs * probs, axis=-1, keepdims=True))
-        scale = 1.0 / np.sqrt(att.head_dim)
-        dqr = dscores @ kr_exp * scale
-        dkr_exp = dscores.transpose(0, 2, 1) @ t["qr"] * scale
-        group_shape = (att.num_kv_heads, att.group_size) + dkr_exp.shape[1:]
-        dkr = dkr_exp.reshape(group_shape).sum(axis=1)
-        dv = dv_exp.reshape(group_shape).sum(axis=1)
+        dqr, dkr, dv = attend_backward(
+            t["probs"], t["qr"], t["kr"], t["v"], dattn, att, uses_band(att, T))
 
         # rope is an orthogonal map: backward = inverse rotation
         dqn = rope_unapply(dqr, positions, att.rope)

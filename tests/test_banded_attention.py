@@ -1,0 +1,128 @@
+"""Banded LOCAL attention against dense masked attention.
+
+The oracle below is the dense computation the band replaces: every query
+scores every key, the causal window is masked out, and kv heads are
+replicated per query head. Swapped into the model in place of
+`attention.attend` and `attention.attend_backward`, it gives reference
+logits and gradients for the banded full pass and training tape.
+"""
+
+import numpy as np
+import pytest
+
+from gemma_mini import model, train
+from gemma_mini.attention import LayerKind, uses_band
+from gemma_mini.model import ModelConfig, forward_full, init_params
+from gemma_mini.train import cross_entropy, loss_and_grads
+
+
+def dense_attend(q, k, v, cfg, mask, band):
+    """Oracle for attend over rows 0 .. T-1; ignores the mask and band it is given."""
+    T = q.shape[1]
+    diff = np.arange(T)[:, None] - np.arange(T)[None, :]
+    allowed = diff >= 0
+    if cfg.kind is LayerKind.LOCAL:
+        allowed &= diff < cfg.window
+    k_rep = np.repeat(k, cfg.group_size, axis=0)
+    v_rep = np.repeat(v, cfg.group_size, axis=0)
+    scores = np.where(allowed, q @ k_rep.transpose(0, 2, 1) / np.sqrt(cfg.head_dim), -np.inf)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    return probs, probs @ v_rep
+
+
+def dense_attend_backward(probs, q, k, v, dout, cfg, band):
+    k_rep = np.repeat(k, cfg.group_size, axis=0)
+    v_rep = np.repeat(v, cfg.group_size, axis=0)
+    dprobs = dout @ v_rep.transpose(0, 2, 1)
+    dscores = probs * (dprobs - np.sum(dprobs * probs, axis=-1, keepdims=True))
+    scale = 1.0 / np.sqrt(cfg.head_dim)
+    group_shape = (cfg.num_kv_heads, cfg.group_size) + k.shape[1:]
+    dk = (dscores.transpose(0, 2, 1) @ q * scale).reshape(group_shape).sum(axis=1)
+    dv = (probs.transpose(0, 2, 1) @ dout).reshape(group_shape).sum(axis=1)
+    return dscores @ k_rep * scale, dk, dv
+
+
+def small_config(window, group, tie):
+    """One LOCAL layer, then one GLOBAL."""
+    return ModelConfig(
+        n_layers=2, d_model=16, hidden_dim=24, vocab_size=40, max_context=512,
+        num_query_heads=2 * group, num_kv_heads=2, head_dim=4, window=window,
+        local_per_global=1, tie_embeddings=tie,
+    )
+
+
+def logits_and_grads(params, cfg, tokens):
+    seen = []
+
+    def grad_fn(logits):
+        seen.append(logits)
+        return cross_entropy(logits, tokens[1:])
+
+    grads = loss_and_grads(params, cfg, tokens, grad_fn)[1]
+    return seen[0], grads
+
+
+CASES = [
+    (T, window, group, tie)
+    for window in (1, 2, 16)
+    for T in sorted({2 * window, 2 * window + 1, 3 * window, 3 * window + 5, 512})
+    for group in (1, 2)
+    for tie in (True, False)
+]
+
+
+@pytest.mark.parametrize("T, window, group, tie", CASES)
+def test_matches_dense_oracle(monkeypatch, T, window, group, tie):
+    cfg = small_config(window, group, tie)
+    params = init_params(cfg, seed=T + window, scale=0.3)
+    tokens = np.random.default_rng(T).integers(0, cfg.vocab_size, size=T + 1)
+    logits, grads = logits_and_grads(params, cfg, tokens)
+
+    monkeypatch.setattr(model, "attend", dense_attend)
+    monkeypatch.setattr(train, "attend_backward", dense_attend_backward)
+    want_logits, want_grads = logits_and_grads(params, cfg, tokens)
+    np.testing.assert_allclose(logits, want_logits, rtol=0, atol=1e-12)
+    assert set(grads) == set(want_grads)
+    for name, g in grads.items():
+        np.testing.assert_allclose(g, want_grads[name], rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("T, local_shape", [
+    (8, (2, 2, 1, 8, 8)),  # T = 2 * window: dense
+    (9, (2, 2, 3, 4, 8)),  # banded, the last block padded
+    (12, (2, 2, 3, 4, 8)),
+])
+def test_long_local_layers_run_banded(T, local_shape):
+    cfg = small_config(4, 2, True)
+    params = init_params(cfg, seed=1)
+    _, tape = forward_full(params, cfg, np.arange(T), keep_tape=True)
+    assert [layer["probs"].shape for layer in tape["layers"]] == [local_shape, (2, 2, 1, T, T)]
+
+
+def test_banded_gradient_matches_central_differences():
+    """Every parameter tensor through the band (T=13 > 2 * window) to 1e-6."""
+    cfg = small_config(3, 2, False)
+    rng = np.random.default_rng(11)
+    params = init_params(cfg, seed=5, scale=0.3)
+    tokens = rng.integers(0, cfg.vocab_size, size=14)
+    assert uses_band(cfg.attn_for(LayerKind.LOCAL), len(tokens) - 1)
+    _, grads = loss_and_grads(params, cfg, tokens)
+
+    def loss_at():
+        return cross_entropy(forward_full(params, cfg, tokens[:-1])[0], tokens[1:])[0]
+
+    h = 1e-5
+    for name in params:
+        flat = params[name].reshape(-1)
+        for i in rng.choice(flat.size, size=min(3, flat.size), replace=False):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = loss_at()
+            flat[i] = orig - h
+            down = loss_at()
+            flat[i] = orig
+            numeric = (up - down) / (2 * h)
+            analytic = grads[name].reshape(-1)[i]
+            assert abs(numeric - analytic) <= 1e-6 * max(abs(analytic), 1e-3), (
+                f"{name}[{i}]: numeric {numeric} vs analytic {analytic}")

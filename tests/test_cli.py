@@ -262,6 +262,23 @@ class TestAuditCommand:
         assert report["exact_rate"] == 0.0  # random weights recall nothing
 
 
+# each option checked at parse time, with the start of its message
+OUT_OF_RANGE = [
+    (["plan", "--preset", "gemma3-1b", "--kv-bits", "0"], "--kv-bits", "must be >= 1"),
+    (["plan", "--preset", "gemma3-1b", "--kv-bits", "-4"], "--kv-bits", "must be >= 1"),
+    (["kv-curve", "--contexts", "100", "--kv-bits", "0"], "--kv-bits", "must be >= 1"),
+    (["kv-curve", "--contexts", "100", "--window", "0"], "--window", "must be >= 1"),
+    (["kv-curve", "--contexts", "100", "--layers", "0"], "--layers", "must be >= 1"),
+    (["kv-curve", "--contexts", "100", "--kv-heads", "0"], "--kv-heads", "must be >= 1"),
+    (["kv-curve", "--contexts", "100", "--head-dim", "0"], "--head-dim", "must be >= 1"),
+    (["kv-curve", "--contexts", "100", "--ratio", "-1"], "--ratio", "must be >= 0"),
+    (["kv-curve", "--contexts", "5,x"], "--contexts", "comma-separated integers >= 1"),
+    (["kv-curve", "--contexts", "5,0"], "--contexts", "comma-separated integers >= 1"),
+    (["pattern", "--layers", "0"], "--layers", "must be >= 1"),
+    (["pattern", "--layers", "6", "--ratio", "-1"], "--ratio", "must be >= 0"),
+]
+
+
 class TestUsageErrors:
     def test_unknown_flag_is_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "pattern", "--bogus", "1")
@@ -285,6 +302,13 @@ class TestUsageErrors:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert option in err
+
+    @pytest.mark.parametrize("argv, option, message", OUT_OF_RANGE,
+                             ids=[" ".join(argv) for argv, _, _ in OUT_OF_RANGE])
+    def test_out_of_range_option_is_exit_2(self, capsys, argv, option, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"argument {option}: " in err and message in err
 
     def test_missing_subcommand_is_exit_2(self, capsys):
         code, _, _ = run_cli(capsys)

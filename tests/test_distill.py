@@ -292,7 +292,7 @@ class TestDistilledStudentBeatsHardLabels:
         targets cap how sharp the student can get; the hard-label arm has a
         64-token window and overfits the training half instead. Validated
         across seeds 0-5 before pinning (margins +0.18 to +0.92); the
-        slowest test in the suite at roughly two minutes.
+        slowest test in the suite.
         """
         corpus = word_corpus()
         assert len(corpus) == 1000

@@ -58,6 +58,18 @@ class TestLayerKinds:
             layer_kinds(4, -1)
 
 
+class TestAttnFor:
+    def test_each_kind_built_once_per_config(self):
+        cfg = toy_config(rope_scale_global=8.0)
+        local, glob = cfg.attn_for(L), cfg.attn_for(G)
+        assert cfg.attn_for(L) is local and cfg.attn_for(G) is glob
+        assert (local.window, local.rope.base_freq) == (cfg.window, cfg.rope_local_base)
+        assert (glob.window, glob.rope.scale) == (None, 8.0)
+        fresh = toy_config(rope_scale_global=8.0)
+        assert cfg == fresh and hash(cfg) == hash(fresh)
+        assert fresh.attn_for(L) is not local and fresh.attn_for(L) == local
+
+
 class TestForward:
     def test_cached_matches_full(self):
         rng = np.random.default_rng(0)

@@ -76,6 +76,14 @@ class TestSoftmaxRows:
         with pytest.raises(ValueError):
             softmax_rows(np.array([[np.nan, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_nan_or_posinf_in_any_row(self, bad):
+        m = np.zeros((3, 4))
+        m[0, 1] = NEG_INF
+        m[2, 3] = bad  # not the row's first entry, not the first row
+        with pytest.raises(ValueError, match="finite or -inf"):
+            softmax_rows(m)
+
 
 class TestRmsNorm:
     def test_ones_fixed_point(self):
