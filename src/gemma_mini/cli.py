@@ -77,23 +77,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-new", type=_positive_int, default=64)
     p.add_argument("--sampler", choices=["greedy", "temperature"], default="greedy")
     p.add_argument("--temperature", type=_positive_float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
 
     p = sub.add_parser("distill", help="toy teacher->student run; emits step,loss CSV")
     p.add_argument("--corpus", required=True)
     p.add_argument("--k", type=_positive_int, default=distill_mod.SUPPORT_K)
     p.add_argument("--steps", type=_positive_int, default=200)
     p.add_argument("--teacher-steps", type=_positive_int, default=300)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.add_argument("--save-student", default=None, help="write student weights here")
     p.add_argument("--save-teacher", default=None, help="write teacher weights here")
 
     p = sub.add_parser("panscan", help="plan image crops; optionally extract them")
-    p.add_argument("--width", type=int, required=True)
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("--max-crops", type=int, default=panscan.MAX_CROPS_DEFAULT)
-    p.add_argument("--target", type=int, default=panscan.TARGET_SIZE)
+    p.add_argument("--width", type=_positive_int, required=True)
+    p.add_argument("--height", type=_positive_int, required=True)
+    p.add_argument("--max-crops", type=_positive_int, default=panscan.MAX_CROPS_DEFAULT)
+    p.add_argument("--target", type=_positive_int, default=panscan.TARGET_SIZE)
     p.add_argument("--image", default=None, help="image file to crop (needs Pillow)")
     p.add_argument("--out-dir", default=".", help="where crop files go with --image")
 
@@ -102,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="text file; blank-line-separated docs; repeatable per source")
     p.add_argument("--weights", required=True, help="weight file, which carries its config")
     p.add_argument("--stride", type=_positive_int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--max-samples", type=_positive_int, default=None)
     p.add_argument("--out", required=True, help="report JSON path")
 
@@ -151,6 +151,11 @@ def _cmd_generate(args) -> int:
         text = args.prompt
         stop_ids = (tokenizer.EOS_ID,)
     prompt_ids = tokenizer.tokenize_with_bos(text)
+    if len(prompt_ids) + args.max_new > cfg.max_context:
+        raise ValueError(
+            f"a {len(prompt_ids)}-token prompt plus --max-new {args.max_new} exceeds "
+            f"max_context {cfg.max_context}"
+        )
     out = generate(
         params, cfg, prompt_ids, max_new=args.max_new, sampler=args.sampler,
         temperature=args.temperature, seed=args.seed, stop_ids=stop_ids,

@@ -2,8 +2,8 @@
 vocabulary entries, zero the rest, renormalize, and train the student with
 cross-entropy against that sparse target.
 
-All sampling is seeded and pure; batches can run in parallel with
-independent seeds.
+Sampling, targets and the loss work along the last axis: (vocab,) is one
+position, (T, vocab) a window. All sampling is seeded and pure.
 """
 
 from dataclasses import dataclass, field
@@ -13,133 +13,127 @@ import numpy as np
 
 from .model import ModelConfig, forward_full
 from .tensor import softmax_rows
-from .train import cross_entropy, mean_ce, train_byte_lm
+from .train import mean_ce, train_byte_lm
 
 SUPPORT_K = 256
 
 
 @dataclass(frozen=True)
 class DistillTarget:
-    """Sparse teacher distribution: probabilities over a support id set."""
+    """Sparse teacher distribution along the last axis: (k,) is one position,
+    (T, k) a window. A window is as wide as its widest row; narrower rows are
+    padded with zero-mass ids of weight exactly 0."""
 
-    support: np.ndarray  # distinct vocab ids, (k,)
-    probs: np.ndarray  # positive, sums to 1, aligned with support
+    support: np.ndarray  # distinct vocab ids per row
+    probs: np.ndarray  # >= 0, each row sums to 1, aligned with support
 
     def __post_init__(self):
-        if len(set(self.support.tolist())) != self.support.shape[0]:
-            raise ValueError("support ids must be distinct")
         if self.support.shape != self.probs.shape:
             raise ValueError("support and probs must align")
-        if np.any(self.probs <= 0):
-            raise ValueError("probs must be > 0 on the support")
-        if abs(float(self.probs.sum()) - 1.0) > 1e-12:
+        if np.any(np.diff(np.sort(self.support, axis=-1), axis=-1) == 0):
+            raise ValueError("support ids must be distinct")
+        positive = np.sum(self.probs > 0, axis=-1)
+        if not np.all(self.probs >= 0) or np.max(positive) < self.probs.shape[-1]:
+            raise ValueError("probs must be > 0 on the support, padding of narrower rows aside")
+        if not np.all(np.abs(self.probs.sum(axis=-1) - 1.0) <= 1e-12):
             raise ValueError("probs must sum to 1")
 
     def dense(self, vocab_size: int) -> np.ndarray:
-        out = np.zeros(vocab_size)
-        out[self.support] = self.probs
+        out = np.zeros(self.support.shape[:-1] + (vocab_size,))
+        np.put_along_axis(out, self.support, self.probs, axis=-1)
         return out
 
 
 def sample_support(
     teacher_probs: np.ndarray, k: int = SUPPORT_K, seed: int = 0
 ) -> np.ndarray:
-    """min(k, #nonzero) distinct ids, drawn sequentially without replacement
-    with probability proportional to teacher mass."""
+    """Per row, min(k, #nonzero) distinct sorted ids drawn without replacement
+    in proportion to teacher mass: the top of log p + Gumbel noise (Kool et al.
+    2019). A window gives (T, min(k, max #nonzero)); narrower rows are padded
+    with zero-mass ids."""
     teacher_probs = np.asarray(teacher_probs, dtype=np.float64)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    total = float(teacher_probs.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"teacher probabilities sum to {total}, expected 1")
-    nonzero = int(np.count_nonzero(teacher_probs))
-    if nonzero == 0:
+    if not np.all(teacher_probs >= 0):
+        raise ValueError("teacher probabilities must be >= 0")
+    total = teacher_probs.sum(axis=-1)
+    if not np.all(np.abs(total - 1.0) <= 1e-9):
+        raise ValueError(f"teacher probabilities sum to {total}, expected 1 per row")
+    nonzero = np.count_nonzero(teacher_probs, axis=-1)
+    if np.any(nonzero == 0):
         raise ValueError("teacher distribution is all zero")
-    rng = np.random.default_rng(seed)
-    ids = rng.choice(teacher_probs.shape[0], size=min(k, nonzero), replace=False,
-                     p=teacher_probs / total)
-    return np.sort(ids)
+    m = min(k, int(np.max(nonzero)))
+    noise = np.random.default_rng(seed).gumbel(size=teacher_probs.shape)
+    with np.errstate(divide="ignore"):
+        keys = np.log(teacher_probs) + noise  # -inf on zero mass
+    return np.sort(np.argpartition(-keys, m - 1, axis=-1)[..., :m], axis=-1)
 
 
 def renormalize(teacher_probs: np.ndarray, support: np.ndarray) -> DistillTarget:
-    """Teacher probabilities restricted to the support and rescaled to sum 1."""
+    """Teacher probabilities restricted to the support and rescaled to sum 1
+    per row."""
     teacher_probs = np.asarray(teacher_probs, dtype=np.float64)
     support = np.asarray(support, dtype=np.int64)
-    if support.size == 0:
-        raise ValueError("support must be non-empty")
-    mass = teacher_probs[support]
-    if np.any(mass <= 0):
-        raise ValueError("support includes zero-probability ids")
-    return DistillTarget(support=support, probs=mass / mass.sum())
+    mass = np.take_along_axis(teacher_probs, support, axis=-1)
+    total = mass.sum(axis=-1, keepdims=True)
+    if not np.all(total > 0):
+        raise ValueError("support is empty or holds no teacher mass")
+    return DistillTarget(support=support, probs=mass / total)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    m = logits.max()
-    z = logits - m
-    return z - np.log(np.exp(z).sum())
+    logits = np.asarray(logits, dtype=np.float64)
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def distill_loss(student_logits: np.ndarray, target: DistillTarget) -> float:
-    """-sum target(i) * log softmax(student)(i); softmax over the full vocab."""
-    student_logits = np.asarray(student_logits, dtype=np.float64)
-    logp = _log_softmax(student_logits)
-    return float(-np.sum(target.probs * logp[target.support]))
+def _sampled_ce(logp: np.ndarray, target: DistillTarget) -> np.ndarray:
+    return -np.sum(target.probs * np.take_along_axis(logp, target.support, axis=-1), axis=-1)
+
+
+def distill_loss(student_logits: np.ndarray, target: DistillTarget):
+    """-sum target(i) * log softmax(student)(i) per row; softmax over the full
+    vocab. A float for one position, (T,) for a window."""
+    return _sampled_ce(_log_softmax(student_logits), target)
 
 
 def distill_loss_grad(student_logits: np.ndarray, target: DistillTarget):
-    """Loss and its analytic gradient: softmax(student) - dense(target)."""
-    loss = distill_loss(student_logits, target)
-    grad = softmax_rows(student_logits[None, :])[0] - target.dense(student_logits.shape[0])
-    return loss, grad
+    """Loss per row and its analytic gradient: softmax(student) - dense(target)."""
+    logp = _log_softmax(student_logits)
+    return _sampled_ce(logp, target), np.exp(logp) - target.dense(logp.shape[-1])
 
 
 def distill_grad_check(
     student_logits: np.ndarray, target: DistillTarget, h: float = 1e-5
 ) -> float:
-    """Max relative error of the analytic gradient vs central differences."""
+    """Max relative error of one position's analytic gradient vs central
+    differences."""
     if not 1e-7 <= h <= 1e-4:
         raise ValueError(f"h must lie in [1e-7, 1e-4], got {h}")
     student_logits = np.asarray(student_logits, dtype=np.float64)
     _, analytic = distill_loss_grad(student_logits, target)
-    worst = 0.0
-    for j in range(student_logits.shape[0]):
-        bumped = student_logits.copy()
-        bumped[j] += h
-        up = distill_loss(bumped, target)
-        bumped[j] -= 2 * h
-        down = distill_loss(bumped, target)
-        numeric = (up - down) / (2 * h)
-        denom = max(abs(analytic[j]), abs(numeric), 1e-8)
-        worst = max(worst, abs(analytic[j] - numeric) / denom)
-    return worst
+    bumps = h * np.eye(student_logits.shape[0])  # row j moves logit j
+    rows = DistillTarget(target.support[None], target.probs[None])
+    numeric = (distill_loss(student_logits + bumps, rows)
+               - distill_loss(student_logits - bumps, rows)) / (2 * h)
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    return float(np.max(np.abs(analytic - numeric) / denom))
 
 
 # ---------------------------------------------------------------------------
 # Toy teacher -> student loop
 # ---------------------------------------------------------------------------
 
-def build_targets(
-    teacher_logits: np.ndarray, k: int, seed: int
-) -> list[DistillTarget]:
-    """Per-position sparse targets from teacher logits (T, vocab)."""
-    targets = []
-    for t in range(teacher_logits.shape[0]):
-        probs = softmax_rows(teacher_logits[t][None, :])[0]
-        support = sample_support(probs, k=k, seed=seed + t)
-        targets.append(renormalize(probs, support))
-    return targets
+def build_targets(teacher_logits: np.ndarray, k: int, seed: int) -> DistillTarget:
+    """One (T, m) sparse target from a window's teacher logits (T, vocab)."""
+    probs = softmax_rows(teacher_logits)
+    return renormalize(probs, sample_support(probs, k=k, seed=seed))
 
 
-def sequence_distill_grad(student_logits: np.ndarray, targets: Sequence[DistillTarget]):
-    """Mean sampled-CE over positions and d(loss)/d(logits)."""
-    T, vocab = student_logits.shape
-    dense = np.zeros((T, vocab))
-    loss = 0.0
-    for t, target in enumerate(targets):
-        loss += distill_loss(student_logits[t], target)
-        dense[t] = target.dense(vocab)
-    probs = softmax_rows(student_logits)
-    return loss / T, (probs - dense) / T
+def sequence_distill_grad(student_logits: np.ndarray, targets: DistillTarget):
+    """Mean sampled-CE over a window's positions and d(loss)/d(logits)."""
+    loss, grad = distill_loss_grad(student_logits, targets)
+    return float(loss.mean()), grad / len(loss)
 
 
 @dataclass

@@ -71,8 +71,8 @@ def plan_crops(
     alternately, beginning with the axis holding more crops, until the count
     fits max_crops.
     """
-    if w < 1 or h < 1 or max_crops < 1:
-        raise ValueError(f"bad geometry: {w}x{h}, max_crops={max_crops}")
+    if w < 1 or h < 1 or max_crops < 1 or target < 1:
+        raise ValueError(f"bad geometry: {w}x{h}, max_crops={max_crops}, target={target}")
     long_side, short_side = max(w, h), min(w, h)
     if long_side / short_side <= aspect_threshold and long_side <= target:
         return CropPlan(w, h, (1, 1), [(0, 0, w, h)], applied=False)

@@ -104,6 +104,20 @@ class TestDeterminism:
         assert first == second
 
 
+class TestGenerateCapacity:
+    def test_prompt_plus_max_new_beyond_max_context_fails_before_decoding(
+            self, capsys, monkeypatch):
+        def no_decoding(*args, **kwargs):
+            raise AssertionError("generate ran before --max-new was checked")
+
+        monkeypatch.setattr(cli, "generate", no_decoding)
+        # toy's max_context is 512; "hi" with BOS is 3 tokens
+        code, out, err = run_cli(capsys, "generate", "--prompt", "hi", "--max-new", "510")
+        assert code == 1 and out == ""
+        assert "error: a 3-token prompt plus --max-new 510 exceeds max_context 512\n" in err
+        assert "Traceback" not in err
+
+
 class TestChatGenerate:
     def test_chat_prompt_round_trips(self, capsys, tmp_path):
         cfg_path = tmp_path / "tiny.cfg"
@@ -276,6 +290,15 @@ OUT_OF_RANGE = [
     (["kv-curve", "--contexts", "5,0"], "--contexts", "comma-separated integers >= 1"),
     (["pattern", "--layers", "0"], "--layers", "must be >= 1"),
     (["pattern", "--layers", "6", "--ratio", "-1"], "--ratio", "must be >= 0"),
+    (["panscan", "--width", "0", "--height", "10"], "--width", "must be >= 1"),
+    (["panscan", "--width", "10", "--height", "-5"], "--height", "must be >= 1"),
+    (["panscan", "--width", "10", "--height", "10", "--max-crops", "0"], "--max-crops",
+     "must be >= 1"),
+    (["panscan", "--width", "10", "--height", "10", "--target", "0"], "--target", "must be >= 1"),
+    (["generate", "--prompt", "hi", "--seed", "-1"], "--seed", "must be >= 0"),
+    (["distill", "--corpus", "c.txt", "--seed", "-1"], "--seed", "must be >= 0"),
+    (["audit", "--corpus", "c.txt", "--weights", "w.bin", "--out", "r.json", "--seed", "-1"],
+     "--seed", "must be >= 0"),
 ]
 
 

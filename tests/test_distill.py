@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -182,27 +184,107 @@ class TestDistillGrad:
             distill_grad_check(np.zeros(1), target, h=1e-2)
 
 
+def position(target, t):
+    """Row t of a window's target as a one-position target, padding dropped."""
+    drawn = target.probs[t] > 0
+    return DistillTarget(target.support[t][drawn], target.probs[t][drawn])
+
+
 class TestSequenceTargets:
     def test_build_targets_shapes(self):
         rng = np.random.default_rng(8)
         teacher_logits = rng.normal(size=(5, 32))
         targets = build_targets(teacher_logits, k=8, seed=0)
-        assert len(targets) == 5
-        for t in targets:
-            assert len(t.support) == 8
-            assert t.probs.sum() == pytest.approx(1.0)
+        assert targets.support.shape == targets.probs.shape == (5, 8)
+        for t in range(5):
+            assert len(position(targets, t).support) == 8
+            assert targets.probs[t].sum() == pytest.approx(1.0)
 
     def test_sequence_grad_matches_per_position(self):
         rng = np.random.default_rng(9)
         student_logits = rng.normal(size=(4, 16))
         teacher_logits = rng.normal(size=(4, 16))
-        targets = build_targets(teacher_logits, k=16, seed=1)
-        loss, grad = sequence_distill_grad(student_logits, targets)
-        per_pos = [distill_loss(student_logits[t], targets[t]) for t in range(4)]
-        assert loss == pytest.approx(np.mean(per_pos), rel=1e-12)
-        for t in range(4):
-            _, g = distill_loss_grad(student_logits[t], targets[t])
-            np.testing.assert_allclose(grad[t], g / 4, atol=1e-12)
+        # extra input: row 2's softmax underflows to exact zeros, only id 0 has mass
+        underflowed = teacher_logits.copy()
+        underflowed[2] = -1000.0
+        underflowed[2, 0] = 0.0
+        for teacher, k in ((teacher_logits, 16), (underflowed, 8)):
+            targets = build_targets(teacher, k=k, seed=1)
+            loss, grad = sequence_distill_grad(student_logits, targets)
+            per_pos = [distill_loss(student_logits[t], position(targets, t)) for t in range(4)]
+            assert loss == pytest.approx(np.mean(per_pos), rel=1e-12)
+            for t in range(4):
+                _, g = distill_loss_grad(student_logits[t], position(targets, t))
+                np.testing.assert_allclose(grad[t], g / 4, atol=1e-12)
+        # the underflowed window: row 2 is one-hot on id 0 and padded to width 8
+        np.testing.assert_array_equal(targets.dense(16)[2], np.eye(16)[0])
+        with pytest.raises(ValueError):  # padding is not a one-position target
+            DistillTarget(targets.support[2], targets.probs[2])
+
+    def test_window_target_validation(self):
+        support = np.array([[0, 1, 2], [3, 4, 5]])
+        probs = np.array([[0.5, 0.3, 0.2], [1.0, 0.0, 0.0]])  # row 1 padded
+        np.testing.assert_array_equal(
+            DistillTarget(support, probs).dense(6), [[0.5, 0.3, 0.2, 0, 0, 0], [0, 0, 0, 1, 0, 0]]
+        )
+        bad = [
+            (np.array([[0, 1, 2], [3, 4, 3]]), probs),  # repeated id in one row
+            (support, np.array([[0.8, 0.2, 0.0], [1.0, 0.0, 0.0]])),  # wider than any row
+            (support, np.array([[0.5, 0.3, 0.2], [1.2, -0.2, 0.0]])),  # negative weight
+            (support, np.array([[0.5, 0.3, 0.2], [0.9, 0.0, 0.0]])),  # row sums to 0.9
+            (support, probs[:, :2]),  # misaligned
+        ]
+        for s, p in bad:
+            with pytest.raises(ValueError):
+                DistillTarget(s, p)
+
+
+def sequential_support(teacher_probs, k, seed):
+    """The sampler the Gumbel top-k replaced, kept as the oracle: numpy draws
+    min(k, #nonzero) ids one after another without replacement."""
+    rng = np.random.default_rng(seed)
+    size = min(k, int(np.count_nonzero(teacher_probs)))
+    return np.sort(rng.choice(len(teacher_probs), size=size, replace=False, p=teacher_probs))
+
+
+def exact_inclusion(p, k):
+    """P(id is drawn) in k draws without replacement, each proportional to the
+    mass left, summed over every ordered draw."""
+    inclusion = np.zeros(len(p))
+    for order in itertools.permutations(range(len(p)), k):
+        prob, left = 1.0, 1.0
+        for i in order:
+            prob, left = prob * p[i] / left, left - p[i]
+        inclusion[list(order)] += prob
+    return inclusion
+
+
+ORACLE_TEACHERS = [(0.55, 0.25, 0.15, 0.05), (0.4, 0.3, 0.15, 0.1, 0.05)]
+ORACLE_DRAWS = 2000  # supports per case: seeds 0..1999, or 4 seeds x 500 rows
+
+
+class TestSamplerOracle:
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("teacher", ORACLE_TEACHERS, ids=["vocab4", "vocab5"])
+    @pytest.mark.parametrize("sampler", ["sequential", "one-position", "window-rows"])
+    def test_inclusion_frequencies_match_enumeration(self, sampler, teacher, k):
+        """Each id's share of supports lies within 5 binomial standard
+        deviations of its exact inclusion probability."""
+        p = np.array(teacher)
+        exact = exact_inclusion(p, k)
+        assert exact.sum() == pytest.approx(k, abs=1e-12)
+        if sampler == "sequential":
+            supports = [sequential_support(p, k, seed) for seed in range(ORACLE_DRAWS)]
+        elif sampler == "one-position":
+            supports = [sample_support(p, k=k, seed=seed) for seed in range(ORACLE_DRAWS)]
+        else:
+            window = np.tile(p, (ORACLE_DRAWS // 4, 1))
+            supports = np.concatenate([sample_support(window, k=k, seed=s) for s in range(4)])
+        supports = np.asarray(supports)
+        assert supports.shape == (ORACLE_DRAWS, k)
+        freq = np.bincount(supports.ravel(), minlength=len(p)) / ORACLE_DRAWS
+        bound = 5 * np.sqrt(exact * (1 - exact) / ORACLE_DRAWS)
+        assert np.all(np.abs(freq - exact) <= bound), (freq, exact, bound)
 
 
 # One kilobyte of iid 5-letter words with Zipf-like frequencies. Every

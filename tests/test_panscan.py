@@ -89,6 +89,8 @@ class TestPlanCrops:
             plan_crops(0, 5)
         with pytest.raises(ValueError):
             plan_crops(5, 5, max_crops=0)
+        with pytest.raises(ValueError):
+            plan_crops(5000, 5, target=0)
 
 
 def bilinear_oracle(img, out_h, out_w):
