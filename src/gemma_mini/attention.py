@@ -69,8 +69,9 @@ def build_mask(
     """
     q_positions = np.asarray(q_positions, dtype=np.int64)
     k_positions = np.asarray(k_positions, dtype=np.int64)
-    if np.any(np.diff(q_positions) < 0) or np.any(np.diff(k_positions) < 0):
-        raise ValueError("positions must be non-decreasing")
+    for pos in (q_positions, k_positions):
+        if (pos[1:] < pos[:-1]).any():
+            raise ValueError("positions must be non-decreasing")
     if kind is LayerKind.LOCAL and window is None:
         raise ConfigError("LOCAL mask requires a window")
     diff = q_positions[:, None] - k_positions[None, :]

@@ -6,6 +6,7 @@ Sampling, targets and the loss work along the last axis: (vocab,) is one
 position, (T, vocab) a window. All sampling is seeded and pure.
 """
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -130,6 +131,17 @@ def build_targets(teacher_logits: np.ndarray, k: int, seed: int) -> DistillTarge
     return renormalize(probs, sample_support(probs, k=k, seed=seed))
 
 
+def window_seed(seed: int, window: np.ndarray) -> int:
+    """Support-sampling seed of one training window, derived from the run's
+    seed and the window's tokens: a repeated window draws the same support,
+    another window independent noise. The tokens go in as one 128-bit digest,
+    which costs a fraction of feeding SeedSequence every token and, unlike
+    that, tells [1] from [1, 0] (SeedSequence pads short entropy with zeros)."""
+    digest = hashlib.blake2b(np.asarray(window, dtype=np.int64).tobytes(), digest_size=16)
+    entropy = [seed, int.from_bytes(digest.digest(), "little")]
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+
+
 def sequence_distill_grad(student_logits: np.ndarray, targets: DistillTarget):
     """Mean sampled-CE over a window's positions and d(loss)/d(logits)."""
     loss, grad = distill_loss_grad(student_logits, targets)
@@ -182,14 +194,16 @@ def run_toy_distillation(
     ends: dict = {}  # targets of the head's first and last windows, by bytes
 
     def grad_fn_for(window: np.ndarray):
-        # targets depend only on the window. Clamped draws land on an end
-        # window in about 2 * batch_len / (len(train) + batch_len) of the steps
-        # (full batch: in all), so those two are kept; others are recomputed
+        # targets depend only on the window's teacher inputs and the run's seed.
+        # Clamped draws land on an end window in about 2 * batch_len /
+        # (len(train) + batch_len) of the steps (full batch: in all), so those
+        # two are kept; others are recomputed
         key, n = window.tobytes(), len(window)
         targets = ends.get(key)
         if targets is None:
-            teacher_logits, _ = forward_full(teacher.params, teacher_cfg, window[:-1])
-            targets = build_targets(teacher_logits, k=k, seed=seed)
+            inputs = window[:-1]
+            teacher_logits, _ = forward_full(teacher.params, teacher_cfg, inputs)
+            targets = build_targets(teacher_logits, k=k, seed=window_seed(seed, inputs))
             if key in (train[:n].tobytes(), train[-n:].tobytes()):
                 ends[key] = targets
         return lambda student_logits: sequence_distill_grad(student_logits, targets)

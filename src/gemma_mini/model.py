@@ -104,7 +104,12 @@ class ModelConfig:
         }
 
     def kinds(self) -> list[LayerKind]:
-        return layer_kinds(self.n_layers, self.local_per_global)
+        return list(self._kinds)
+
+    @cached_property
+    def _kinds(self) -> tuple:
+        # built once, like _attn_configs; immutable, since every cache and pass shares it
+        return tuple(layer_kinds(self.n_layers, self.local_per_global))
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -248,7 +253,7 @@ def _layer(params, cfg, i, kind, h, positions, cache=None):
 def _run(params, cfg, tokens, positions, cache=None, tape=None):
     """Embed, run every layer, read out logits; appends to `tape` if given."""
     h = params["embed"][tokens]
-    for i, kind in enumerate(cfg.kinds()):
+    for i, kind in enumerate(cfg._kinds):
         h, saved = _layer(params, cfg, i, kind, h, positions, cache)
         if tape is not None:
             tape["layers"].append(saved)
@@ -280,7 +285,7 @@ def forward_full(
 
 
 def make_cache(cfg: ModelConfig) -> KvCache:
-    return KvCache(cfg.kinds(), cfg.window, cfg.max_context, cfg.num_kv_heads, cfg.head_dim)
+    return KvCache(cfg._kinds, cfg.window, cfg.max_context, cfg.num_kv_heads, cfg.head_dim)
 
 
 def decode_step(params: dict, cfg: ModelConfig, cache: KvCache, token: int) -> np.ndarray:
@@ -309,7 +314,7 @@ def forward(
         logits, _ = forward_full(params, cfg, tokens)
         return logits
     if (
-        cache.layer_kinds != cfg.kinds()
+        tuple(cache.layer_kinds) != cfg._kinds
         or cache.window != cfg.window
         or cache.max_context != cfg.max_context
         or cache.num_kv_heads != cfg.num_kv_heads
@@ -352,7 +357,9 @@ def generate(
     out = list(prompt)
     rng = np.random.default_rng(seed)
     stop = set(int(s) for s in stop_ids)
-    for _ in range(max_new):
+    for step in range(max_new):
+        if step:  # feed back the previous token; the last one's logits would go unread
+            logits = forward(params, cfg, [out[-1]], cache)
         row = logits[-1]
         if sampler == "greedy":
             nxt = int(np.argmax(row))
@@ -362,7 +369,6 @@ def generate(
         out.append(nxt)
         if nxt in stop:
             break
-        logits = forward(params, cfg, [nxt], cache)
     return out
 
 

@@ -5,6 +5,7 @@ kernels are the only numeric primitives the rest of the package builds on.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,9 +36,17 @@ class RopeParams:
             raise ConfigError(f"scale must be >= 1, got {self.scale}")
 
     def inv_freqs(self) -> np.ndarray:
-        # theta_i = base ** (-2i / head_dim), i = 0 .. head_dim/2 - 1
+        """theta_i = base ** (-2i / head_dim), i = 0 .. head_dim/2 - 1; read-only, shared."""
+        return self._inv_freqs
+
+    @cached_property
+    def _inv_freqs(self) -> np.ndarray:
+        # built on first use and kept in the instance __dict__, outside the fields
+        # that equality and hashing read
         i = np.arange(self.head_dim // 2, dtype=np.float64)
-        return self.base_freq ** (-2.0 * i / self.head_dim)
+        theta = self.base_freq ** (-2.0 * i / self.head_dim)
+        theta.flags.writeable = False
+        return theta
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -58,14 +67,15 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
     entirely -inf has no legal attention target and raises MaskError.
     """
     m = np.asarray(m, dtype=np.float64)
-    row_max = np.max(m, axis=-1, keepdims=True)
-    # a NaN anywhere in a row makes its max NaN, a +inf makes it +inf
-    if np.isnan(row_max).any() or np.isposinf(row_max).any():
-        raise ValueError("softmax input must be finite or -inf")
-    if np.isneginf(row_max).any():
+    row_max = np.maximum.reduce(m, axis=-1, keepdims=True)  # np.max without its wrapper
+    # a NaN anywhere in a row makes its max NaN, a +inf makes it +inf and a
+    # fully masked row makes it -inf; one check catches all three
+    if not np.isfinite(row_max).all():
+        if np.isnan(row_max).any() or (row_max == np.inf).any():
+            raise ValueError("softmax input must be finite or -inf")
         raise MaskError("fully masked row: every entry is -inf")
     e = np.exp(m - row_max)  # exp(-inf) == 0, no nan because row_max is finite
-    return e / np.sum(e, axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def rms_norm(v: np.ndarray, gain: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -76,7 +86,8 @@ def rms_norm(v: np.ndarray, gain: np.ndarray, eps: float = 1e-6) -> np.ndarray:
         raise ConfigError(f"eps must be > 0, got {eps}")
     if gain.shape[-1] != v.shape[-1]:
         raise ShapeError(f"gain length {gain.shape[-1]} != vector length {v.shape[-1]}")
-    ms = np.mean(v * v, axis=-1, keepdims=True)
+    # np.mean's own sum and divide, without its Python wrapper
+    ms = np.add.reduce(v * v, axis=-1, keepdims=True) / v.shape[-1]
     return gain * v / np.sqrt(ms + eps)
 
 

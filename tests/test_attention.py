@@ -43,6 +43,16 @@ class TestBuildMask:
         with pytest.raises(ConfigError):
             build_mask(LayerKind.LOCAL, np.arange(3), np.arange(3))
 
+    @pytest.mark.parametrize("kind", [LayerKind.LOCAL, LayerKind.GLOBAL])
+    def test_decreasing_positions_rejected(self, kind):
+        ok, bad = np.array([0, 1, 1, 2]), np.array([0, 2, 1, 3])
+        build_mask(kind, ok, ok, window=2)  # repeated positions are allowed
+        for q, k in ((bad, ok), (ok, bad)):
+            with pytest.raises(ValueError, match="non-decreasing"):
+                build_mask(kind, q, k, window=2)
+        with pytest.raises(ValueError, match="non-decreasing"):  # checked before the window
+            build_mask(LayerKind.LOCAL, bad, ok)
+
     def test_shrinking_window_only_masks_more(self):
         rng = np.random.default_rng(0)
         pos = np.sort(rng.integers(0, 50, size=12))

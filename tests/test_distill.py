@@ -365,6 +365,42 @@ class TestTeacherQueries:
         assert len(calls) == 2 + len(middle)
 
 
+class TestWindowSeeds:
+    def test_window_seed_is_a_function_of_seed_and_window(self):
+        w = np.arange(9)
+        assert distill.window_seed(0, w) == distill.window_seed(0, w.copy())
+        others = [np.arange(1, 10), np.arange(8), np.append(np.arange(8), 0)]
+        seeds = {distill.window_seed(0, x) for x in [w, *others]}
+        seeds.add(distill.window_seed(1, w))
+        assert len(seeds) == 5
+
+    def test_each_window_samples_with_its_own_seed(self, monkeypatch):
+        """Random windows of a run: every teacher query of one window uses one
+        seed, and no two windows share a seed."""
+        queries = []  # [teacher input tokens, support seed] per teacher query
+
+        def recording_forward_full(params, cfg, tokens, *args, **kwargs):
+            queries.append([np.asarray(tokens).tobytes()])
+            return forward_full(params, cfg, tokens, *args, **kwargs)
+
+        def recording_build_targets(teacher_logits, k, seed):
+            queries[-1].append(seed)
+            return build_targets(teacher_logits, k=k, seed=seed)
+
+        monkeypatch.setattr(distill, "forward_full", recording_forward_full)
+        monkeypatch.setattr(distill, "build_targets", recording_build_targets)
+        run_toy_distillation(
+            word_corpus(n_words=12), _cfg(2, 16, 4, window=4), _cfg(1, 16, 4, window=4),
+            teacher_steps=1, student_steps=40, k=8, batch_len=8,
+        )
+        seeds_of = {}
+        for window, seed in queries:
+            seeds_of.setdefault(window, set()).add(seed)
+        assert len(queries) > len(seeds_of) > 2  # some windows recur
+        assert all(len(seeds) == 1 for seeds in seeds_of.values())
+        assert len(set.union(*seeds_of.values())) == len(seeds_of)
+
+
 class TestDistilledStudentBeatsHardLabels:
     def test_lower_held_out_ce_than_hard_labels(self):
         """Same student, same steps: soft targets beat one-hot labels.

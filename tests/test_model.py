@@ -3,11 +3,13 @@ import os
 import numpy as np
 import pytest
 
+from gemma_mini import model
 from gemma_mini.attention import LayerKind
 from gemma_mini.errors import CapacityError, ConfigError
 from gemma_mini.model import (
     ModelConfig,
     count_params,
+    decode_step,
     forward,
     forward_full,
     generate,
@@ -68,6 +70,30 @@ class TestAttnFor:
         fresh = toy_config(rope_scale_global=8.0)
         assert cfg == fresh and hash(cfg) == hash(fresh)
         assert fresh.attn_for(L) is not local and fresh.attn_for(L) == local
+
+
+class TestKinds:
+    def test_built_once_per_config(self, monkeypatch):
+        calls = []
+
+        def counting_layer_kinds(*args):
+            calls.append(args)
+            return layer_kinds(*args)
+
+        monkeypatch.setattr(model, "layer_kinds", counting_layer_kinds)
+        cfg = toy_config()
+        params = init_params(cfg, seed=1)
+        cache = make_cache(cfg)
+        forward(params, cfg, [1, 2, 3, 4], cache)
+        forward(params, cfg, [5], cache)
+        assert calls == [(6, 5)]
+
+    def test_returns_a_fresh_list(self):
+        cfg = toy_config()
+        kinds = cfg.kinds()
+        assert kinds == layer_kinds(6, 5)
+        kinds.reverse()
+        assert cfg.kinds() == layer_kinds(6, 5)
 
 
 class TestForward:
@@ -186,6 +212,27 @@ class TestGenerate:
         first = free.index(stop, 1)  # prompt tokens never trigger a stop
         halted = generate(params, cfg, [1], max_new=16, stop_ids=[stop])
         assert halted == free[: first + 1]
+
+    @pytest.mark.parametrize("stop", [False, True])
+    def test_decodes_each_token_but_the_last(self, monkeypatch, stop):
+        # the prompt and every generated token but the last pass through the
+        # cache; nothing reads the logits of the last one
+        cfg = toy_config()
+        params = init_params(cfg, seed=8)
+        prompt, max_new = [1, 2, 3], 5
+        free = generate(params, cfg, prompt, max_new=max_new)
+        stop_ids = [free[len(prompt) + 1]] if stop else []
+        n_out = free.index(stop_ids[0], len(prompt)) + 1 if stop else len(free)
+        steps = []
+
+        def counting_decode_step(*args):
+            steps.append(args[-1])
+            return decode_step(*args)
+
+        monkeypatch.setattr(model, "decode_step", counting_decode_step)
+        out = generate(params, cfg, prompt, max_new=max_new, stop_ids=stop_ids)
+        assert out == free[:n_out] and (n_out < len(free)) == stop
+        assert steps == out[:-1]  # len(prompt) + generated - 1 steps
 
     def test_windowed_decode_matches_full_recompute(self):
         # ring-buffer decoding vs recomputing attention over the whole

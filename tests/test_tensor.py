@@ -84,6 +84,16 @@ class TestSoftmaxRows:
         with pytest.raises(ValueError, match="finite or -inf"):
             softmax_rows(m)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_bad_entry_outranks_a_fully_masked_row(self, bad):
+        # the ValueError wins whichever row comes first
+        for masked, other in ((0, 1), (1, 0)):
+            m = np.zeros((2, 3))
+            m[masked] = NEG_INF
+            m[other, 2] = bad
+            with pytest.raises(ValueError, match="finite or -inf"):
+                softmax_rows(m)
+
 
 class TestRmsNorm:
     def test_ones_fixed_point(self):
@@ -109,6 +119,14 @@ class TestRmsNorm:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             rms_norm(np.ones(4), np.ones(5))
+
+    @pytest.mark.parametrize("shape", [(16,), (5, 16), (4, 5, 16)])
+    def test_bitwise_equal_to_the_mean_formula(self, shape):
+        rng = np.random.default_rng(9)
+        v = rng.normal(size=shape) * 3.0
+        gain = rng.normal(size=shape[-1:])
+        want = gain * v / np.sqrt(np.mean(v * v, axis=-1, keepdims=True) + 1e-6)
+        np.testing.assert_array_equal(rms_norm(v, gain), want)
 
 
 ROPE = RopeParams(base_freq=10_000.0, scale=1.0, head_dim=8)
@@ -149,6 +167,17 @@ class TestRope:
             for shift in (1, 77, 1000):
                 moved = rope_apply(q, [100 + shift], p) @ rope_apply(k, [40 + shift], p).T
                 np.testing.assert_allclose(moved, base, rtol=1e-9)
+
+    def test_inv_freqs_computed_once_and_read_only(self):
+        p = RopeParams(base_freq=10_000.0, scale=8.0, head_dim=8)
+        theta = p.inv_freqs()
+        assert p.inv_freqs() is theta
+        np.testing.assert_array_equal(theta, 10_000.0 ** (-2.0 * np.arange(4.0) / 8))
+        with pytest.raises(ValueError, match="read-only"):
+            theta[0] = 0.0
+        # the cached array is kept outside the fields equality and hashing read
+        fresh = RopeParams(base_freq=10_000.0, scale=8.0, head_dim=8)
+        assert fresh == p and hash(fresh) == hash(p)
 
     def test_odd_head_dim_rejected(self):
         with pytest.raises(ConfigError):
