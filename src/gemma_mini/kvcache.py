@@ -5,6 +5,11 @@ keep everything up to max_context. Positions are appended in order, so a
 layer's next position fixes which absolute positions it holds and in which
 slots; none are stored.
 
+Entries arrive in blocks of consecutive positions: one row per decode step,
+or a whole prompt in one prefill chunk. A ring keeps only the last `window`
+rows of a longer block. `append` writes a block, and `view` reads a layer,
+with at most two slice copies each, one on either side of the ring's wrap.
+
 A cache instance has a single owner and is not thread-safe; separate
 generation streams each get their own cache.
 """
@@ -14,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .attention import LayerKind
-from .errors import CapacityError, OrderingError
+from .errors import CapacityError, OrderingError, ShapeError
 
 
 class KvCache:
@@ -52,18 +57,34 @@ class KvCache:
         return first
 
     def append(self, layer: int, k: np.ndarray, v: np.ndarray, pos: int) -> None:
-        """Store one token's K/V for a layer; pos must be the layer's next position."""
+        """Store K/V for a layer at positions pos, pos + 1, ...; pos must be the
+        layer's next position.
+
+        k, v: a block (T, num_kv_heads, head_dim) or one row (num_kv_heads,
+        head_dim). A ring keeps the block's last min(T, capacity) rows. Every
+        check runs before the first write.
+        """
+        if k.ndim == 2:  # one row
+            k, v = k[None], v[None]
         if pos != self._next_pos[layer]:
             raise OrderingError(
                 f"layer {layer} expected position {self._next_pos[layer]}, got {pos}"
             )
-        cap = self._caps[layer]
-        if self.layer_kinds[layer] is LayerKind.GLOBAL and pos >= cap:
+        if v.shape != k.shape:
+            raise ShapeError(f"keys {k.shape} and values {v.shape} differ in shape")
+        n, cap = k.shape[0], self._caps[layer]
+        end = pos + n
+        if self.layer_kinds[layer] is LayerKind.GLOBAL and end > cap:
             raise CapacityError(f"global layer {layer} is full at {cap} entries")
-        slot = pos % cap  # ring for local layers; never wraps for global
-        self._keys[layer][slot] = k
-        self._values[layer][slot] = v
-        self._next_pos[layer] = pos + 1
+        keep = min(n, cap)
+        slot = (end - keep) % cap  # ring for local layers; never wraps for global
+        head = min(keep, cap - slot)  # rows up to the end of the buffer, then wrap to 0
+        first = n - keep  # a ring drops the rows before it
+        for store, block in ((self._keys[layer], k), (self._values[layer], v)):
+            store[slot:slot + head] = block[first:first + head]
+            if head < keep:
+                store[:keep - head] = block[first + head:]
+        self._next_pos[layer] = end
 
     def view(self, layer: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Copies of the stored (keys, values, positions) in increasing position order.

@@ -203,14 +203,16 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 
 def _layer(params, cfg, i, kind, h, positions, cache=None):
-    """Decoder block i over rows h at absolute `positions`: (new h, saved).
+    """Decoder block i over rows h at consecutive `positions`: (new h, saved).
 
-    Without a cache the rows attend to one another; a LOCAL layer over more
-    than 2 * window rows does so in query blocks of `window` rows, each over
-    its own and the previous key block (banded), any other layer through one
-    dense masked block. With a cache, the single row appends its key and
-    value to layer i first and attends densely over everything the layer
-    retains. `saved` holds what backward_full reads from the tape.
+    With a cache, the rows are a chunk that continues it: layer i's keys
+    and values from before the chunk are read, the chunk's own are
+    appended, and the rows attend over both, masked by position. Rows with
+    no earlier keys (no cache, or an empty one) attend to one another only:
+    a LOCAL layer over more than 2 * window rows does so in query blocks of
+    `window` rows, each over its own and the previous key block (banded),
+    any other layer through one dense masked block. `saved` holds what
+    backward_full reads from the tape.
     """
     p = lambda name: params[f"layer{i}.{name}"]
     att, eps = cfg.attn_for(kind), cfg.rms_eps
@@ -223,11 +225,16 @@ def _layer(params, cfg, i, kind, h, positions, cache=None):
     kr = rope_apply(kn, positions, att.rope)
     keys, values, key_positions = kr, v, positions
     if cache is not None:
-        cache.append(i, kr[:, 0, :], v[:, 0, :], int(positions[0]))
-        keys, values, key_positions = cache.view(i)  # (S, Hkv, hd) chronological
-        keys, values = keys.transpose(1, 0, 2), values.transpose(1, 0, 2)
+        old_k, old_v, old_positions = cache.view(i)  # (S, Hkv, hd) chronological
+        cache.append(i, kr.transpose(1, 0, 2), v.transpose(1, 0, 2), int(positions[0]))
+        if old_positions.size:
+            keys, values = (
+                np.concatenate((old, new.transpose(1, 0, 2))).transpose(1, 0, 2)
+                for old, new in ((old_k, kr), (old_v, v))
+            )
+            key_positions = np.concatenate((old_positions, positions))
     T = h.shape[0]
-    band = cache is None and uses_band(att, T)  # the band reads keys by row, not position
+    band = keys is kr and uses_band(att, T)  # the band reads keys by row, not position
     if band:
         mask = band_mask(T, att.window)
     else:
@@ -288,13 +295,21 @@ def make_cache(cfg: ModelConfig) -> KvCache:
     return KvCache(cfg._kinds, cfg.window, cfg.max_context, cfg.num_kv_heads, cfg.head_dim)
 
 
+def _extend(params, cfg, cache, tokens) -> np.ndarray:
+    """Run `tokens` (T >= 1 checked ids) as one chunk at the cache's next
+    positions, appending their keys and values: logits (T, vocab)."""
+    pos = cache.next_pos
+    if pos + tokens.shape[0] > cfg.max_context:
+        raise CapacityError(
+            f"cache at {pos} cannot take {tokens.shape[0]} more tokens "
+            f"(max_context {cfg.max_context})"
+        )
+    return _run(params, cfg, tokens, np.arange(pos, pos + tokens.shape[0]), cache)
+
+
 def decode_step(params: dict, cfg: ModelConfig, cache: KvCache, token: int) -> np.ndarray:
     """Append one token to the cache and return its logits row (vocab,)."""
-    pos = cache.next_pos
-    if pos >= cfg.max_context:
-        raise CapacityError(f"context is full at {cfg.max_context} tokens")
-    tokens = np.asarray([token], dtype=np.int64)
-    return _run(params, cfg, tokens, np.asarray([pos]), cache)[0]
+    return _extend(params, cfg, cache, np.asarray([token], dtype=np.int64))[0]
 
 
 def forward(
@@ -306,8 +321,9 @@ def forward(
     """Logits (len(tokens), vocab) for a token chunk.
 
     Without a cache this is a whole-sequence pass. With a cache the tokens
-    are consumed one position at a time so every query sees exactly the
-    window the cache retains.
+    continue it, one decode_step per token; every query sees exactly the
+    window the cache retains. generate prefills a prompt as one chunk
+    instead.
     """
     tokens = _check_tokens(cfg, tokens)
     if cache is None:
@@ -342,19 +358,23 @@ def generate(
 ) -> list[int]:
     """Autoregressive decode; stops at max_new tokens or any stop id.
 
-    The stop token, when produced, is kept in the returned sequence.
+    The prompt enters the cache as one chunk, each new token but the last
+    through one decode step; the last one's logits would go unread. The
+    stop token, when produced, is kept in the returned sequence.
     Deterministic for a given seed; "greedy" ignores the seed entirely.
     """
-    prompt = list(prompt)
-    if not prompt:
+    out = list(prompt)
+    if not out:
         raise ValueError("prompt must be non-empty")
     if sampler not in ("greedy", "temperature"):
         raise ValueError(f"unknown sampler {sampler!r}")
     if not temperature > 0:
         raise ValueError(f"temperature must be > 0, got {temperature}")
+    tokens = _check_tokens(cfg, out)
+    if max_new < 1:
+        return out
     cache = make_cache(cfg)
-    logits = forward(params, cfg, prompt, cache)
-    out = list(prompt)
+    logits = _extend(params, cfg, cache, tokens)
     rng = np.random.default_rng(seed)
     stop = set(int(s) for s in stop_ids)
     for step in range(max_new):

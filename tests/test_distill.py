@@ -401,6 +401,7 @@ class TestWindowSeeds:
         assert len(set.union(*seeds_of.values())) == len(seeds_of)
 
 
+@pytest.mark.slow
 class TestDistilledStudentBeatsHardLabels:
     def test_lower_held_out_ce_than_hard_labels(self):
         """Same student, same steps: soft targets beat one-hot labels.

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gemma_mini.attention import LayerKind, build_mask
-from gemma_mini.errors import CapacityError, OrderingError
+from gemma_mini.errors import CapacityError, OrderingError, ShapeError
 from gemma_mini.kvcache import KvCache, kv_bytes, kv_curve, kv_curve_csv
 from gemma_mini.model import layer_kinds
 
@@ -89,6 +89,64 @@ class TestCache:
             for got, want in zip(view, snapshot):
                 np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(cache.view(0)[2], [7, 8, 9])
+
+
+def rows(first, n):
+    """K/V blocks (n, 2, 4) whose row for position p holds p (keys) and -p (values)."""
+    k = np.repeat(np.arange(first, first + n, dtype=float), 8).reshape(n, 2, 4)
+    return k, -k
+
+
+class TestBlockAppend:
+    def test_block_wraps_the_ring(self):
+        cache = small_cache([L], window=4)
+        append_steps(cache, 3)
+        cache.append(0, *rows(3, 3), 3)  # positions 3, 4, 5 go to slots 3, 0, 1
+        keys, values, positions = cache.view(0)
+        np.testing.assert_array_equal(positions, [2, 3, 4, 5])
+        np.testing.assert_array_equal(keys[1:], rows(3, 3)[0])
+        np.testing.assert_array_equal(values[1:], rows(3, 3)[1])
+        assert cache.next_pos == 6
+
+    def test_block_longer_than_the_ring_keeps_its_last_rows(self):
+        cache = small_cache([L], window=4)
+        append_steps(cache, 1)
+        cache.append(0, *rows(1, 10), 1)
+        keys, values, positions = cache.view(0)
+        np.testing.assert_array_equal(positions, [7, 8, 9, 10])
+        np.testing.assert_array_equal(keys, rows(7, 4)[0])
+        np.testing.assert_array_equal(values, rows(7, 4)[1])
+
+    @pytest.mark.parametrize("kind", [L, G])
+    def test_block_matches_row_by_row(self, kind):
+        # every split of 0..15 into a prefix of single rows and one block
+        for prefix in range(8):
+            for n in range(1, 17 - prefix):
+                block, single = small_cache([kind]), small_cache([kind])
+                for pos in range(prefix):
+                    block.append(0, *(a[0] for a in rows(pos, 1)), pos)
+                block.append(0, *rows(prefix, n), prefix)
+                for pos in range(prefix + n):
+                    single.append(0, *(a[0] for a in rows(pos, 1)), pos)
+                for got, want in zip(block.view(0), single.view(0)):
+                    np.testing.assert_array_equal(got, want)
+
+    def test_global_block_overflow_changes_nothing(self):
+        cache = small_cache([G], max_context=5)
+        append_steps(cache, 3)
+        before = cache.view(0)
+        with pytest.raises(CapacityError):
+            cache.append(0, *rows(3, 3), 3)
+        assert cache.next_pos == 3
+        for got, want in zip(cache.view(0), before):
+            np.testing.assert_array_equal(got, want)
+
+    def test_mismatched_values_rejected_before_any_write(self):
+        cache = small_cache([L])
+        with pytest.raises(ShapeError):
+            cache.append(0, rows(0, 3)[0], rows(0, 2)[1], 0)
+        assert cache.next_pos == 0
+        np.testing.assert_array_equal(cache._keys[0], 0.0)
 
 
 class TestKvBytes:

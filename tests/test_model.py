@@ -182,6 +182,58 @@ class TestForward:
             forward(params, cfg, [cfg.vocab_size])
 
 
+class TestChunk:
+    """model._extend: a chunk of T >= 1 tokens through the cache in one pass."""
+
+    @pytest.mark.parametrize("T", [1, 8, 9, 17, 50])  # 1, 2W, 2W + 1, 3W + 5, 50
+    def test_empty_cache_equals_forward_full(self, T):
+        cfg = toy_config(window=4)
+        params = init_params(cfg, seed=20)
+        tokens = np.random.default_rng(T).integers(0, cfg.vocab_size, size=T)
+        cache = make_cache(cfg)
+        chunk = model._extend(params, cfg, cache, tokens)
+        np.testing.assert_array_equal(chunk, forward_full(params, cfg, tokens)[0])
+        assert cache.next_pos == T
+
+    @pytest.mark.parametrize("window", [1, 2, 4, 16])
+    @pytest.mark.parametrize("ratio", [1, 5])
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_chunk_continues_a_cache(self, window, ratio, tied):
+        cfg = toy_config(window=window, local_per_global=ratio, tie_embeddings=tied)
+        params = init_params(cfg, seed=window + ratio)
+        rng = np.random.default_rng(window * 10 + ratio)
+        for prefix in (1, window - 1, window, 2 * window + 3):
+            for n in (1, window, 2 * window + 1):
+                tokens = rng.integers(0, cfg.vocab_size, size=prefix + n)
+                full, _ = forward_full(params, cfg, tokens)
+                cache = make_cache(cfg)
+                if prefix:
+                    model._extend(params, cfg, cache, tokens[:prefix])
+                chunk = model._extend(params, cfg, cache, tokens[prefix:])
+                np.testing.assert_allclose(chunk, full[prefix:], atol=1e-9)
+                assert cache.next_pos == prefix + n
+
+    def test_capacity_checked_before_any_work(self, monkeypatch):
+        cfg = toy_config(max_context=8, window=4)
+        params = init_params(cfg, seed=21)
+        cache = make_cache(cfg)
+        model._extend(params, cfg, cache, np.arange(6))
+        monkeypatch.setattr(model, "_run", lambda *a: pytest.fail("ran past capacity"))
+        with pytest.raises(CapacityError):
+            model._extend(params, cfg, cache, np.arange(3))
+        assert cache.next_pos == 6
+
+    def test_greedy_generate_matches_forward_full_argmax(self):
+        # forward_full is causal, so one teacher-forced pass over the output
+        # recomputes every step's logits from scratch
+        cfg = toy_config(window=4, max_context=512)
+        params = init_params(cfg, seed=22)
+        prompt = np.random.default_rng(22).integers(0, cfg.vocab_size, size=20).tolist()
+        out = generate(params, cfg, prompt, max_new=300)
+        logits, _ = forward_full(params, cfg, out[:-1])
+        assert out[len(prompt):] == np.argmax(logits[len(prompt) - 1:], axis=1).tolist()
+
+
 class TestGenerate:
     def test_max_new_zero_returns_prompt(self):
         cfg = toy_config()
@@ -213,26 +265,49 @@ class TestGenerate:
         halted = generate(params, cfg, [1], max_new=16, stop_ids=[stop])
         assert halted == free[: first + 1]
 
+    def test_max_new_zero_runs_nothing(self, monkeypatch):
+        cfg = toy_config()
+        params = init_params(cfg, seed=5)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("generate ran the model for max_new=0")
+
+        monkeypatch.setattr(model, "make_cache", fail)
+        monkeypatch.setattr(model, "_run", fail)
+        assert generate(params, cfg, [1, 2, 3], max_new=0) == [1, 2, 3]
+        with pytest.raises(ValueError, match="token ids"):
+            generate(params, cfg, [1, cfg.vocab_size], max_new=0)
+
     @pytest.mark.parametrize("stop", [False, True])
-    def test_decodes_each_token_but_the_last(self, monkeypatch, stop):
-        # the prompt and every generated token but the last pass through the
-        # cache; nothing reads the logits of the last one
+    def test_prefills_in_one_chunk_then_decodes_each_token_but_the_last(
+        self, monkeypatch, stop
+    ):
+        # the prompt enters the cache as one chunk, then every generated token
+        # but the last passes through one decode_step; nothing reads the
+        # logits of the last one
         cfg = toy_config()
         params = init_params(cfg, seed=8)
         prompt, max_new = [1, 2, 3], 5
         free = generate(params, cfg, prompt, max_new=max_new)
         stop_ids = [free[len(prompt) + 1]] if stop else []
         n_out = free.index(stop_ids[0], len(prompt)) + 1 if stop else len(free)
-        steps = []
+        chunks, steps = [], []
+
+        def counting_extend(*args):
+            chunks.append(args[-1].tolist())
+            return extend(*args)
 
         def counting_decode_step(*args):
             steps.append(args[-1])
             return decode_step(*args)
 
+        extend = model._extend
+        monkeypatch.setattr(model, "_extend", counting_extend)
         monkeypatch.setattr(model, "decode_step", counting_decode_step)
         out = generate(params, cfg, prompt, max_new=max_new, stop_ids=stop_ids)
         assert out == free[:n_out] and (n_out < len(free)) == stop
-        assert steps == out[:-1]  # len(prompt) + generated - 1 steps
+        assert steps == out[len(prompt):-1]
+        assert chunks == [prompt] + [[t] for t in steps]  # each step is a chunk of one
 
     def test_windowed_decode_matches_full_recompute(self):
         # ring-buffer decoding vs recomputing attention over the whole
