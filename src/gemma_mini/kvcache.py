@@ -7,8 +7,11 @@ slots; none are stored.
 
 Entries arrive in blocks of consecutive positions: one row per decode step,
 or a whole prompt in one prefill chunk. A ring keeps only the last `window`
-rows of a longer block. `append` writes a block, and `view` reads a layer,
-with at most two slice copies each, one on either side of the ring's wrap.
+rows of a longer block. `append` writes a block with at most two slice
+copies, one on either side of the ring's wrap. `joined` reads a layer's
+rows oldest first followed by a new chunk's in one copy per array, so a
+layer attends over both without copying its history twice; `view` is its
+case with no new rows.
 
 A cache instance has a single owner and is not thread-safe; separate
 generation streams each get their own cache.
@@ -33,6 +36,8 @@ class KvCache:
         num_kv_heads: int,
         head_dim: int,
     ):
+        # what the cache was built for; a model checks it against its own in one comparison
+        self.spec = (tuple(layer_kinds), window, max_context, num_kv_heads, head_dim)
         self.layer_kinds = list(layer_kinds)
         self.window = window
         self.max_context = max_context
@@ -86,19 +91,30 @@ class KvCache:
                 store[:keep - head] = block[first + head:]
         self._next_pos[layer] = end
 
+    def retained(self, layer: int) -> np.ndarray:
+        """Positions (n,) the layer holds, in increasing order."""
+        n = self._next_pos[layer]
+        return np.arange(max(0, n - self._caps[layer]), n)
+
+    def joined(self, layer: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(keys, values): the stored rows in increasing position order, followed
+        by the rows of k and v (T, num_kv_heads, head_dim), one copy per array."""
+        n, cap = self._next_pos[layer], self._caps[layer]
+        # once a ring wraps, its oldest entry is in the next slot to write
+        oldest, end = max(0, n - cap) % cap, min(n, cap)
+        keys, values = self._keys[layer], self._values[layer]
+        return (
+            np.concatenate((keys[oldest:end], keys[:oldest], k)),
+            np.concatenate((values[oldest:end], values[:oldest], v)),
+        )
+
     def view(self, layer: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Copies of the stored (keys, values, positions) in increasing position order.
 
         keys/values: (n, num_kv_heads, head_dim), positions: (n,).
         """
-        n, cap = self._next_pos[layer], self._caps[layer]
-        start, end = max(0, n - cap), min(n, cap)
-        oldest = start % cap  # once a ring wraps, its oldest entry is in the next slot to write
-        keys, values = (
-            np.concatenate((a[oldest:end], a[:oldest]))
-            for a in (self._keys[layer], self._values[layer])
-        )
-        return keys, values, np.arange(start, n)
+        none = np.empty((0, self.num_kv_heads, self.head_dim))
+        return (*self.joined(layer, none, none), self.retained(layer))
 
 
 def kv_bytes(

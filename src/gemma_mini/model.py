@@ -20,11 +20,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .attention import (
-    AttentionConfig, LayerKind, attend, band_mask, build_mask, qk_norm, uses_band,
+    AttentionConfig, LayerKind, attend, band_mask, build_mask, uses_band,
 )
 from .errors import CapacityError, ConfigError, ShapeError
 from .kvcache import KvCache
-from .tensor import RopeParams, rms_norm, rope_apply, softmax_rows
+from .tensor import RopeParams, rms_norm, rope_cos_sin, rope_rotate, softmax_rows
 
 GELU_C = float(np.sqrt(2.0 / np.pi))
 GELU_A = 0.044715
@@ -111,6 +111,17 @@ class ModelConfig:
         # built once, like _attn_configs; immutable, since every cache and pass shares it
         return tuple(layer_kinds(self.n_layers, self.local_per_global))
 
+    @cached_property
+    def _cache_spec(self) -> tuple:
+        # the KvCache.spec of make_cache(self); forward compares the two
+        return (self._kinds, self.window, self.max_context, self.num_kv_heads, self.head_dim)
+
+    @cached_property
+    def _layer_keys(self) -> tuple:
+        # per layer, each parameter's short name -> its key in the params dict
+        names = _layer_param_shapes(self)
+        return tuple({name: f"layer{i}.{name}" for name in names} for i in range(self.n_layers))
+
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         fields = {f for f in cls.__dataclass_fields__}
@@ -143,9 +154,9 @@ def _layer_param_shapes(cfg: ModelConfig) -> dict:
 def param_shapes(cfg: ModelConfig) -> dict:
     shapes = {"embed": (cfg.vocab_size, cfg.d_model)}
     per_layer = _layer_param_shapes(cfg)
-    for i in range(cfg.n_layers):
-        for name, shape in per_layer.items():
-            shapes[f"layer{i}.{name}"] = shape
+    for keys in cfg._layer_keys:
+        for name, key in keys.items():
+            shapes[key] = per_layer[name]
     shapes["final_norm"] = (cfg.d_model,)
     if not cfg.tie_embeddings:
         shapes["lm_head"] = (cfg.d_model, cfg.vocab_size)
@@ -202,43 +213,54 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
 
 
-def _layer(params, cfg, i, kind, h, positions, cache=None):
+def _kind_work(att, positions, retained):
+    """(cos, sin, mask, band): what every layer of att's kind shares over a
+    chunk at `positions`. retained holds the positions such a layer kept
+    from before the chunk, or is None.
+
+    Rows with no earlier keys attend to one another only: a LOCAL layer
+    over more than 2 * window rows does so in query blocks of `window`
+    rows, each over its own and the previous key block (banded), any other
+    layer through one dense masked block. Otherwise the rows attend over
+    the retained keys followed by their own, masked by position.
+    """
+    cos, sin = rope_cos_sin(positions, att.rope)
+    T = positions.shape[0]
+    band = retained is None and uses_band(att, T)
+    if band:
+        mask = band_mask(T, att.window)  # the band reads keys by row, not position
+    else:
+        key_positions = positions if retained is None else np.concatenate((retained, positions))
+        mask = build_mask(att.kind, positions, key_positions, att.window)
+    return cos, sin, mask, band
+
+
+def _layer(params, cfg, i, kind, h, positions, work, cache=None):
     """Decoder block i over rows h at consecutive `positions`: (new h, saved).
 
-    With a cache, the rows are a chunk that continues it: layer i's keys
-    and values from before the chunk are read, the chunk's own are
-    appended, and the rows attend over both, masked by position. Rows with
-    no earlier keys (no cache, or an empty one) attend to one another only:
-    a LOCAL layer over more than 2 * window rows does so in query blocks of
-    `window` rows, each over its own and the previous key block (banded),
-    any other layer through one dense masked block. `saved` holds what
-    backward_full reads from the tape.
+    work is _kind_work's for the layer's kind. With a cache, the rows are a
+    chunk that continues it: layer i's keys and values from before the
+    chunk are read, the chunk's own are appended, and the rows attend over
+    both. `saved` holds what backward_full reads from the tape.
     """
-    p = lambda name: params[f"layer{i}.{name}"]
+    names = cfg._layer_keys[i]
+    p = lambda name: params[names[name]]
     att, eps = cfg.attn_for(kind), cfg.rms_eps
+    cos, sin, mask, band = work
     ln1 = rms_norm(h, p("pre_attn_norm"), eps)
     q = _split_heads(ln1 @ p("wq"), att.num_query_heads, att.head_dim)
     k = _split_heads(ln1 @ p("wk"), att.num_kv_heads, att.head_dim)
     v = _split_heads(ln1 @ p("wv"), att.num_kv_heads, att.head_dim)
-    qn, kn = qk_norm(q, k, p("q_gain"), p("k_gain"), eps)
-    qr = rope_apply(qn, positions, att.rope)
-    kr = rope_apply(kn, positions, att.rope)
-    keys, values, key_positions = kr, v, positions
+    # qk-norm and rotation of every query and key head at once
+    gains = np.concatenate((p("q_gain"), p("k_gain")))
+    qkr = rope_rotate(rms_norm(np.concatenate((q, k)), gains[:, None], eps), cos, sin)
+    qr, kr = qkr[:att.num_query_heads], qkr[att.num_query_heads:]
+    keys, values = kr, v
     if cache is not None:
-        old_k, old_v, old_positions = cache.view(i)  # (S, Hkv, hd) chronological
-        cache.append(i, kr.transpose(1, 0, 2), v.transpose(1, 0, 2), int(positions[0]))
-        if old_positions.size:
-            keys, values = (
-                np.concatenate((old, new.transpose(1, 0, 2))).transpose(1, 0, 2)
-                for old, new in ((old_k, kr), (old_v, v))
-            )
-            key_positions = np.concatenate((old_positions, positions))
-    T = h.shape[0]
-    band = keys is kr and uses_band(att, T)  # the band reads keys by row, not position
-    if band:
-        mask = band_mask(T, att.window)
-    else:
-        mask = build_mask(kind, positions, key_positions, att.window)
+        k_rows, v_rows = kr.transpose(1, 0, 2), v.transpose(1, 0, 2)  # (T, Hkv, hd)
+        if positions[0]:  # the layer holds earlier keys: read them with the chunk's
+            keys, values = (a.transpose(1, 0, 2) for a in cache.joined(i, k_rows, v_rows))
+        cache.append(i, k_rows, v_rows, int(positions[0]))
     probs, out = attend(qr, keys, values, att, mask, band)
     merged = _merge_heads(out)
     attn_out = merged @ p("wo")
@@ -258,15 +280,25 @@ def _layer(params, cfg, i, kind, h, positions, cache=None):
 
 
 def _run(params, cfg, tokens, positions, cache=None, tape=None):
-    """Embed, run every layer, read out logits; appends to `tape` if given."""
+    """Embed, run every layer, read out logits; appends to `tape` if given.
+
+    The rotation and the mask are computed once per layer kind, before the
+    layers run (a chunk at position 0 has no earlier keys).
+    """
+    work = {}
+    for i, kind in enumerate(cfg._kinds):
+        if kind not in work:
+            retained = cache.retained(i) if cache is not None and positions[0] else None
+            work[kind] = _kind_work(cfg.attn_for(kind), positions, retained)
     h = params["embed"][tokens]
     for i, kind in enumerate(cfg._kinds):
-        h, saved = _layer(params, cfg, i, kind, h, positions, cache)
+        h, saved = _layer(params, cfg, i, kind, h, positions, work[kind], cache)
         if tape is not None:
             tape["layers"].append(saved)
     hf = rms_norm(h, params["final_norm"], cfg.rms_eps)
     if tape is not None:
         tape["h_last"], tape["hf"] = h, hf
+        tape["rope"] = {kind: w[:2] for kind, w in work.items()}  # (cos, sin) per kind
     return hf @ (params["embed"].T if cfg.tie_embeddings else params["lm_head"])
 
 
@@ -292,7 +324,7 @@ def forward_full(
 
 
 def make_cache(cfg: ModelConfig) -> KvCache:
-    return KvCache(cfg._kinds, cfg.window, cfg.max_context, cfg.num_kv_heads, cfg.head_dim)
+    return KvCache(*cfg._cache_spec)
 
 
 def _extend(params, cfg, cache, tokens) -> np.ndarray:
@@ -329,13 +361,7 @@ def forward(
     if cache is None:
         logits, _ = forward_full(params, cfg, tokens)
         return logits
-    if (
-        tuple(cache.layer_kinds) != cfg._kinds
-        or cache.window != cfg.window
-        or cache.max_context != cfg.max_context
-        or cache.num_kv_heads != cfg.num_kv_heads
-        or cache.head_dim != cfg.head_dim
-    ):
+    if cache.spec != cfg._cache_spec:
         raise ConfigError("cache was built for a different model configuration")
     if cache.next_pos + tokens.shape[0] > cfg.max_context:
         raise CapacityError(

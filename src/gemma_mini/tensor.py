@@ -91,6 +91,27 @@ def rms_norm(v: np.ndarray, gain: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     return gain * v / np.sqrt(ms + eps)
 
 
+def rope_cos_sin(positions: np.ndarray, p: RopeParams) -> tuple[np.ndarray, np.ndarray]:
+    """The angle step of rope_apply: cos and sin of theta_i * position / scale,
+    each (n, head_dim/2) for positions (n,). Every layer of a kind shares them."""
+    angles = (positions[:, None] / p.scale) * p.inv_freqs()[None, :]
+    return np.cos(angles), np.sin(angles)
+
+
+def rope_rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """The rotate step of rope_apply: pairs (x[2i], x[2i+1]) of x (..., n,
+    head_dim) turned by the angles whose cos and sin are (n, head_dim/2).
+    Rotating by (cos, -sin) undoes it."""
+    x = np.asarray(x, dtype=np.float64)
+    if cos.ndim != 2 or sin.shape != cos.shape or x.shape[-2:] != (len(cos), 2 * cos.shape[1]):
+        raise ShapeError(f"cos {cos.shape} and sin {sin.shape} do not match x {x.shape}")
+    even, odd = x[..., 0::2], x[..., 1::2]
+    out = np.empty_like(x)
+    out[..., 0::2] = even * cos - odd * sin
+    out[..., 1::2] = even * sin + odd * cos
+    return out
+
+
 def rope_apply(x: np.ndarray, positions: np.ndarray, p: RopeParams) -> np.ndarray:
     """Rotate interleaved pairs (x[2i], x[2i+1]) by theta_i * position / scale.
 
@@ -104,15 +125,4 @@ def rope_apply(x: np.ndarray, positions: np.ndarray, p: RopeParams) -> np.ndarra
     positions = np.asarray(positions, dtype=np.float64)
     if positions.ndim != 1 or positions.shape[0] != x.shape[-2]:
         raise ShapeError(f"positions shape {positions.shape} does not match x {x.shape}")
-    angles = (positions[:, None] / p.scale) * p.inv_freqs()[None, :]  # (n, head_dim/2)
-    cos, sin = np.cos(angles), np.sin(angles)
-    even, odd = x[..., 0::2], x[..., 1::2]
-    out = np.empty_like(x)
-    out[..., 0::2] = even * cos - odd * sin
-    out[..., 1::2] = even * sin + odd * cos
-    return out
-
-
-def rope_unapply(x: np.ndarray, positions: np.ndarray, p: RopeParams) -> np.ndarray:
-    """Inverse rotation of rope_apply; also the backward map for gradients."""
-    return rope_apply(x, -np.asarray(positions, dtype=np.float64), p)
+    return rope_rotate(x, *rope_cos_sin(positions, p))

@@ -12,7 +12,7 @@ import numpy as np
 
 from .attention import attend_backward, uses_band
 from .model import ModelConfig, forward_full, gelu, gelu_grad, init_params
-from .tensor import rope_unapply, softmax_rows
+from .tensor import rope_rotate, softmax_rows
 
 
 def _rms_norm_bwd(v, gain, eps, dy):
@@ -39,7 +39,9 @@ def backward_full(params: dict, cfg: ModelConfig, tape: dict, dlogits: np.ndarra
     """Gradients for every parameter given d(loss)/d(logits)."""
     eps = cfg.rms_eps
     grads = {name: np.zeros_like(arr) for name, arr in params.items()}
-    tokens, positions = tape["tokens"], tape["positions"]
+    tokens = tape["tokens"]
+    # rope is an orthogonal map: its backward is the inverse rotation, by (cos, -sin)
+    unrotate = {kind: (cos, -sin) for kind, (cos, sin) in tape["rope"].items()}
     hf, h_last = tape["hf"], tape["h_last"]
 
     if cfg.tie_embeddings:
@@ -55,8 +57,9 @@ def backward_full(params: dict, cfg: ModelConfig, tape: dict, dlogits: np.ndarra
     for i in reversed(range(cfg.n_layers)):
         t = tape["layers"][i]
         att = cfg.attn_for(t["kind"])
-        p = lambda name: params[f"layer{i}.{name}"]
-        g = lambda name: grads[f"layer{i}.{name}"]
+        names = cfg._layer_keys[i]
+        p = lambda name: params[names[name]]
+        g = lambda name: grads[names[name]]
 
         # h = x1 + rms_norm(mlp_out, post_mlp_norm)
         dmlp_out, dg_post = _rms_norm_bwd(t["mlp_out"], p("post_mlp_norm"), eps, dh)
@@ -84,9 +87,8 @@ def backward_full(params: dict, cfg: ModelConfig, tape: dict, dlogits: np.ndarra
         dqr, dkr, dv = attend_backward(
             t["probs"], t["qr"], t["kr"], t["v"], dattn, att, uses_band(att, T))
 
-        # rope is an orthogonal map: backward = inverse rotation
-        dqn = rope_unapply(dqr, positions, att.rope)
-        dkn = rope_unapply(dkr, positions, att.rope)
+        dqn = rope_rotate(dqr, *unrotate[t["kind"]])
+        dkn = rope_rotate(dkr, *unrotate[t["kind"]])
 
         # qk-norm: per-head rms norm with per-head gains (H, hd)
         dq, dgq = _rms_norm_bwd(t["q"], p("q_gain")[:, None, :], eps, dqn)

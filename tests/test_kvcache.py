@@ -149,6 +149,30 @@ class TestBlockAppend:
         np.testing.assert_array_equal(cache._keys[0], 0.0)
 
 
+class TestJoined:
+    @pytest.mark.parametrize("kind", [L, G])
+    def test_retained_rows_then_the_chunk_in_one_copy(self, kind):
+        for n in (0, 1, 3, 4, 5, 9, 12):  # empty, filling, full, wrapped
+            cache = small_cache([kind])
+            if n:
+                cache.append(0, *rows(0, n), 0)
+            start = max(0, n - 4) if kind is L else 0
+            np.testing.assert_array_equal(cache.retained(0), np.arange(start, n))
+            keys, values = cache.joined(0, *rows(n, 2))
+            want_k, want_v = rows(start, n + 2 - start)  # oldest retained row first
+            np.testing.assert_array_equal(keys, want_k)
+            np.testing.assert_array_equal(values, want_v)
+            for got, want in zip(cache.view(0), (*rows(start, n - start), np.arange(start, n))):
+                np.testing.assert_array_equal(got, want)
+            # the rows are copies: writing the next block leaves them as they were
+            cache.append(0, *rows(n, 2), n)
+            np.testing.assert_array_equal(keys, want_k)
+
+    def test_spec_records_what_the_cache_was_built_for(self):
+        cache = KvCache([L, G], window=4, max_context=16, num_kv_heads=2, head_dim=4)
+        assert cache.spec == ((L, G), 4, 16, 2, 4)
+
+
 class TestKvBytes:
     def test_five_to_one_ratio_at_32k(self):
         pattern = layer_kinds(6, 5)

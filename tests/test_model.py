@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gemma_mini import model
-from gemma_mini.attention import LayerKind
+from gemma_mini.attention import LayerKind, qk_norm
 from gemma_mini.errors import CapacityError, ConfigError
 from gemma_mini.model import (
     ModelConfig,
@@ -20,6 +20,7 @@ from gemma_mini.model import (
     param_shapes,
     save_weights,
 )
+from gemma_mini.tensor import rope_apply
 
 L, G = LayerKind.LOCAL, LayerKind.GLOBAL
 
@@ -87,6 +88,14 @@ class TestKinds:
         forward(params, cfg, [1, 2, 3, 4], cache)
         forward(params, cfg, [5], cache)
         assert calls == [(6, 5)]
+
+    def test_cache_spec_and_parameter_keys_built_once_per_config(self):
+        cfg = toy_config()
+        assert make_cache(cfg).spec == cfg._cache_spec
+        assert cfg._cache_spec is cfg._cache_spec
+        keys = cfg._layer_keys
+        assert cfg._layer_keys is keys and len(keys) == cfg.n_layers
+        assert [key for layer in keys for key in layer.values()] == list(param_shapes(cfg))[1:-1]
 
     def test_returns_a_fresh_list(self):
         cfg = toy_config()
@@ -232,6 +241,80 @@ class TestChunk:
         out = generate(params, cfg, prompt, max_new=300)
         logits, _ = forward_full(params, cfg, out[:-1])
         assert out[len(prompt):] == np.argmax(logits[len(prompt) - 1:], axis=1).tolist()
+
+
+class TestPerKindWork:
+    """A chunk computes its rotation and its mask once per layer kind."""
+
+    @staticmethod
+    def counting(monkeypatch, name):
+        calls = []
+        real = getattr(model, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model, name, wrapper)
+        return calls
+
+    def test_one_mask_and_one_rotation_per_kind_per_chunk(self, monkeypatch):
+        cfg = toy_config(window=4)
+        params = init_params(cfg, seed=30)
+        tokens = np.random.default_rng(30).integers(0, cfg.vocab_size, size=40)
+        masks = self.counting(monkeypatch, "build_mask")
+        bands = self.counting(monkeypatch, "band_mask")
+        angles = self.counting(monkeypatch, "rope_cos_sin")
+        kinds = set(cfg.kinds())
+        cache = make_cache(cfg)
+        # T=1 on an empty cache, a banded chunk, then T=1 and a chunk after the ring wrapped
+        for start, stop in ((0, 1), (1, 20), (20, 21), (21, 30), (30, 40)):
+            masks.clear(), bands.clear(), angles.clear()
+            model._extend(params, cfg, cache, tokens[start:stop])
+            mask_kinds = [args[0] for args in masks]
+            assert len(mask_kinds) == len(set(mask_kinds)) <= len(kinds)
+            assert len(masks) + len(bands) == len(kinds)
+            assert len(angles) == len(kinds)
+        assert cache.next_pos == 40
+
+    @pytest.mark.parametrize("T", [5, 20])  # local layers dense, then banded (window 4)
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_tape_rotation_equals_the_public_kernels(self, T, tied):
+        cfg = toy_config(window=4, tie_embeddings=tied, rope_scale_global=8.0)
+        params = init_params(cfg, seed=31)
+        rng = np.random.default_rng(T)
+        for name in params:
+            if name.endswith("_gain"):  # per-head gains other than ones
+                params[name] = rng.uniform(0.5, 1.5, size=params[name].shape)
+        tokens = rng.integers(0, cfg.vocab_size, size=T)
+        _, tape = forward_full(params, cfg, tokens, keep_tape=True)
+        positions = np.arange(T)
+        for i, (kind, t) in enumerate(zip(cfg.kinds(), tape["layers"])):
+            qn, kn = qk_norm(t["q"], t["k"], params[f"layer{i}.q_gain"],
+                             params[f"layer{i}.k_gain"], cfg.rms_eps)
+            rope = cfg.attn_for(kind).rope
+            assert np.array_equal(t["qr"], rope_apply(qn, positions, rope))
+            assert np.array_equal(t["kr"], rope_apply(kn, positions, rope))
+
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_chunks_across_a_ring_wrap_match_one_step_per_token(self, tied):
+        cfg = toy_config(window=4, tie_embeddings=tied, rope_scale_global=8.0)
+        params = init_params(cfg, seed=32)
+        tokens = np.random.default_rng(32).integers(0, cfg.vocab_size, size=21)
+        cache = make_cache(cfg)
+        first = model._extend(params, cfg, cache, tokens[:7])
+        second = model._extend(params, cfg, cache, tokens[7:16])  # the local rings wrap
+        decoded = [decode_step(params, cfg, cache, int(t)) for t in tokens[16:]]
+        chunked = np.concatenate((first, second, np.stack(decoded)))
+        steps = make_cache(cfg)
+        stepped = np.stack([decode_step(params, cfg, steps, int(t)) for t in tokens])
+        full, _ = forward_full(params, cfg, tokens)
+        # the first chunk is the full pass's arithmetic; elsewhere a T-row and a
+        # 1-row matmul round differently, by about 1e-15
+        assert np.array_equal(first, forward_full(params, cfg, tokens[:7])[0])
+        np.testing.assert_allclose(chunked, stepped, atol=1e-9)
+        np.testing.assert_allclose(chunked, full, atol=1e-9)
+        assert cache.next_pos == steps.next_pos == 21
 
 
 class TestGenerate:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from gemma_mini.errors import ConfigError, MaskError, ShapeError
-from gemma_mini.tensor import NEG_INF, RopeParams, matmul, rms_norm, rope_apply, softmax_rows
+from gemma_mini.tensor import (
+    NEG_INF, RopeParams, matmul, rms_norm, rope_apply, rope_cos_sin, rope_rotate, softmax_rows,
+)
 
 
 def matmul_oracle(a, b):
@@ -182,6 +184,32 @@ class TestRope:
     def test_odd_head_dim_rejected(self):
         with pytest.raises(ConfigError):
             RopeParams(base_freq=10_000.0, scale=1.0, head_dim=7)
+
+    def test_apply_is_angles_then_rotation_and_negated_sin_undoes_it(self):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(3, 5, 8))
+        positions = np.asarray([0, 7, 300, 4095, 100_000])
+        for scale in (1.0, 8.0):
+            p = RopeParams(base_freq=1_000_000.0, scale=scale, head_dim=8)
+            cos, sin = rope_cos_sin(positions, p)
+            assert cos.shape == sin.shape == (5, 4)
+            assert np.array_equal(rope_rotate(x, cos, sin), rope_apply(x, positions, p))
+            # cos(-a) == cos(a) and sin(-a) == -sin(a) exactly: the inverse rotation,
+            # which backward_full applies to gradients
+            assert np.array_equal(rope_rotate(x, cos, -sin), rope_apply(x, -positions, p))
+            np.testing.assert_allclose(rope_rotate(rope_rotate(x, cos, sin), cos, -sin), x,
+                                       atol=1e-12)
+
+    @pytest.mark.parametrize("x_shape, n, half", [
+        ((3, 5, 6), 5, 4),  # head_dim 6 against angles for 8
+        ((3, 4, 8), 5, 4),  # 4 rows against angles for 5
+        ((5, 8), 5, 3),
+    ])
+    def test_rotation_rejects_angles_of_another_shape(self, x_shape, n, half):
+        with pytest.raises(ShapeError):
+            rope_rotate(np.zeros(x_shape), np.ones((n, half)), np.zeros((n, half)))
+        with pytest.raises(ShapeError):  # sin must match cos
+            rope_rotate(np.zeros((5, 8)), np.ones((5, 4)), np.zeros((4, 4)))
 
     def test_bad_params_rejected(self):
         with pytest.raises(ConfigError):
