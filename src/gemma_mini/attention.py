@@ -5,10 +5,19 @@ part of the window); Global layers attend to the whole causal prefix. Both
 kinds carry their own rotary parameters.
 
 Scores are computed in blocks, with query heads grouped under the kv head
-they read. A dense pass is one block: every query against every key under
-a (Tq, Tk) mask. A banded LOCAL pass cuts the rows into blocks of `window`
-queries, each scoring only its own key block and the one before, so it
-costs O(T * window) instead of O(T^2).
+they read. A pass has one of three layouts:
+
+- DENSE: one block, every query against every key under a (Tq, Tk) mask.
+  Cached chunks and short uncached passes run dense.
+- BAND: a long uncached LOCAL pass cuts the rows into blocks of `window`
+  queries, each scoring only its own key block and the one before, so it
+  costs O(T * window) instead of O(T^2).
+- TILES: a long uncached GLOBAL pass runs in causal query tiles of 64 rows.
+  Tile b scores only the keys up to its last row, under its rows of the
+  (T, T) causal mask, and skips the fully masked blocks above the diagonal
+  (as FlashAttention does). No T x T temporary is built; the probabilities
+  land in the same (Hkv, g, 1, T, T) array as a dense pass's, exactly 0
+  above the tiles.
 """
 
 from dataclasses import dataclass
@@ -106,13 +115,21 @@ def qk_norm(
     return rms_norm(q, q_gain, eps), rms_norm(k, k_gain, eps)
 
 
-def uses_band(cfg: AttentionConfig, n_rows: int) -> bool:
-    """Whether an uncached pass over n_rows consecutive positions runs banded.
+DENSE, BAND, TILES = "dense", "band", "tiles"
+_TILE = 64  # query rows per causal tile
+
+
+def pass_layout(cfg: AttentionConfig, n_rows: int) -> str:
+    """The layout of an uncached pass over n_rows consecutive positions.
 
     A banded LOCAL pass scores 2 * window keys per query; at n_rows <=
-    2 * window that is no fewer than the dense causal pass scores.
+    2 * window that is no fewer than the dense causal pass scores. Tiles
+    skip little of a GLOBAL pass over 2 * _TILE rows or fewer and cost a
+    loop, so such a pass stays dense.
     """
-    return cfg.kind is LayerKind.LOCAL and n_rows > 2 * cfg.window
+    if cfg.kind is LayerKind.LOCAL:
+        return BAND if n_rows > 2 * cfg.window else DENSE
+    return TILES if n_rows > 2 * _TILE else DENSE
 
 
 def band_mask(n_rows: int, window: int) -> np.ndarray:
@@ -177,33 +194,60 @@ def _fold_key_blocks(xb: np.ndarray, n_rows: int, band: bool) -> np.ndarray:
     return out.reshape(h_kv, -1, hd)[:, w : w + n_rows]
 
 
+def _tiles(n_rows: int):
+    """(start, end) of each causal query tile of a TILES pass over n_rows."""
+    return [(b, min(b + _TILE, n_rows)) for b in range(0, n_rows, _TILE)]
+
+
 def attend(
     q: np.ndarray, k: np.ndarray, v: np.ndarray, cfg: AttentionConfig, mask: np.ndarray,
-    band: bool,
+    layout: str,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(probs, out): attention of q (num_query_heads, Tq, hd) over k, v
     (num_kv_heads, Tk, hd), query head h reading kv head h // group_size.
 
-    Dense (band False): one block under a (Tq, Tk) additive mask. Banded:
-    q, k, v cover the same consecutive rows and mask is band_mask(Tq,
-    window). probs (num_kv_heads, group_size, n_blocks, rows, keys) is the
-    softmax over keys of the 1/sqrt(head_dim)-scaled logits plus the mask;
-    out is (num_query_heads, Tq, hd). Inputs are not validated.
+    DENSE: one block under a (Tq, Tk) additive mask. BAND: q, k, v cover
+    the same consecutive rows and mask is band_mask(Tq, window). TILES: q,
+    k, v cover rows 0 .. T-1 and mask is their (T, T) causal mask. probs
+    (num_kv_heads, group_size, n_blocks, rows, keys) is the softmax over
+    keys of the 1/sqrt(head_dim)-scaled logits plus the mask; out is
+    (num_query_heads, Tq, hd). Inputs are not validated.
     """
+    if layout == TILES:
+        return _attend_tiles(q, k, v, cfg, mask)
+    band = layout == BAND
     qb, kb = _query_blocks(q, cfg, band), _key_blocks(k, cfg, band)
     probs = softmax_rows(qb @ kb.swapaxes(-1, -2) / np.sqrt(cfg.head_dim) + mask)
     return probs, _merge_query_blocks(probs @ _key_blocks(v, cfg, band), q.shape[1])
 
 
+def _attend_tiles(q, k, v, cfg, mask):
+    """attend in causal query tiles: tile [b, e) scores keys [0, e) only."""
+    h_kv, group, T, hd = cfg.num_kv_heads, cfg.group_size, q.shape[1], q.shape[2]
+    qg = q.reshape(h_kv, group, T, hd)
+    probs = np.zeros((h_kv, group, 1, T, T))
+    out = np.empty((h_kv, group, T, hd))
+    for b, e in _tiles(T):
+        scores = qg[:, :, b:e] @ k[:, None, :e].swapaxes(-1, -2) / np.sqrt(cfg.head_dim)
+        p = softmax_rows(scores + mask[b:e, :e])
+        probs[:, :, 0, b:e, :e] = p
+        out[:, :, b:e] = p @ v[:, None, :e]
+    return probs, out.reshape(h_kv * group, T, hd)
+
+
 def attend_backward(
     probs: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray, dout: np.ndarray,
-    cfg: AttentionConfig, band: bool,
+    cfg: AttentionConfig, layout: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(dq, dk, dv) of attend over rows 0 .. T-1, given its probs and d(out).
+    """(dq, dk, dv) of an uncached attend over rows 0 .. T-1, given its probs
+    and d(out).
 
     A key row sits in every block that reads it and under every query head
     of its group; its gradient sums those copies.
     """
+    if layout == TILES:
+        return _attend_tiles_backward(probs, q, k, v, dout, cfg)
+    band = layout == BAND
     n_rows = q.shape[1]
     dout = _query_blocks(dout, cfg, band)
     dprobs = dout @ _key_blocks(v, cfg, band).swapaxes(-1, -2)
@@ -217,6 +261,23 @@ def attend_backward(
         _fold_key_blocks(dk.sum(axis=1), n_rows, band),
         _fold_key_blocks(dv.sum(axis=1), n_rows, band),
     )
+
+
+def _attend_tiles_backward(probs, q, k, v, dout, cfg):
+    """attend_backward of _attend_tiles: tile [b, e) reads and writes key rows [0, e)."""
+    h_kv, group, T, hd = cfg.num_kv_heads, cfg.group_size, q.shape[1], q.shape[2]
+    qg, dout = q.reshape(h_kv, group, T, hd), dout.reshape(h_kv, group, T, hd)
+    scale = 1.0 / np.sqrt(cfg.head_dim)
+    dq = np.empty((h_kv, group, T, hd))
+    dk, dv = np.zeros_like(k), np.zeros_like(v)
+    for b, e in _tiles(T):
+        p, dout_t = probs[:, :, 0, b:e, :e], dout[:, :, b:e]
+        dprobs = dout_t @ v[:, None, :e].swapaxes(-1, -2)
+        dscores = p * (dprobs - np.sum(dprobs * p, axis=-1, keepdims=True))
+        dq[:, :, b:e] = dscores @ k[:, None, :e] * scale
+        dk[:, :e] += (dscores.swapaxes(-1, -2) @ qg[:, :, b:e] * scale).sum(axis=1)
+        dv[:, :e] += (p.swapaxes(-1, -2) @ dout_t).sum(axis=1)
+    return dq.reshape(h_kv * group, T, hd), dk, dv
 
 
 def gqa_attend(
@@ -244,4 +305,4 @@ def gqa_attend(
         raise ShapeError(f"bad head shapes: q {q.shape}, k {k.shape}, v {v.shape}")
     if mask.shape != (q.shape[1], k.shape[1]):
         raise ShapeError(f"mask shape {mask.shape} != ({q.shape[1]}, {k.shape[1]})")
-    return attend(q, k, v, cfg, mask, band=False)[1]
+    return attend(q, k, v, cfg, mask, DENSE)[1]

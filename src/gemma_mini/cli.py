@@ -34,12 +34,15 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _positive_int_list(text: str) -> list[int]:
+def _ascending_positive_ints(text: str) -> list[int]:
     try:
-        return [_positive_int(item) for item in text.split(",") if item]
+        values = [_positive_int(item) for item in text.split(",") if item]
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers >= 1, got {text!r}") from exc
+    if any(b < a for a, b in zip(values, values[1:])):
+        raise argparse.ArgumentTypeError(f"must be ascending, got {text!r}")
+    return values
 
 
 def _positive_float(text: str) -> float:
@@ -113,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kv-heads", type=_positive_int, default=8)
     p.add_argument("--head-dim", type=_positive_int, default=256)
     p.add_argument("--kv-bits", type=_positive_int, default=8)
-    p.add_argument("--contexts", type=_positive_int_list, required=True,
+    p.add_argument("--contexts", type=_ascending_positive_ints, required=True,
                    help="comma-separated, ascending")
 
     return parser
@@ -178,11 +181,16 @@ def _toy_teacher_config(vocab: int = tokenizer.VOCAB_SIZE) -> ModelConfig:
     )
 
 
-def _cmd_distill(args) -> int:
-    for flag, path in (("--out", args.out), ("--save-student", args.save_student),
-                       ("--save-teacher", args.save_teacher)):
+def _check_out_dirs(*flags_and_paths) -> None:
+    """Fail before any work when an output path's directory does not exist."""
+    for flag, path in flags_and_paths:
         if path and not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(f"{flag}: directory of {path!r} does not exist")
+
+
+def _cmd_distill(args) -> int:
+    _check_out_dirs(("--out", args.out), ("--save-student", args.save_student),
+                    ("--save-teacher", args.save_teacher))
     with open(args.corpus, "rb") as f:
         corpus = [tokenizer.BOS_ID] + list(f.read())
     teacher_cfg, student_cfg = _toy_teacher_config(), _toy_student_config()
@@ -246,6 +254,7 @@ def _cmd_panscan(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    _check_out_dirs(("--out", args.out))
     params, cfg = load_weights(args.weights)
     corpus = []
     for path in args.corpus:

@@ -20,24 +20,22 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .attention import (
-    AttentionConfig, LayerKind, attend, band_mask, build_mask, uses_band,
+    BAND, DENSE, AttentionConfig, LayerKind, attend, band_mask, build_mask, pass_layout,
 )
 from .errors import CapacityError, ConfigError, ShapeError
 from .kvcache import KvCache
-from .tensor import RopeParams, rms_norm, rope_cos_sin, rope_rotate, softmax_rows
+from .tensor import (
+    RopeParams, rms_divisor, rms_norm, rope_cos_sin, rope_rotate, softmax_rows,
+)
 
 GELU_C = float(np.sqrt(2.0 / np.pi))
 GELU_A = 0.044715
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """tanh-approximated GELU, the gate nonlinearity of the MLP."""
-    return 0.5 * x * (1.0 + np.tanh(GELU_C * (x + GELU_A * x * x * x)))
-
-
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    t = np.tanh(GELU_C * (x + GELU_A * x * x * x))
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * GELU_C * (1.0 + 3.0 * GELU_A * x * x)
+def gelu(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """tanh-approximated GELU, the gate nonlinearity of the MLP, given its
+    tanh term t = tanh(GELU_C * (x + GELU_A * x^3)), which the tape keeps."""
+    return 0.5 * x * (1.0 + t)
 
 
 def layer_kinds(n_layers: int, local_per_global: int = 5) -> list[LayerKind]:
@@ -214,25 +212,25 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 
 def _kind_work(att, positions, retained):
-    """(cos, sin, mask, band): what every layer of att's kind shares over a
-    chunk at `positions`. retained holds the positions such a layer kept
+    """(cos, sin, mask, layout): what every layer of att's kind shares over
+    a chunk at `positions`. retained holds the positions such a layer kept
     from before the chunk, or is None.
 
-    Rows with no earlier keys attend to one another only: a LOCAL layer
-    over more than 2 * window rows does so in query blocks of `window`
-    rows, each over its own and the previous key block (banded), any other
-    layer through one dense masked block. Otherwise the rows attend over
-    the retained keys followed by their own, masked by position.
+    Rows with no earlier keys attend to one another only, in the layout of
+    an uncached pass (attention.pass_layout): a long LOCAL layer banded, a
+    long GLOBAL layer in causal tiles, any other dense. Otherwise the rows
+    attend densely over the retained keys followed by their own, masked by
+    position.
     """
     cos, sin = rope_cos_sin(positions, att.rope)
     T = positions.shape[0]
-    band = retained is None and uses_band(att, T)
-    if band:
+    layout = DENSE if retained is not None else pass_layout(att, T)
+    if layout == BAND:
         mask = band_mask(T, att.window)  # the band reads keys by row, not position
     else:
         key_positions = positions if retained is None else np.concatenate((retained, positions))
         mask = build_mask(att.kind, positions, key_positions, att.window)
-    return cos, sin, mask, band
+    return cos, sin, mask, layout
 
 
 def _layer(params, cfg, i, kind, h, positions, work, cache=None):
@@ -241,19 +239,24 @@ def _layer(params, cfg, i, kind, h, positions, work, cache=None):
     work is _kind_work's for the layer's kind. With a cache, the rows are a
     chunk that continues it: layer i's keys and values from before the
     chunk are read, the chunk's own are appended, and the rows attend over
-    both. `saved` holds what backward_full reads from the tape.
+    both. `saved` holds what backward_full reads from the tape: each norm's
+    input and divisor (div_*), not the pre-attention and pre-MLP norm
+    outputs, and the GELU's tanh term, not its output.
     """
     names = cfg._layer_keys[i]
     p = lambda name: params[names[name]]
     att, eps = cfg.attn_for(kind), cfg.rms_eps
-    cos, sin, mask, band = work
-    ln1 = rms_norm(h, p("pre_attn_norm"), eps)
+    cos, sin, mask, layout = work
+    div_ln1 = rms_divisor(h, eps)
+    ln1 = rms_norm(h, p("pre_attn_norm"), eps, div_ln1)
     q = _split_heads(ln1 @ p("wq"), att.num_query_heads, att.head_dim)
     k = _split_heads(ln1 @ p("wk"), att.num_kv_heads, att.head_dim)
     v = _split_heads(ln1 @ p("wv"), att.num_kv_heads, att.head_dim)
     # qk-norm and rotation of every query and key head at once
     gains = np.concatenate((p("q_gain"), p("k_gain")))
-    qkr = rope_rotate(rms_norm(np.concatenate((q, k)), gains[:, None], eps), cos, sin)
+    qk = np.concatenate((q, k))
+    div_qk = rms_divisor(qk, eps)
+    qkr = rope_rotate(rms_norm(qk, gains[:, None], eps, div_qk), cos, sin)
     qr, kr = qkr[:att.num_query_heads], qkr[att.num_query_heads:]
     keys, values = kr, v
     if cache is not None:
@@ -261,22 +264,25 @@ def _layer(params, cfg, i, kind, h, positions, work, cache=None):
         if positions[0]:  # the layer holds earlier keys: read them with the chunk's
             keys, values = (a.transpose(1, 0, 2) for a in cache.joined(i, k_rows, v_rows))
         cache.append(i, k_rows, v_rows, int(positions[0]))
-    probs, out = attend(qr, keys, values, att, mask, band)
+    probs, out = attend(qr, keys, values, att, mask, layout)
     merged = _merge_heads(out)
     attn_out = merged @ p("wo")
-    x1 = h + rms_norm(attn_out, p("post_attn_norm"), eps)
+    div_attn = rms_divisor(attn_out, eps)
+    x1 = h + rms_norm(attn_out, p("post_attn_norm"), eps, div_attn)
 
-    ln2 = rms_norm(x1, p("pre_mlp_norm"), eps)
+    div_ln2 = rms_divisor(x1, eps)
+    ln2 = rms_norm(x1, p("pre_mlp_norm"), eps, div_ln2)
     gate = ln2 @ p("w_gate")
     up = ln2 @ p("w_up")
-    act = gelu(gate) * up
-    mlp_out = act @ p("w_down")
+    tanh = np.tanh(GELU_C * (gate + GELU_A * gate * gate * gate))  # gelu's tanh term
+    mlp_out = (gelu(gate, tanh) * up) @ p("w_down")
+    div_mlp = rms_divisor(mlp_out, eps)
     saved = dict(
-        kind=kind, x0=h, ln1=ln1, q=q, k=k, v=v, qr=qr, kr=kr, probs=probs,
-        merged=merged, attn_out=attn_out, x1=x1, ln2=ln2, gate=gate, up=up, act=act,
-        mlp_out=mlp_out,
+        kind=kind, x0=h, div_ln1=div_ln1, q=q, k=k, div_qk=div_qk, v=v, qr=qr, kr=kr,
+        probs=probs, merged=merged, attn_out=attn_out, div_attn=div_attn, x1=x1,
+        div_ln2=div_ln2, gate=gate, up=up, tanh=tanh, mlp_out=mlp_out, div_mlp=div_mlp,
     )
-    return x1 + rms_norm(mlp_out, p("post_mlp_norm"), eps), saved
+    return x1 + rms_norm(mlp_out, p("post_mlp_norm"), eps, div_mlp), saved
 
 
 def _run(params, cfg, tokens, positions, cache=None, tape=None):
@@ -295,9 +301,10 @@ def _run(params, cfg, tokens, positions, cache=None, tape=None):
         h, saved = _layer(params, cfg, i, kind, h, positions, work[kind], cache)
         if tape is not None:
             tape["layers"].append(saved)
-    hf = rms_norm(h, params["final_norm"], cfg.rms_eps)
+    div_hf = rms_divisor(h, cfg.rms_eps)
+    hf = rms_norm(h, params["final_norm"], cfg.rms_eps, div_hf)
     if tape is not None:
-        tape["h_last"], tape["hf"] = h, hf
+        tape["h_last"], tape["hf"], tape["div_hf"] = h, hf, div_hf
         tape["rope"] = {kind: w[:2] for kind, w in work.items()}  # (cos, sin) per kind
     return hf @ (params["embed"].T if cfg.tie_embeddings else params["lm_head"])
 
@@ -310,7 +317,8 @@ def forward_full(
 ):
     """Whole-sequence forward pass over positions 0 .. len(tokens) - 1.
 
-    Long LOCAL layers run banded, every other layer dense (see _layer).
+    Long LOCAL layers run banded, long GLOBAL layers in causal tiles, every
+    other layer dense (see _kind_work).
     Returns (logits, tape); tape holds the per-layer intermediates the
     backward pass needs and is None unless keep_tape is set.
     """

@@ -6,6 +6,7 @@ kernels are the only numeric primitives the rest of the package builds on.
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -78,17 +79,30 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
     return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
-def rms_norm(v: np.ndarray, gain: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """out[i] = gain[i] * v[i] / sqrt(mean(v^2) + eps), along the last axis."""
-    v = np.asarray(v, dtype=np.float64)
-    gain = np.asarray(gain, dtype=np.float64)
+def rms_divisor(v: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+    """The divisor step of rms_norm on a float64 array v: sqrt(mean(v^2) +
+    eps) along the last axis, which is kept with length 1. The training
+    tape keeps it."""
     if eps <= 0:
         raise ConfigError(f"eps must be > 0, got {eps}")
+    # np.mean's own sum and divide, without its Python wrapper
+    return np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True) / v.shape[-1] + eps)
+
+
+def rms_norm(
+    v: np.ndarray, gain: np.ndarray, eps: float = 1e-6, div: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """out[i] = gain[i] * v[i] / sqrt(mean(v^2) + eps), along the last axis.
+
+    div, if given, is rms_divisor(v, eps), computed once by the caller.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    gain = np.asarray(gain, dtype=np.float64)
     if gain.shape[-1] != v.shape[-1]:
         raise ShapeError(f"gain length {gain.shape[-1]} != vector length {v.shape[-1]}")
-    # np.mean's own sum and divide, without its Python wrapper
-    ms = np.add.reduce(v * v, axis=-1, keepdims=True) / v.shape[-1]
-    return gain * v / np.sqrt(ms + eps)
+    if div is None:
+        div = rms_divisor(v, eps)
+    return gain * v / div
 
 
 def rope_cos_sin(positions: np.ndarray, p: RopeParams) -> tuple[np.ndarray, np.ndarray]:

@@ -10,15 +10,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .attention import attend_backward, uses_band
-from .model import ModelConfig, forward_full, gelu, gelu_grad, init_params
-from .tensor import rope_rotate, softmax_rows
+from .attention import attend_backward, pass_layout
+from .model import GELU_A, GELU_C, ModelConfig, forward_full, gelu, init_params
+from .tensor import rms_norm, rope_rotate, softmax_rows
 
 
-def _rms_norm_bwd(v, gain, eps, dy):
-    """Returns (dv, dgain_elementwise); caller reduces dgain to the gain shape."""
-    ms = np.mean(v * v, axis=-1, keepdims=True)
-    r = 1.0 / np.sqrt(ms + eps)
+def _rms_norm_bwd(v, gain, div, dy):
+    """(dv, dgain elementwise) of rms_norm(v, gain) given its taped divisor;
+    the caller reduces dgain to the gain shape."""
+    r = 1.0 / div
     gdy = gain * dy
     dv = gdy * r - v * r**3 * np.mean(gdy * v, axis=-1, keepdims=True)
     return dv, dy * v * r
@@ -36,7 +36,12 @@ def cross_entropy(logits: np.ndarray, targets: Sequence[int]):
 
 
 def backward_full(params: dict, cfg: ModelConfig, tape: dict, dlogits: np.ndarray) -> dict:
-    """Gradients for every parameter given d(loss)/d(logits)."""
+    """Gradients for every parameter given d(loss)/d(logits).
+
+    Each norm's divisor and the GELU's tanh term are read from the tape. The
+    pre-attention and pre-MLP norm outputs and the GELU's output are rebuilt
+    from them with the forward's own arithmetic, so they match it bit for bit.
+    """
     eps = cfg.rms_eps
     grads = {name: np.zeros_like(arr) for name, arr in params.items()}
     tokens = tape["tokens"]
@@ -51,7 +56,7 @@ def backward_full(params: dict, cfg: ModelConfig, tape: dict, dlogits: np.ndarra
         dhf = dlogits @ params["lm_head"].T
         grads["lm_head"] += hf.T @ dlogits
 
-    dh, dg = _rms_norm_bwd(h_last, params["final_norm"], eps, dhf)
+    dh, dg = _rms_norm_bwd(h_last, params["final_norm"], tape["div_hf"], dhf)
     grads["final_norm"] += dg.sum(axis=0)
 
     for i in reversed(range(cfg.n_layers)):
@@ -62,21 +67,28 @@ def backward_full(params: dict, cfg: ModelConfig, tape: dict, dlogits: np.ndarra
         g = lambda name: grads[names[name]]
 
         # h = x1 + rms_norm(mlp_out, post_mlp_norm)
-        dmlp_out, dg_post = _rms_norm_bwd(t["mlp_out"], p("post_mlp_norm"), eps, dh)
+        dmlp_out, dg_post = _rms_norm_bwd(t["mlp_out"], p("post_mlp_norm"), t["div_mlp"], dh)
         g("post_mlp_norm")[...] += dg_post.sum(axis=0)
+        gate, up, th = t["gate"], t["up"], t["tanh"]
+        gelu_gate = gelu(gate, th)
         dact = dmlp_out @ p("w_down").T
-        g("w_down")[...] += t["act"].T @ dmlp_out
-        dgate = dact * t["up"] * gelu_grad(t["gate"])
-        dup = dact * gelu(t["gate"])
+        g("w_down")[...] += (gelu_gate * up).T @ dmlp_out
+        # d gelu / d gate, from the taped tanh
+        dgelu = 0.5 * (1.0 + th) + 0.5 * gate * (1.0 - th * th) * GELU_C * (
+            1.0 + 3.0 * GELU_A * gate * gate)
+        dgate = dact * up * dgelu
+        dup = dact * gelu_gate
         dln2 = dgate @ p("w_gate").T + dup @ p("w_up").T
-        g("w_gate")[...] += t["ln2"].T @ dgate
-        g("w_up")[...] += t["ln2"].T @ dup
-        dx1_ln2, dg_pre = _rms_norm_bwd(t["x1"], p("pre_mlp_norm"), eps, dln2)
+        ln2 = rms_norm(t["x1"], p("pre_mlp_norm"), eps, t["div_ln2"])
+        g("w_gate")[...] += ln2.T @ dgate
+        g("w_up")[...] += ln2.T @ dup
+        dx1_ln2, dg_pre = _rms_norm_bwd(t["x1"], p("pre_mlp_norm"), t["div_ln2"], dln2)
         g("pre_mlp_norm")[...] += dg_pre.sum(axis=0)
         dx1 = dh + dx1_ln2
 
         # x1 = x0 + rms_norm(attn_out, post_attn_norm)
-        dattn_out, dg_post_a = _rms_norm_bwd(t["attn_out"], p("post_attn_norm"), eps, dx1)
+        dattn_out, dg_post_a = _rms_norm_bwd(
+            t["attn_out"], p("post_attn_norm"), t["div_attn"], dx1)
         g("post_attn_norm")[...] += dg_post_a.sum(axis=0)
         dmerged = dattn_out @ p("wo").T
         g("wo")[...] += t["merged"].T @ dattn_out
@@ -85,14 +97,15 @@ def backward_full(params: dict, cfg: ModelConfig, tape: dict, dlogits: np.ndarra
         dattn = dmerged.reshape(T, att.num_query_heads, att.head_dim).transpose(1, 0, 2)
 
         dqr, dkr, dv = attend_backward(
-            t["probs"], t["qr"], t["kr"], t["v"], dattn, att, uses_band(att, T))
+            t["probs"], t["qr"], t["kr"], t["v"], dattn, att, pass_layout(att, T))
 
         dqn = rope_rotate(dqr, *unrotate[t["kind"]])
         dkn = rope_rotate(dkr, *unrotate[t["kind"]])
 
         # qk-norm: per-head rms norm with per-head gains (H, hd)
-        dq, dgq = _rms_norm_bwd(t["q"], p("q_gain")[:, None, :], eps, dqn)
-        dk, dgk = _rms_norm_bwd(t["k"], p("k_gain")[:, None, :], eps, dkn)
+        n_q = att.num_query_heads
+        dq, dgq = _rms_norm_bwd(t["q"], p("q_gain")[:, None, :], t["div_qk"][:n_q], dqn)
+        dk, dgk = _rms_norm_bwd(t["k"], p("k_gain")[:, None, :], t["div_qk"][n_q:], dkn)
         g("q_gain")[...] += dgq.sum(axis=1)
         g("k_gain")[...] += dgk.sum(axis=1)
 
@@ -100,11 +113,12 @@ def backward_full(params: dict, cfg: ModelConfig, tape: dict, dlogits: np.ndarra
         dk_flat = dk.transpose(1, 0, 2).reshape(T, -1)
         dv_flat = dv.transpose(1, 0, 2).reshape(T, -1)
         dln1 = dq_flat @ p("wq").T + dk_flat @ p("wk").T + dv_flat @ p("wv").T
-        g("wq")[...] += t["ln1"].T @ dq_flat
-        g("wk")[...] += t["ln1"].T @ dk_flat
-        g("wv")[...] += t["ln1"].T @ dv_flat
+        ln1 = rms_norm(t["x0"], p("pre_attn_norm"), eps, t["div_ln1"])
+        g("wq")[...] += ln1.T @ dq_flat
+        g("wk")[...] += ln1.T @ dk_flat
+        g("wv")[...] += ln1.T @ dv_flat
 
-        dx0_ln1, dg_pre_a = _rms_norm_bwd(t["x0"], p("pre_attn_norm"), eps, dln1)
+        dx0_ln1, dg_pre_a = _rms_norm_bwd(t["x0"], p("pre_attn_norm"), t["div_ln1"], dln1)
         g("pre_attn_norm")[...] += dg_pre_a.sum(axis=0)
         dh = dx1 + dx0_ln1
 

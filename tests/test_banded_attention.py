@@ -1,23 +1,23 @@
-"""Banded LOCAL attention against dense masked attention.
+"""Banded LOCAL and tiled GLOBAL attention against dense masked attention.
 
-The oracle below is the dense computation the band replaces: every query
-scores every key, the causal window is masked out, and kv heads are
-replicated per query head. Swapped into the model in place of
+The oracle below is the dense computation the band and the causal tiles
+replace: every query scores every key, the causal window is masked out, and
+kv heads are replicated per query head. Swapped into the model in place of
 `attention.attend` and `attention.attend_backward`, it gives reference
-logits and gradients for the banded full pass and training tape.
+logits and gradients for the banded and tiled full pass and training tape.
 """
 
 import numpy as np
 import pytest
 
 from gemma_mini import model, train
-from gemma_mini.attention import LayerKind, uses_band
+from gemma_mini.attention import BAND, TILES, LayerKind, pass_layout
 from gemma_mini.model import ModelConfig, forward_full, init_params
 from gemma_mini.train import cross_entropy, loss_and_grads
 
 
-def dense_attend(q, k, v, cfg, mask, band):
-    """Oracle for attend over rows 0 .. T-1; ignores the mask and band it is given."""
+def dense_attend(q, k, v, cfg, mask, layout):
+    """Oracle for attend over rows 0 .. T-1; ignores the mask and layout it is given."""
     T = q.shape[1]
     diff = np.arange(T)[:, None] - np.arange(T)[None, :]
     allowed = diff >= 0
@@ -31,7 +31,7 @@ def dense_attend(q, k, v, cfg, mask, band):
     return probs, probs @ v_rep
 
 
-def dense_attend_backward(probs, q, k, v, dout, cfg, band):
+def dense_attend_backward(probs, q, k, v, dout, cfg, layout):
     k_rep = np.repeat(k, cfg.group_size, axis=0)
     v_rep = np.repeat(v, cfg.group_size, axis=0)
     dprobs = dout @ v_rep.transpose(0, 2, 1)
@@ -66,7 +66,9 @@ def logits_and_grads(params, cfg, tokens):
 CASES = [
     (T, window, group, tie)
     for window in (1, 2, 16)
-    for T in sorted({2 * window, 2 * window + 1, 3 * window, 3 * window + 5, 512})
+    # band edges, then the GLOBAL layer's tile edges: dense at 128, tiled above
+    for T in sorted({2 * window, 2 * window + 1, 3 * window, 3 * window + 5,
+                     128, 129, 192, 197, 512})
     for group in (1, 2)
     for tie in (True, False)
 ]
@@ -100,13 +102,26 @@ def test_long_local_layers_run_banded(T, local_shape):
     assert [layer["probs"].shape for layer in tape["layers"]] == [local_shape, (2, 2, 1, T, T)]
 
 
+@pytest.mark.parametrize("T", [129, 197])
+def test_tiled_probs_are_zero_above_the_tiles(T):
+    cfg = small_config(4, 2, True)
+    att = cfg.attn_for(LayerKind.GLOBAL)
+    assert pass_layout(att, T) == TILES
+    _, tape = forward_full(init_params(cfg, seed=2, scale=0.3), cfg, np.arange(T) % 40,
+                           keep_tape=True)
+    probs = tape["layers"][1]["probs"]
+    assert probs.shape == (2, 2, 1, T, T)
+    np.testing.assert_array_equal(np.triu(probs, 1), 0.0)  # above every row's diagonal
+    np.testing.assert_allclose(probs.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+
+
 def test_banded_gradient_matches_central_differences():
     """Every parameter tensor through the band (T=13 > 2 * window) to 1e-6."""
     cfg = small_config(3, 2, False)
     rng = np.random.default_rng(11)
     params = init_params(cfg, seed=5, scale=0.3)
     tokens = rng.integers(0, cfg.vocab_size, size=14)
-    assert uses_band(cfg.attn_for(LayerKind.LOCAL), len(tokens) - 1)
+    assert pass_layout(cfg.attn_for(LayerKind.LOCAL), len(tokens) - 1) == BAND
     _, grads = loss_and_grads(params, cfg, tokens)
 
     def loss_at():

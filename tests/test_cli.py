@@ -275,6 +275,27 @@ class TestAuditCommand:
         assert report["n_samples"] == 1
         assert report["exact_rate"] == 0.0  # random weights recall nothing
 
+    def test_missing_output_directory_fails_before_auditing(self, capsys, tmp_path,
+                                                            monkeypatch):
+        def no_audit(*args, **kwargs):
+            raise AssertionError("run_audit ran before --out was checked")
+
+        monkeypatch.setattr(cli.audit_mod, "run_audit", no_audit)
+        corpus = tmp_path / "docs.txt"
+        corpus.write_text("\n\n".join(["abcdefgh " * 20] * 4))
+        cfg = ModelConfig(
+            n_layers=1, d_model=8, hidden_dim=16, vocab_size=260, max_context=256,
+            num_query_heads=2, num_kv_heads=1, head_dim=4, window=16,
+        )
+        weights = tmp_path / "w.bin"
+        save_weights(init_params(cfg, seed=2), cfg, str(weights))
+        code, out, err = run_cli(
+            capsys, "audit", "--corpus", str(corpus), "--weights", str(weights),
+            "--out", str(tmp_path / "nodir" / "r.json"),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: --out: ") and "nodir" in err
+
 
 # each option checked at parse time, with the start of its message
 OUT_OF_RANGE = [
@@ -288,6 +309,7 @@ OUT_OF_RANGE = [
     (["kv-curve", "--contexts", "100", "--ratio", "-1"], "--ratio", "must be >= 0"),
     (["kv-curve", "--contexts", "5,x"], "--contexts", "comma-separated integers >= 1"),
     (["kv-curve", "--contexts", "5,0"], "--contexts", "comma-separated integers >= 1"),
+    (["kv-curve", "--contexts", "10,5"], "--contexts", "must be ascending"),
     (["pattern", "--layers", "0"], "--layers", "must be >= 1"),
     (["pattern", "--layers", "6", "--ratio", "-1"], "--ratio", "must be >= 0"),
     (["panscan", "--width", "0", "--height", "10"], "--width", "must be >= 1"),

@@ -194,9 +194,10 @@ class TestForward:
 class TestChunk:
     """model._extend: a chunk of T >= 1 tokens through the cache in one pass."""
 
-    @pytest.mark.parametrize("T", [1, 8, 9, 17, 50])  # 1, 2W, 2W + 1, 3W + 5, 50
+    # 1, 2W, 2W + 1, 3W + 5, 50, and 300: the GLOBAL layer in causal tiles
+    @pytest.mark.parametrize("T", [1, 8, 9, 17, 50, 300])
     def test_empty_cache_equals_forward_full(self, T):
-        cfg = toy_config(window=4)
+        cfg = toy_config(window=4, max_context=512)
         params = init_params(cfg, seed=20)
         tokens = np.random.default_rng(T).integers(0, cfg.vocab_size, size=T)
         cache = make_cache(cfg)

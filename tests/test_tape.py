@@ -1,0 +1,158 @@
+"""The training tape holds what the backward pass once recomputed.
+
+Each RMS norm's divisor and the GELU's tanh term are computed once in the
+forward pass and read back by backward_full. The formulas the backward used
+to recompute them, and the backward that used them, are kept here as the
+reference: taped values must equal them bit for bit, and so must every
+gradient wherever no causal tiles run (T <= 128).
+"""
+
+import numpy as np
+import pytest
+
+from gemma_mini import presets
+from gemma_mini.attention import attend_backward, pass_layout
+from gemma_mini.model import GELU_A, GELU_C, ModelConfig, forward_full, init_params
+from gemma_mini.tensor import rms_norm, rope_rotate
+from gemma_mini.train import cross_entropy, loss_and_grads
+
+
+def toy():
+    return ModelConfig.from_dict(presets.preset_values("toy"))
+
+
+def distill_teacher():
+    """The teacher of test_distill.py::TestDistilledStudentBeatsHardLabels."""
+    return ModelConfig(
+        n_layers=4, d_model=48, hidden_dim=96, vocab_size=260, max_context=1024,
+        num_query_heads=4, num_kv_heads=2, head_dim=12, window=2,
+    )
+
+
+def old_divisor(v, eps):
+    return np.sqrt(np.mean(v * v, axis=-1, keepdims=True) + eps)
+
+
+def old_tanh(x):
+    return np.tanh(GELU_C * (x + GELU_A * x * x * x))
+
+
+def old_rms_norm_bwd(v, gain, eps, dy):
+    ms = np.mean(v * v, axis=-1, keepdims=True)
+    r = 1.0 / np.sqrt(ms + eps)
+    gdy = gain * dy
+    dv = gdy * r - v * r**3 * np.mean(gdy * v, axis=-1, keepdims=True)
+    return dv, dy * v * r
+
+
+def old_gelu(x):
+    return 0.5 * x * (1.0 + old_tanh(x))
+
+
+def old_gelu_grad(x):
+    t = old_tanh(x)
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * GELU_C * (1.0 + 3.0 * GELU_A * x * x)
+
+
+def recomputing_backward(params, cfg, tape, dlogits):
+    """backward_full as it was before the tape kept divisors and tanh: every
+    norm's divisor and the GELU are recomputed from the tape's inputs, and the
+    pre-attention and pre-MLP norm outputs are the forward's rms_norm."""
+    eps = cfg.rms_eps
+    grads = {name: np.zeros_like(arr) for name, arr in params.items()}
+    unrotate = {kind: (cos, -sin) for kind, (cos, sin) in tape["rope"].items()}
+    if cfg.tie_embeddings:
+        dhf = dlogits @ params["embed"]
+        grads["embed"] += dlogits.T @ tape["hf"]
+    else:
+        dhf = dlogits @ params["lm_head"].T
+        grads["lm_head"] += tape["hf"].T @ dlogits
+    dh, dg = old_rms_norm_bwd(tape["h_last"], params["final_norm"], eps, dhf)
+    grads["final_norm"] += dg.sum(axis=0)
+    for i in reversed(range(cfg.n_layers)):
+        t = tape["layers"][i]
+        att = cfg.attn_for(t["kind"])
+        p = lambda name: params[f"layer{i}.{name}"]
+        g = lambda name: grads[f"layer{i}.{name}"]
+        ln1 = rms_norm(t["x0"], p("pre_attn_norm"), eps)
+        ln2 = rms_norm(t["x1"], p("pre_mlp_norm"), eps)
+        act = old_gelu(t["gate"]) * t["up"]
+
+        dmlp_out, dg_post = old_rms_norm_bwd(t["mlp_out"], p("post_mlp_norm"), eps, dh)
+        g("post_mlp_norm")[...] += dg_post.sum(axis=0)
+        dact = dmlp_out @ p("w_down").T
+        g("w_down")[...] += act.T @ dmlp_out
+        dgate = dact * t["up"] * old_gelu_grad(t["gate"])
+        dup = dact * old_gelu(t["gate"])
+        dln2 = dgate @ p("w_gate").T + dup @ p("w_up").T
+        g("w_gate")[...] += ln2.T @ dgate
+        g("w_up")[...] += ln2.T @ dup
+        dx1_ln2, dg_pre = old_rms_norm_bwd(t["x1"], p("pre_mlp_norm"), eps, dln2)
+        g("pre_mlp_norm")[...] += dg_pre.sum(axis=0)
+        dx1 = dh + dx1_ln2
+
+        dattn_out, dg_post_a = old_rms_norm_bwd(t["attn_out"], p("post_attn_norm"), eps, dx1)
+        g("post_attn_norm")[...] += dg_post_a.sum(axis=0)
+        dmerged = dattn_out @ p("wo").T
+        g("wo")[...] += t["merged"].T @ dattn_out
+        T = dmerged.shape[0]
+        dattn = dmerged.reshape(T, att.num_query_heads, att.head_dim).transpose(1, 0, 2)
+        dqr, dkr, dv = attend_backward(
+            t["probs"], t["qr"], t["kr"], t["v"], dattn, att, pass_layout(att, T))
+        dqn = rope_rotate(dqr, *unrotate[t["kind"]])
+        dkn = rope_rotate(dkr, *unrotate[t["kind"]])
+        dq, dgq = old_rms_norm_bwd(t["q"], p("q_gain")[:, None, :], eps, dqn)
+        dk, dgk = old_rms_norm_bwd(t["k"], p("k_gain")[:, None, :], eps, dkn)
+        g("q_gain")[...] += dgq.sum(axis=1)
+        g("k_gain")[...] += dgk.sum(axis=1)
+        dq_flat = dq.transpose(1, 0, 2).reshape(T, -1)
+        dk_flat = dk.transpose(1, 0, 2).reshape(T, -1)
+        dv_flat = dv.transpose(1, 0, 2).reshape(T, -1)
+        dln1 = dq_flat @ p("wq").T + dk_flat @ p("wk").T + dv_flat @ p("wv").T
+        g("wq")[...] += ln1.T @ dq_flat
+        g("wk")[...] += ln1.T @ dk_flat
+        g("wv")[...] += ln1.T @ dv_flat
+        dx0_ln1, dg_pre_a = old_rms_norm_bwd(t["x0"], p("pre_attn_norm"), eps, dln1)
+        g("pre_attn_norm")[...] += dg_pre_a.sum(axis=0)
+        dh = dx1 + dx0_ln1
+    np.add.at(grads["embed"], tape["tokens"], dh)
+    return grads
+
+
+# T = 4 runs every layer dense; above 2 * window the LOCAL layers run banded.
+# No GLOBAL layer runs in tiles at T <= 128.
+CASES = [(make, T) for make in (toy, distill_teacher) for T in (4, 40, 100, 128)]
+IDS = [f"{make.__name__}-T{T}" for make, T in CASES]
+
+
+def taped_pass(make, T):
+    cfg = make()
+    params = init_params(cfg, seed=T, scale=0.3)
+    tokens = np.random.default_rng(T).integers(0, cfg.vocab_size, size=T + 1)
+    logits, tape = forward_full(params, cfg, tokens[:-1], keep_tape=True)
+    return cfg, params, tokens, logits, tape
+
+
+@pytest.mark.parametrize("make, T", CASES, ids=IDS)
+def test_taped_terms_equal_the_old_recompute_formulas(make, T):
+    cfg, _, _, _, tape = taped_pass(make, T)
+    eps = cfg.rms_eps
+    np.testing.assert_array_equal(tape["div_hf"], old_divisor(tape["h_last"], eps))
+    for t in tape["layers"]:
+        inputs = {
+            "div_ln1": t["x0"], "div_qk": np.concatenate((t["q"], t["k"])),
+            "div_attn": t["attn_out"], "div_ln2": t["x1"], "div_mlp": t["mlp_out"],
+        }
+        for key, v in inputs.items():
+            np.testing.assert_array_equal(t[key], old_divisor(v, eps), err_msg=key)
+        np.testing.assert_array_equal(t["tanh"], old_tanh(t["gate"]))
+
+
+@pytest.mark.parametrize("make, T", CASES, ids=IDS)
+def test_gradients_equal_the_recomputing_backward(make, T):
+    cfg, params, tokens, logits, tape = taped_pass(make, T)
+    grads = loss_and_grads(params, cfg, tokens)[1]
+    want = recomputing_backward(params, cfg, tape, cross_entropy(logits, tokens[1:])[1])
+    assert set(grads) == set(want)
+    for name, g in grads.items():
+        np.testing.assert_array_equal(g, want[name], err_msg=name)
