@@ -1,28 +1,28 @@
 """Per-layer key/value storage plus cache-size accounting.
 
-Local layers keep a ring buffer of the last `window` entries; Global layers
-keep everything up to max_context. Positions are appended in order, so a
-layer's next position fixes which absolute positions it holds and in which
-slots; none are stored.
+Each layer keeps its retained rows oldest first, one array for keys and one
+for values: a Local layer its last `window` entries, a Global layer
+everything up to max_context. Positions are appended in order, so a layer's
+next position and its row count fix which absolute positions it holds; none
+are stored. The arrays own exactly the rows they hold, so a layer's bytes
+are what kv_bytes counts for it.
 
 Entries arrive in blocks of consecutive positions: one row per decode step,
-or a whole prompt in one prefill chunk. A ring keeps only the last `window`
-rows of a longer block. `append` writes a block with at most two slice
-copies, one on either side of the ring's wrap. `joined` reads a layer's
-rows oldest first followed by a new chunk's in one copy per array, so a
-layer attends over both without copying its history twice; `view` is its
-case with no new rows.
+or a whole prompt in one prefill chunk. `append` joins the held rows and the
+block in one copy per array and returns the result, which is what the layer
+attends over; a Global layer keeps that result as it is, a Local layer a copy
+of its last `window` rows. `view` copies what a layer holds.
 
 A cache instance has a single owner and is not thread-safe; separate
 generation streams each get their own cache.
 """
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .attention import LayerKind
-from .errors import CapacityError, OrderingError, ShapeError
+from .errors import CapacityError, ConfigError, OrderingError, ShapeError
 
 
 class KvCache:
@@ -36,6 +36,10 @@ class KvCache:
         num_kv_heads: int,
         head_dim: int,
     ):
+        for name, value in (("window", window), ("num_kv_heads", num_kv_heads),
+                            ("head_dim", head_dim)):
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
         # what the cache was built for; a model checks it against its own in one comparison
         self.spec = (tuple(layer_kinds), window, max_context, num_kv_heads, head_dim)
         self.layer_kinds = list(layer_kinds)
@@ -43,15 +47,10 @@ class KvCache:
         self.max_context = max_context
         self.num_kv_heads = num_kv_heads
         self.head_dim = head_dim
-        self._caps = [
-            window if kind is LayerKind.LOCAL else max_context for kind in self.layer_kinds
-        ]
-        self._keys = [np.zeros((c, num_kv_heads, head_dim)) for c in self._caps]
-        self._values = [np.zeros((c, num_kv_heads, head_dim)) for c in self._caps]
+        none = np.empty((0, num_kv_heads, head_dim))
+        self._keys = [none] * len(self.layer_kinds)  # never written in place
+        self._values = [none] * len(self.layer_kinds)
         self._next_pos = [0] * len(self.layer_kinds)
-
-    def __len__(self) -> int:
-        return self.next_pos
 
     @property
     def next_pos(self) -> int:
@@ -61,13 +60,15 @@ class KvCache:
             raise OrderingError(f"layers disagree on next position: {self._next_pos}")
         return first
 
-    def append(self, layer: int, k: np.ndarray, v: np.ndarray, pos: int) -> None:
+    def append(self, layer: int, k: np.ndarray, v: np.ndarray, pos: int) -> tuple:
         """Store K/V for a layer at positions pos, pos + 1, ...; pos must be the
         layer's next position.
 
         k, v: a block (T, num_kv_heads, head_dim) or one row (num_kv_heads,
-        head_dim). A ring keeps the block's last min(T, capacity) rows. Every
-        check runs before the first write.
+        head_dim). Returns (keys, values): the rows the layer held, oldest
+        first, followed by the block's, one copy per array. A Local layer
+        then keeps the last `window` of them. Every check runs before the
+        store changes.
         """
         if k.ndim == 2:  # one row
             k, v = k[None], v[None]
@@ -75,46 +76,33 @@ class KvCache:
             raise OrderingError(
                 f"layer {layer} expected position {self._next_pos[layer]}, got {pos}"
             )
-        if v.shape != k.shape:
-            raise ShapeError(f"keys {k.shape} and values {v.shape} differ in shape")
-        n, cap = k.shape[0], self._caps[layer]
-        end = pos + n
-        if self.layer_kinds[layer] is LayerKind.GLOBAL and end > cap:
-            raise CapacityError(f"global layer {layer} is full at {cap} entries")
-        keep = min(n, cap)
-        slot = (end - keep) % cap  # ring for local layers; never wraps for global
-        head = min(keep, cap - slot)  # rows up to the end of the buffer, then wrap to 0
-        first = n - keep  # a ring drops the rows before it
-        for store, block in ((self._keys[layer], k), (self._values[layer], v)):
-            store[slot:slot + head] = block[first:first + head]
-            if head < keep:
-                store[:keep - head] = block[first + head:]
+        if v.shape != k.shape or k.shape[1:] != (self.num_kv_heads, self.head_dim):
+            raise ShapeError(f"keys {k.shape} and values {v.shape} are not both rows of "
+                             f"({self.num_kv_heads}, {self.head_dim})")
+        end = pos + k.shape[0]
+        if self.layer_kinds[layer] is LayerKind.GLOBAL and end > self.max_context:
+            raise CapacityError(f"global layer {layer} is full at {self.max_context} entries")
+        keys = np.concatenate((self._keys[layer], k))
+        values = np.concatenate((self._values[layer], v))
+        if self.layer_kinds[layer] is LayerKind.LOCAL and keys.shape[0] > self.window:
+            self._keys[layer] = keys[-self.window:].copy()
+            self._values[layer] = values[-self.window:].copy()
+        else:
+            self._keys[layer], self._values[layer] = keys, values
         self._next_pos[layer] = end
+        return keys, values
 
     def retained(self, layer: int) -> np.ndarray:
         """Positions (n,) the layer holds, in increasing order."""
         n = self._next_pos[layer]
-        return np.arange(max(0, n - self._caps[layer]), n)
-
-    def joined(self, layer: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(keys, values): the stored rows in increasing position order, followed
-        by the rows of k and v (T, num_kv_heads, head_dim), one copy per array."""
-        n, cap = self._next_pos[layer], self._caps[layer]
-        # once a ring wraps, its oldest entry is in the next slot to write
-        oldest, end = max(0, n - cap) % cap, min(n, cap)
-        keys, values = self._keys[layer], self._values[layer]
-        return (
-            np.concatenate((keys[oldest:end], keys[:oldest], k)),
-            np.concatenate((values[oldest:end], values[:oldest], v)),
-        )
+        return np.arange(n - self._keys[layer].shape[0], n)
 
     def view(self, layer: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Copies of the stored (keys, values, positions) in increasing position order.
 
         keys/values: (n, num_kv_heads, head_dim), positions: (n,).
         """
-        none = np.empty((0, self.num_kv_heads, self.head_dim))
-        return (*self.joined(layer, none, none), self.retained(layer))
+        return self._keys[layer].copy(), self._values[layer].copy(), self.retained(layer)
 
 
 def kv_bytes(

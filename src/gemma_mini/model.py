@@ -13,7 +13,7 @@ generation stream owns its private KvCache.
 """
 
 import zipfile
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -75,8 +75,9 @@ class ModelConfig:
     rms_eps: float = 1e-6
 
     def __post_init__(self):
-        if self.n_layers < 1:
-            raise ConfigError("n_layers must be >= 1")
+        for name in ("n_layers", "num_query_heads", "num_kv_heads"):  # before any modulo
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 1 <= self.window <= self.max_context:
             raise ConfigError(
                 f"window {self.window} must lie in [1, max_context={self.max_context}]"
@@ -122,8 +123,11 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        fields = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in d.items() if k in fields})
+        names = cls.__dataclass_fields__
+        missing = [n for n, f in names.items() if f.default is MISSING and n not in d]
+        if missing:
+            raise ConfigError(f"config is missing required keys: {', '.join(missing)}")
+        return cls(**{k: v for k, v in d.items() if k in names})
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +241,12 @@ def _layer(params, cfg, i, kind, h, positions, work, cache=None):
     """Decoder block i over rows h at consecutive `positions`: (new h, saved).
 
     work is _kind_work's for the layer's kind. With a cache, the rows are a
-    chunk that continues it: layer i's keys and values from before the
-    chunk are read, the chunk's own are appended, and the rows attend over
-    both. `saved` holds what backward_full reads from the tape: each norm's
-    input and divisor (div_*), not the pre-attention and pre-MLP norm
-    outputs, and the GELU's tanh term, not its output.
+    chunk that continues it: the chunk's keys and values are appended to
+    layer i's, and the rows attend over what append returns, the layer's
+    retained rows followed by the chunk's. `saved` holds what backward_full
+    reads from the tape: each norm's input and divisor (div_*), not the
+    pre-attention and pre-MLP norm outputs, and the GELU's tanh term, not
+    its output.
     """
     names = cfg._layer_keys[i]
     p = lambda name: params[names[name]]
@@ -259,11 +264,9 @@ def _layer(params, cfg, i, kind, h, positions, work, cache=None):
     qkr = rope_rotate(rms_norm(qk, gains[:, None], eps, div_qk), cos, sin)
     qr, kr = qkr[:att.num_query_heads], qkr[att.num_query_heads:]
     keys, values = kr, v
-    if cache is not None:
-        k_rows, v_rows = kr.transpose(1, 0, 2), v.transpose(1, 0, 2)  # (T, Hkv, hd)
-        if positions[0]:  # the layer holds earlier keys: read them with the chunk's
-            keys, values = (a.transpose(1, 0, 2) for a in cache.joined(i, k_rows, v_rows))
-        cache.append(i, k_rows, v_rows, int(positions[0]))
+    if cache is not None:  # the rows the layer retained, oldest first, then the chunk's
+        keys, values = (a.transpose(1, 0, 2) for a in cache.append(
+            i, kr.transpose(1, 0, 2), v.transpose(1, 0, 2), int(positions[0])))
     probs, out = attend(qr, keys, values, att, mask, layout)
     merged = _merge_heads(out)
     attn_out = merged @ p("wo")

@@ -118,6 +118,26 @@ class TestGenerateCapacity:
         assert "Traceback" not in err
 
 
+class TestGenerateConfigFile:
+    TINY = ("n_layers = 2\nd_model = 16\nhidden_dim = 32\nvocab_size = 260\n"
+            "max_context = 64\nnum_query_heads = 2\nhead_dim = 8\nwindow = 8\n")
+
+    def _generate(self, capsys, tmp_path, text):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(text)
+        return run_cli(capsys, "generate", "--config", str(cfg_path), "--prompt", "a")
+
+    def test_zero_kv_heads_is_one_line_error(self, capsys, tmp_path):
+        code, out, err = self._generate(capsys, tmp_path, self.TINY + "num_kv_heads = 0\n")
+        assert code == 1 and out == ""
+        assert err == "error: num_kv_heads must be >= 1, got 0\n"
+
+    def test_missing_required_key_is_one_line_error(self, capsys, tmp_path):
+        code, out, err = self._generate(capsys, tmp_path, self.TINY)
+        assert code == 1 and out == ""
+        assert err == "error: config is missing required keys: num_kv_heads\n"
+
+
 class TestChatGenerate:
     def test_chat_prompt_round_trips(self, capsys, tmp_path):
         cfg_path = tmp_path / "tiny.cfg"

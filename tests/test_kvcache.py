@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from gemma_mini import model
 from gemma_mini.attention import LayerKind, build_mask
-from gemma_mini.errors import CapacityError, OrderingError, ShapeError
+from gemma_mini.errors import CapacityError, ConfigError, OrderingError, ShapeError
 from gemma_mini.kvcache import KvCache, kv_bytes, kv_curve, kv_curve_csv
-from gemma_mini.model import layer_kinds
+from gemma_mini.model import ModelConfig, layer_kinds
+from gemma_mini.presets import preset_values
 
 L, G = LayerKind.LOCAL, LayerKind.GLOBAL
 
@@ -146,31 +148,83 @@ class TestBlockAppend:
         with pytest.raises(ShapeError):
             cache.append(0, rows(0, 3)[0], rows(0, 2)[1], 0)
         assert cache.next_pos == 0
-        np.testing.assert_array_equal(cache._keys[0], 0.0)
+        keys, values, positions = cache.view(0)
+        assert keys.shape == values.shape == (0, 2, 4) and positions.size == 0
+
+    @pytest.mark.parametrize("shape", [(3, 2, 5), (3, 1, 4), (3, 8), (2, 4, 1)])
+    def test_rows_of_another_shape_rejected_before_any_write(self, shape):
+        cache = small_cache([L, G])
+        for layer in (0, 1):
+            cache.append(layer, *rows(0, 2), 0)
+        before = [cache.view(layer) for layer in (0, 1)]
+        for layer in (0, 1):
+            with pytest.raises(ShapeError, match=r"\(2, 4\)"):
+                cache.append(layer, np.zeros(shape), np.zeros(shape), 2)
+        assert cache.next_pos == 2
+        for layer in (0, 1):
+            for got, want in zip(cache.view(layer), before[layer]):
+                np.testing.assert_array_equal(got, want)
 
 
-class TestJoined:
+class TestConstruction:
+    def test_spec_records_what_the_cache_was_built_for(self):
+        cache = KvCache([L, G], window=4, max_context=16, num_kv_heads=2, head_dim=4)
+        assert cache.spec == ((L, G), 4, 16, 2, 4)
+
+    @pytest.mark.parametrize("name", ["window", "num_kv_heads", "head_dim"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_sizes_below_one_rejected(self, name, value):
+        sizes = dict(window=4, max_context=16, num_kv_heads=2, head_dim=4)
+        sizes[name] = value
+        with pytest.raises(ConfigError, match=f"{name} must be >= 1, got {value}"):
+            KvCache([L, G], **sizes)
+
+
+class TestAppendReturns:
     @pytest.mark.parametrize("kind", [L, G])
     def test_retained_rows_then_the_chunk_in_one_copy(self, kind):
-        for n in (0, 1, 3, 4, 5, 9, 12):  # empty, filling, full, wrapped
+        for n in (0, 1, 3, 4, 5, 9, 12):  # empty, filling, full, past the window
             cache = small_cache([kind])
             if n:
                 cache.append(0, *rows(0, n), 0)
             start = max(0, n - 4) if kind is L else 0
             np.testing.assert_array_equal(cache.retained(0), np.arange(start, n))
-            keys, values = cache.joined(0, *rows(n, 2))
+            for got, want in zip(cache.view(0), (*rows(start, n - start), np.arange(start, n))):
+                np.testing.assert_array_equal(got, want)
+            keys, values = cache.append(0, *rows(n, 2), n)
             want_k, want_v = rows(start, n + 2 - start)  # oldest retained row first
             np.testing.assert_array_equal(keys, want_k)
             np.testing.assert_array_equal(values, want_v)
-            for got, want in zip(cache.view(0), (*rows(start, n - start), np.arange(start, n))):
+            # one row returns the same way; the rows returned before are copies,
+            # which the next append leaves as they were
+            start = max(0, n + 2 - 4) if kind is L else 0
+            for got, want in zip(cache.append(0, *(a[0] for a in rows(n + 2, 1)), n + 2),
+                                 rows(start, n + 3 - start)):
                 np.testing.assert_array_equal(got, want)
-            # the rows are copies: writing the next block leaves them as they were
-            cache.append(0, *rows(n, 2), n)
             np.testing.assert_array_equal(keys, want_k)
+            np.testing.assert_array_equal(values, want_v)
 
-    def test_spec_records_what_the_cache_was_built_for(self):
-        cache = KvCache([L, G], window=4, max_context=16, num_kv_heads=2, head_dim=4)
-        assert cache.spec == ((L, G), 4, 16, 2, 4)
+
+class TestHeldBytesMatchThePlanner:
+    def test_every_context_on_toy(self):
+        # prefills dense, past the window, banded and tiled, then single steps
+        # up to max_context: every layer holds exactly its kv_bytes, in arrays
+        # that own their data (no view pins a longer buffer)
+        cfg = ModelConfig.from_dict(preset_values("toy"))
+        params = model.init_params(cfg, seed=0)
+        tokens = np.random.default_rng(4).integers(0, cfg.vocab_size, size=cfg.max_context)
+        for prefill in (1, 20, 40, 129, 300):
+            cache = model.make_cache(cfg)
+            model._extend(params, cfg, cache, tokens[:prefill])
+            for context in range(prefill, cfg.max_context + 1):
+                if context > prefill:
+                    model.decode_step(params, cfg, cache, int(tokens[context - 1]))
+                want = kv_bytes(cfg.kinds(), context, cfg.num_kv_heads, cfg.head_dim, 8,
+                                cfg.window)["per_layer"]
+                for layer, nbytes in enumerate(want):
+                    held = (cache._keys[layer], cache._values[layer])
+                    assert sum(a.nbytes for a in held) == nbytes, (prefill, context, layer)
+                    assert all(a.base is None for a in held), (prefill, context, layer)
 
 
 class TestKvBytes:

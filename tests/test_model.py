@@ -533,7 +533,9 @@ class TestWeightsIO:
         (lambda e: e.update({"config.bogus": np.asarray(1)}), r"config field .*\['bogus'\]"),
         (lambda e: e.update({"config.window": np.asarray(8.0)}), "config.window is not a 0-d"),
         (lambda e: e.update({"format": np.asarray(2)}), "format entry"),
+        (lambda e: e.update({"config.num_kv_heads": np.asarray(0)}),
+         "num_kv_heads must be >= 1, got 0"),
     ], ids=["missing-tensor", "extra-tensor", "wrong-shape", "nan", "unknown-config-field",
-            "float-window", "format-2"])
+            "float-window", "format-2", "zero-kv-heads"])
     def test_malformed_archive_rejected(self, tmp_path, edit, cause):
         self._rejects(self._saved(tmp_path, edit), cause)
