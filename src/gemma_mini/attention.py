@@ -4,6 +4,10 @@ Local layers attend inside a trailing window (the query position counts as
 part of the window); Global layers attend to the whole causal prefix. Both
 kinds carry their own rotary parameters.
 
+`plan` computes what every layer of one kind shares over a chunk: the
+rotation, the mask and the layout. The forward pass calls it once per kind
+and the training tape keeps the plans for the backward pass.
+
 Scores are computed in blocks, with query heads grouped under the kv head
 they read. A pass has one of three layouts:
 
@@ -13,11 +17,11 @@ they read. A pass has one of three layouts:
   queries, each scoring only its own key block and the one before, so it
   costs O(T * window) instead of O(T^2).
 - TILES: a long uncached GLOBAL pass runs in causal query tiles of 64 rows.
-  Tile b scores only the keys up to its last row, under its rows of the
-  (T, T) causal mask, and skips the fully masked blocks above the diagonal
-  (as FlashAttention does). No T x T temporary is built; the probabilities
-  land in the same (Hkv, g, 1, T, T) array as a dense pass's, exactly 0
-  above the tiles.
+  Tile [b, e) is the dense pass of its rows over keys [0, e) under mask[b:e,
+  :e], which skips the fully masked blocks above the diagonal (as
+  FlashAttention does). No T x T temporary is built; the probabilities land
+  in the same (Hkv, g, 1, T, T) array as a dense pass's, exactly 0 above
+  the tiles.
 """
 
 from dataclasses import dataclass
@@ -27,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import NEG_INF, RopeParams, rms_norm, softmax_rows
+from .tensor import NEG_INF, RopeParams, rms_norm, rope_cos_sin, softmax_rows
 
 
 class LayerKind(Enum):
@@ -148,6 +152,28 @@ def band_mask(n_rows: int, window: int) -> np.ndarray:
     return mask
 
 
+def plan(cfg: AttentionConfig, positions: np.ndarray, retained: Optional[np.ndarray] = None):
+    """(cos, sin, mask, layout): what every layer of cfg's kind shares over
+    a chunk at `positions`. retained holds the positions such a layer kept
+    from before the chunk, or is None.
+
+    Rows with no earlier keys attend to one another only, in the layout of
+    an uncached pass (pass_layout): a long LOCAL layer banded, a long GLOBAL
+    layer in causal tiles, any other dense. Otherwise the rows attend
+    densely over the retained keys followed by their own, masked by
+    position.
+    """
+    cos, sin = rope_cos_sin(positions, cfg.rope)
+    T = positions.shape[0]
+    layout = DENSE if retained is not None else pass_layout(cfg, T)
+    if layout == BAND:
+        mask = band_mask(T, cfg.window)  # the band reads keys by row, not position
+    else:
+        key_positions = positions if retained is None else np.concatenate((retained, positions))
+        mask = build_mask(cfg.kind, positions, key_positions, cfg.window)
+    return cos, sin, mask, layout
+
+
 def _query_blocks(x: np.ndarray, cfg: AttentionConfig, band: bool) -> np.ndarray:
     """(num_query_heads, T, hd) -> (num_kv_heads, group_size, n_blocks, rows, hd).
 
@@ -194,11 +220,6 @@ def _fold_key_blocks(xb: np.ndarray, n_rows: int, band: bool) -> np.ndarray:
     return out.reshape(h_kv, -1, hd)[:, w : w + n_rows]
 
 
-def _tiles(n_rows: int):
-    """(start, end) of each causal query tile of a TILES pass over n_rows."""
-    return [(b, min(b + _TILE, n_rows)) for b in range(0, n_rows, _TILE)]
-
-
 def attend(
     q: np.ndarray, k: np.ndarray, v: np.ndarray, cfg: AttentionConfig, mask: np.ndarray,
     layout: str,
@@ -213,26 +234,18 @@ def attend(
     keys of the 1/sqrt(head_dim)-scaled logits plus the mask; out is
     (num_query_heads, Tq, hd). Inputs are not validated.
     """
-    if layout == TILES:
-        return _attend_tiles(q, k, v, cfg, mask)
+    if layout == TILES:  # tile [b, e) is the dense pass of its rows over keys [0, e)
+        T = q.shape[1]
+        probs, out = np.zeros((cfg.num_kv_heads, cfg.group_size, 1, T, T)), np.empty_like(q)
+        for b in range(0, T, _TILE):
+            e = min(b + _TILE, T)
+            probs[..., b:e, :e], out[:, b:e] = attend(
+                q[:, b:e], k[:, :e], v[:, :e], cfg, mask[b:e, :e], DENSE)
+        return probs, out
     band = layout == BAND
     qb, kb = _query_blocks(q, cfg, band), _key_blocks(k, cfg, band)
     probs = softmax_rows(qb @ kb.swapaxes(-1, -2) / np.sqrt(cfg.head_dim) + mask)
     return probs, _merge_query_blocks(probs @ _key_blocks(v, cfg, band), q.shape[1])
-
-
-def _attend_tiles(q, k, v, cfg, mask):
-    """attend in causal query tiles: tile [b, e) scores keys [0, e) only."""
-    h_kv, group, T, hd = cfg.num_kv_heads, cfg.group_size, q.shape[1], q.shape[2]
-    qg = q.reshape(h_kv, group, T, hd)
-    probs = np.zeros((h_kv, group, 1, T, T))
-    out = np.empty((h_kv, group, T, hd))
-    for b, e in _tiles(T):
-        scores = qg[:, :, b:e] @ k[:, None, :e].swapaxes(-1, -2) / np.sqrt(cfg.head_dim)
-        p = softmax_rows(scores + mask[b:e, :e])
-        probs[:, :, 0, b:e, :e] = p
-        out[:, :, b:e] = p @ v[:, None, :e]
-    return probs, out.reshape(h_kv * group, T, hd)
 
 
 def attend_backward(
@@ -245,10 +258,17 @@ def attend_backward(
     A key row sits in every block that reads it and under every query head
     of its group; its gradient sums those copies.
     """
-    if layout == TILES:
-        return _attend_tiles_backward(probs, q, k, v, dout, cfg)
-    band = layout == BAND
     n_rows = q.shape[1]
+    if layout == TILES:  # tile [b, e) reads and writes key rows [0, e)
+        dq, dk, dv = np.empty_like(q), np.zeros_like(k), np.zeros_like(v)
+        for b in range(0, n_rows, _TILE):
+            e = min(b + _TILE, n_rows)
+            dq[:, b:e], dk_tile, dv_tile = attend_backward(
+                probs[..., b:e, :e], q[:, b:e], k[:, :e], v[:, :e], dout[:, b:e], cfg, DENSE)
+            dk[:, :e] += dk_tile
+            dv[:, :e] += dv_tile
+        return dq, dk, dv
+    band = layout == BAND
     dout = _query_blocks(dout, cfg, band)
     dprobs = dout @ _key_blocks(v, cfg, band).swapaxes(-1, -2)
     dscores = probs * (dprobs - np.sum(dprobs * probs, axis=-1, keepdims=True))
@@ -261,23 +281,6 @@ def attend_backward(
         _fold_key_blocks(dk.sum(axis=1), n_rows, band),
         _fold_key_blocks(dv.sum(axis=1), n_rows, band),
     )
-
-
-def _attend_tiles_backward(probs, q, k, v, dout, cfg):
-    """attend_backward of _attend_tiles: tile [b, e) reads and writes key rows [0, e)."""
-    h_kv, group, T, hd = cfg.num_kv_heads, cfg.group_size, q.shape[1], q.shape[2]
-    qg, dout = q.reshape(h_kv, group, T, hd), dout.reshape(h_kv, group, T, hd)
-    scale = 1.0 / np.sqrt(cfg.head_dim)
-    dq = np.empty((h_kv, group, T, hd))
-    dk, dv = np.zeros_like(k), np.zeros_like(v)
-    for b, e in _tiles(T):
-        p, dout_t = probs[:, :, 0, b:e, :e], dout[:, :, b:e]
-        dprobs = dout_t @ v[:, None, :e].swapaxes(-1, -2)
-        dscores = p * (dprobs - np.sum(dprobs * p, axis=-1, keepdims=True))
-        dq[:, :, b:e] = dscores @ k[:, None, :e] * scale
-        dk[:, :e] += (dscores.swapaxes(-1, -2) @ qg[:, :, b:e] * scale).sum(axis=1)
-        dv[:, :e] += (p.swapaxes(-1, -2) @ dout_t).sum(axis=1)
-    return dq.reshape(h_kv * group, T, hd), dk, dv
 
 
 def gqa_attend(

@@ -10,6 +10,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .errors import ConfigError
 from .kvcache import kv_bytes
 from .model import layer_kinds
 
@@ -116,6 +117,15 @@ class ModelPreset:
     local_per_global: int
     window: int
     arch: dict = field(default_factory=dict)  # the raw config key/values
+
+    def __post_init__(self):
+        for name, least in (("embedding_params", 0), ("non_embedding_params", 0),
+                            ("vision_encoder_params", 0), ("n_layers", 1), ("num_kv_heads", 1),
+                            ("head_dim", 1), ("local_per_global", 0), ("window", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ConfigError(
+                    f"preset {self.name!r}: {name} must be an int >= {least}, got {value!r}")
 
 
 def report(preset: ModelPreset, context: int, kv_bits: int = 8) -> MemoryReport:

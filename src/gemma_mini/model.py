@@ -7,7 +7,10 @@ gated MLP:
     x = x + norm_post_mlp(mlp(norm_pre_mlp(x)))
 
 Attention is QK-normed and rotary-embedded with parameters chosen by the
-layer's kind. Logits read out through the tied embedding by default.
+layer's kind. A pass computes one attention.plan per layer kind (rotation,
+mask and layout) and shares it with every layer of that kind; the training
+tape keeps the plans for backward_full. Logits read out through the tied
+embedding by default.
 Weights are immutable after load and can be shared across threads; each
 generation stream owns its private KvCache.
 """
@@ -19,14 +22,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .attention import (
-    BAND, DENSE, AttentionConfig, LayerKind, attend, band_mask, build_mask, pass_layout,
-)
+from .attention import AttentionConfig, LayerKind, attend, plan
 from .errors import CapacityError, ConfigError, ShapeError
 from .kvcache import KvCache
-from .tensor import (
-    RopeParams, rms_divisor, rms_norm, rope_cos_sin, rope_rotate, softmax_rows,
-)
+from .tensor import RopeParams, rms_divisor, rms_norm, rope_rotate, softmax_rows
 
 GELU_C = float(np.sqrt(2.0 / np.pi))
 GELU_A = 0.044715
@@ -53,6 +52,9 @@ def layer_kinds(n_layers: int, local_per_global: int = 5) -> list[LayerKind]:
         LayerKind.GLOBAL if i % period == local_per_global else LayerKind.LOCAL
         for i in range(n_layers)
     ]
+
+
+_TAKES = {int: int, float: (int, float), bool: bool}  # field type -> what from_dict takes
 
 
 @dataclass(frozen=True)
@@ -123,11 +125,21 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """The config of a config file's or a weight archive's values; keys that
+        are no field are ignored. An int field takes an int (not a bool), a
+        float field an int or a float, a bool field a bool; d_model must be >= 1."""
         names = cls.__dataclass_fields__
         missing = [n for n, f in names.items() if f.default is MISSING and n not in d]
         if missing:
             raise ConfigError(f"config is missing required keys: {', '.join(missing)}")
-        return cls(**{k: v for k, v in d.items() if k in names})
+        values = {k: v for k, v in d.items() if k in names}
+        for name, value in values.items():
+            want = names[name].type
+            if isinstance(value, bool) != (want is bool) or not isinstance(value, _TAKES[want]):
+                raise ConfigError(f"{name} must be {want.__name__}, got {value!r}")
+        if values["d_model"] < 1:
+            raise ConfigError(f"d_model must be >= 1, got {values['d_model']}")
+        return cls(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -215,43 +227,21 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
 
 
-def _kind_work(att, positions, retained):
-    """(cos, sin, mask, layout): what every layer of att's kind shares over
-    a chunk at `positions`. retained holds the positions such a layer kept
-    from before the chunk, or is None.
-
-    Rows with no earlier keys attend to one another only, in the layout of
-    an uncached pass (attention.pass_layout): a long LOCAL layer banded, a
-    long GLOBAL layer in causal tiles, any other dense. Otherwise the rows
-    attend densely over the retained keys followed by their own, masked by
-    position.
-    """
-    cos, sin = rope_cos_sin(positions, att.rope)
-    T = positions.shape[0]
-    layout = DENSE if retained is not None else pass_layout(att, T)
-    if layout == BAND:
-        mask = band_mask(T, att.window)  # the band reads keys by row, not position
-    else:
-        key_positions = positions if retained is None else np.concatenate((retained, positions))
-        mask = build_mask(att.kind, positions, key_positions, att.window)
-    return cos, sin, mask, layout
-
-
-def _layer(params, cfg, i, kind, h, positions, work, cache=None):
+def _layer(params, cfg, i, kind, h, positions, kind_plan, cache=None):
     """Decoder block i over rows h at consecutive `positions`: (new h, saved).
 
-    work is _kind_work's for the layer's kind. With a cache, the rows are a
-    chunk that continues it: the chunk's keys and values are appended to
-    layer i's, and the rows attend over what append returns, the layer's
-    retained rows followed by the chunk's. `saved` holds what backward_full
-    reads from the tape: each norm's input and divisor (div_*), not the
-    pre-attention and pre-MLP norm outputs, and the GELU's tanh term, not
-    its output.
+    kind_plan is attention.plan's for the layer's kind. With a cache, the
+    rows are a chunk that continues it: the chunk's keys and values are
+    appended to layer i's, and the rows attend over what append returns,
+    the layer's retained rows followed by the chunk's. `saved` holds what
+    backward_full reads from the tape: each norm's input and divisor
+    (div_*), not the pre-attention and pre-MLP norm outputs, and the GELU's
+    tanh term, not its output.
     """
     names = cfg._layer_keys[i]
     p = lambda name: params[names[name]]
     att, eps = cfg.attn_for(kind), cfg.rms_eps
-    cos, sin, mask, layout = work
+    cos, sin, mask, layout = kind_plan
     div_ln1 = rms_divisor(h, eps)
     ln1 = rms_norm(h, p("pre_attn_norm"), eps, div_ln1)
     q = _split_heads(ln1 @ p("wq"), att.num_query_heads, att.head_dim)
@@ -291,24 +281,23 @@ def _layer(params, cfg, i, kind, h, positions, work, cache=None):
 def _run(params, cfg, tokens, positions, cache=None, tape=None):
     """Embed, run every layer, read out logits; appends to `tape` if given.
 
-    The rotation and the mask are computed once per layer kind, before the
-    layers run (a chunk at position 0 has no earlier keys).
+    Each layer kind's attention.plan is computed once, before the layers run
+    (a chunk at position 0 has no earlier keys); the tape keeps them.
     """
-    work = {}
+    plans = {}
     for i, kind in enumerate(cfg._kinds):
-        if kind not in work:
+        if kind not in plans:
             retained = cache.retained(i) if cache is not None and positions[0] else None
-            work[kind] = _kind_work(cfg.attn_for(kind), positions, retained)
+            plans[kind] = plan(cfg.attn_for(kind), positions, retained)
     h = params["embed"][tokens]
     for i, kind in enumerate(cfg._kinds):
-        h, saved = _layer(params, cfg, i, kind, h, positions, work[kind], cache)
+        h, saved = _layer(params, cfg, i, kind, h, positions, plans[kind], cache)
         if tape is not None:
             tape["layers"].append(saved)
     div_hf = rms_divisor(h, cfg.rms_eps)
     hf = rms_norm(h, params["final_norm"], cfg.rms_eps, div_hf)
     if tape is not None:
-        tape["h_last"], tape["hf"], tape["div_hf"] = h, hf, div_hf
-        tape["rope"] = {kind: w[:2] for kind, w in work.items()}  # (cos, sin) per kind
+        tape["h_last"], tape["hf"], tape["div_hf"], tape["plans"] = h, hf, div_hf, plans
     return hf @ (params["embed"].T if cfg.tie_embeddings else params["lm_head"])
 
 
@@ -321,7 +310,7 @@ def forward_full(
     """Whole-sequence forward pass over positions 0 .. len(tokens) - 1.
 
     Long LOCAL layers run banded, long GLOBAL layers in causal tiles, every
-    other layer dense (see _kind_work).
+    other layer dense (see attention.plan).
     Returns (logits, tape); tape holds the per-layer intermediates the
     backward pass needs and is None unless keep_tape is set.
     """
@@ -463,7 +452,7 @@ def load_weights(path: str) -> tuple[dict, ModelConfig]:
         for name, arr in values.items():
             if arr.shape != () or arr.dtype != dtypes[name]:
                 raise ValueError(f"config.{name} is not a 0-d {dtypes[name]}")
-        cfg = ModelConfig(**{name: arr.item() for name, arr in values.items()})
+        cfg = ModelConfig.from_dict({name: arr.item() for name, arr in values.items()})
         shapes = param_shapes(cfg)
         if set(entries) != set(shapes):
             raise ValueError(f"tensor name mismatch: {sorted(set(shapes) ^ set(entries))}")

@@ -63,7 +63,6 @@ def plan_crops(
     h: int,
     target: int = TARGET_SIZE,
     max_crops: int = MAX_CROPS_DEFAULT,
-    aspect_threshold: float = ASPECT_THRESHOLD,
 ) -> CropPlan:
     """Plan a grid of equal crops (within 1 px, integer partitioning).
 
@@ -74,7 +73,7 @@ def plan_crops(
     if w < 1 or h < 1 or max_crops < 1 or target < 1:
         raise ValueError(f"bad geometry: {w}x{h}, max_crops={max_crops}, target={target}")
     long_side, short_side = max(w, h), min(w, h)
-    if long_side / short_side <= aspect_threshold and long_side <= target:
+    if long_side / short_side <= ASPECT_THRESHOLD and long_side <= target:
         return CropPlan(w, h, (1, 1), [(0, 0, w, h)], applied=False)
 
     nx = -(-w // target)

@@ -10,8 +10,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .attention import attend_backward, pass_layout
-from .model import GELU_A, GELU_C, ModelConfig, forward_full, gelu, init_params
+from .attention import attend_backward
+from .model import (
+    GELU_A, GELU_C, ModelConfig, _merge_heads, _split_heads, forward_full, gelu, init_params,
+)
 from .tensor import rms_norm, rope_rotate, softmax_rows
 
 
@@ -45,8 +47,9 @@ def backward_full(params: dict, cfg: ModelConfig, tape: dict, dlogits: np.ndarra
     eps = cfg.rms_eps
     grads = {name: np.zeros_like(arr) for name, arr in params.items()}
     tokens = tape["tokens"]
+    plans = tape["plans"]  # attention.plan per layer kind, as the forward ran it
     # rope is an orthogonal map: its backward is the inverse rotation, by (cos, -sin)
-    unrotate = {kind: (cos, -sin) for kind, (cos, sin) in tape["rope"].items()}
+    unrotate = {kind: (cos, -sin) for kind, (cos, sin, _, _) in plans.items()}
     hf, h_last = tape["hf"], tape["h_last"]
 
     if cfg.tie_embeddings:
@@ -93,11 +96,9 @@ def backward_full(params: dict, cfg: ModelConfig, tape: dict, dlogits: np.ndarra
         dmerged = dattn_out @ p("wo").T
         g("wo")[...] += t["merged"].T @ dattn_out
 
-        T = dmerged.shape[0]
-        dattn = dmerged.reshape(T, att.num_query_heads, att.head_dim).transpose(1, 0, 2)
-
+        dattn = _split_heads(dmerged, att.num_query_heads, att.head_dim)
         dqr, dkr, dv = attend_backward(
-            t["probs"], t["qr"], t["kr"], t["v"], dattn, att, pass_layout(att, T))
+            t["probs"], t["qr"], t["kr"], t["v"], dattn, att, plans[t["kind"]][3])
 
         dqn = rope_rotate(dqr, *unrotate[t["kind"]])
         dkn = rope_rotate(dkr, *unrotate[t["kind"]])
@@ -109,9 +110,7 @@ def backward_full(params: dict, cfg: ModelConfig, tape: dict, dlogits: np.ndarra
         g("q_gain")[...] += dgq.sum(axis=1)
         g("k_gain")[...] += dgk.sum(axis=1)
 
-        dq_flat = dq.transpose(1, 0, 2).reshape(T, -1)
-        dk_flat = dk.transpose(1, 0, 2).reshape(T, -1)
-        dv_flat = dv.transpose(1, 0, 2).reshape(T, -1)
+        dq_flat, dk_flat, dv_flat = _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
         dln1 = dq_flat @ p("wq").T + dk_flat @ p("wk").T + dv_flat @ p("wv").T
         ln1 = rms_norm(t["x0"], p("pre_attn_norm"), eps, t["div_ln1"])
         g("wq")[...] += ln1.T @ dq_flat

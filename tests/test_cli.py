@@ -137,6 +137,39 @@ class TestGenerateConfigFile:
         assert code == 1 and out == ""
         assert err == "error: config is missing required keys: num_kv_heads\n"
 
+    @pytest.mark.parametrize("line, message", [
+        ("window = abc", "window must be int, got 'abc'"),
+        ("d_model = 64.5", "d_model must be int, got 64.5"),
+        ("n_layers = true", "n_layers must be int, got True"),
+        ("d_model = 0", "d_model must be >= 1, got 0"),
+    ], ids=["string-window", "float-width", "bool-layers", "zero-width"])
+    def test_ill_typed_or_zero_width_field_is_one_line_error(self, capsys, tmp_path,
+                                                              line, message):
+        # a later line overrides an earlier one of the same key
+        text = self.TINY + "num_kv_heads = 1\n" + line + "\n"
+        code, out, err = self._generate(capsys, tmp_path, text)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+
+class TestPlanPresetFile:
+    PRESET = ("embedding_params = 1000\nnon_embedding_params = 2000\nn_layers = 6\n"
+              "num_kv_heads = 1\nhead_dim = 16\nwindow = 16\n")
+
+    @pytest.mark.parametrize("line, message", [
+        ("window = 0", "window must be an int >= 1, got 0"),
+        ("n_layers = six", "n_layers must be an int >= 1, got 'six'"),
+    ], ids=["zero-window", "string-layers"])
+    def test_bad_preset_field_is_one_line_error(self, capsys, tmp_path, monkeypatch,
+                                                line, message):
+        monkeypatch.setenv("GEMMA_MINI_PRESETS", str(tmp_path))
+        (tmp_path / "mine.cfg").write_text(self.PRESET)
+        assert run_cli(capsys, "plan", "--preset", "mine")[0] == 0
+        (tmp_path / "mine.cfg").write_text(self.PRESET + line + "\n")
+        code, out, err = run_cli(capsys, "plan", "--preset", "mine")
+        assert code == 1 and out == ""
+        assert err == f"error: preset 'mine': {message}\n"
+
 
 class TestChatGenerate:
     def test_chat_prompt_round_trips(self, capsys, tmp_path):

@@ -3,8 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from gemma_mini import model
-from gemma_mini.attention import LayerKind, qk_norm
+from gemma_mini import attention, model
+from gemma_mini.attention import BAND, TILES, LayerKind, qk_norm
 from gemma_mini.errors import CapacityError, ConfigError
 from gemma_mini.model import (
     ModelConfig,
@@ -248,35 +248,56 @@ class TestPerKindWork:
     """A chunk computes its rotation and its mask once per layer kind."""
 
     @staticmethod
-    def counting(monkeypatch, name):
-        calls = []
-        real = getattr(model, name)
+    def counting(monkeypatch, names):
+        """Per name, the args of each call into attention.<name> made from
+        outside the counted functions (band_mask builds its mask through
+        build_mask; that call is not a second mask)."""
+        calls, depth = {name: [] for name in names}, []
+        for name in names:
+            def wrapper(*args, _name=name, _real=getattr(attention, name), **kwargs):
+                if not depth:
+                    calls[_name].append(args)
+                depth.append(_name)
+                try:
+                    return _real(*args, **kwargs)
+                finally:
+                    depth.pop()
 
-        def wrapper(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(model, name, wrapper)
+            monkeypatch.setattr(attention, name, wrapper)
         return calls
 
     def test_one_mask_and_one_rotation_per_kind_per_chunk(self, monkeypatch):
         cfg = toy_config(window=4)
         params = init_params(cfg, seed=30)
-        tokens = np.random.default_rng(30).integers(0, cfg.vocab_size, size=40)
-        masks = self.counting(monkeypatch, "build_mask")
-        bands = self.counting(monkeypatch, "band_mask")
-        angles = self.counting(monkeypatch, "rope_cos_sin")
+        tokens = np.random.default_rng(30).integers(0, cfg.vocab_size, size=130)
+        calls = self.counting(monkeypatch, ("build_mask", "band_mask", "rope_cos_sin"))
+        layouts = []  # (kind, layout) of each plan the chunk made
+        real_plan = model.plan
+
+        def recording_plan(att, *args):
+            kind_plan = real_plan(att, *args)
+            layouts.append((att.kind, kind_plan[3]))
+            return kind_plan
+
+        monkeypatch.setattr(model, "plan", recording_plan)
         kinds = set(cfg.kinds())
         cache = make_cache(cfg)
-        # T=1 on an empty cache, a banded chunk, then T=1 and a chunk after the ring wrapped
-        for start, stop in ((0, 1), (1, 20), (20, 21), (21, 30), (30, 40)):
-            masks.clear(), bands.clear(), angles.clear()
-            model._extend(params, cfg, cache, tokens[start:stop])
-            mask_kinds = [args[0] for args in masks]
+        # T=1 on an empty cache, a chunk after it, then T=1 and a chunk after the ring
+        # wrapped; last, 130 rows on a fresh cache: local layers banded, global in tiles
+        chunks = [(cache, 0, 1), (cache, 1, 20), (cache, 20, 21), (cache, 21, 30),
+                  (cache, 30, 40), (make_cache(cfg), 0, 130)]
+        for chunk_cache, start, stop in chunks:
+            for c in (*calls.values(), layouts):
+                c.clear()
+            model._extend(params, cfg, chunk_cache, tokens[start:stop])
+            mask_kinds = [args[0] for args in calls["build_mask"]]
             assert len(mask_kinds) == len(set(mask_kinds)) <= len(kinds)
-            assert len(masks) + len(bands) == len(kinds)
-            assert len(angles) == len(kinds)
+            assert len(calls["build_mask"]) + len(calls["band_mask"]) == len(kinds)
+            assert len(calls["rope_cos_sin"]) == len(kinds)
+            assert len(layouts) == len(kinds)
         assert cache.next_pos == 40
+        assert len(calls["band_mask"]) == 1 and mask_kinds == [LayerKind.GLOBAL]
+        assert dict(layouts) == {LayerKind.LOCAL: BAND, LayerKind.GLOBAL: TILES}
 
     @pytest.mark.parametrize("T", [5, 20])  # local layers dense, then banded (window 4)
     @pytest.mark.parametrize("tied", [True, False])
@@ -535,7 +556,8 @@ class TestWeightsIO:
         (lambda e: e.update({"format": np.asarray(2)}), "format entry"),
         (lambda e: e.update({"config.num_kv_heads": np.asarray(0)}),
          "num_kv_heads must be >= 1, got 0"),
+        (lambda e: e.update({"config.d_model": np.asarray(0)}), "d_model must be >= 1, got 0"),
     ], ids=["missing-tensor", "extra-tensor", "wrong-shape", "nan", "unknown-config-field",
-            "float-window", "format-2", "zero-kv-heads"])
+            "float-window", "format-2", "zero-kv-heads", "zero-width"])
     def test_malformed_archive_rejected(self, tmp_path, edit, cause):
         self._rejects(self._saved(tmp_path, edit), cause)

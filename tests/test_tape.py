@@ -60,7 +60,7 @@ def recomputing_backward(params, cfg, tape, dlogits):
     pre-attention and pre-MLP norm outputs are the forward's rms_norm."""
     eps = cfg.rms_eps
     grads = {name: np.zeros_like(arr) for name, arr in params.items()}
-    unrotate = {kind: (cos, -sin) for kind, (cos, sin) in tape["rope"].items()}
+    unrotate = {kind: (cos, -sin) for kind, (cos, sin, _, _) in tape["plans"].items()}
     if cfg.tie_embeddings:
         dhf = dlogits @ params["embed"]
         grads["embed"] += dlogits.T @ tape["hf"]
