@@ -19,9 +19,10 @@ they read. A pass has one of three layouts:
 - TILES: a long uncached GLOBAL pass runs in causal query tiles of 64 rows.
   Tile [b, e) is the dense pass of its rows over keys [0, e) under mask[b:e,
   :e], which skips the fully masked blocks above the diagonal (as
-  FlashAttention does). No T x T temporary is built; the probabilities land
-  in the same (Hkv, g, 1, T, T) array as a dense pass's, exactly 0 above
-  the tiles.
+  FlashAttention does). No T x T array is built: the tiles' probabilities
+  are packed one tile after another in one 1-D array, which holds only the
+  (Hkv, g, 1, e - b, e) block of each tile and which `_tiles` cuts back
+  into those blocks.
 """
 
 from dataclasses import dataclass
@@ -220,6 +221,19 @@ def _fold_key_blocks(xb: np.ndarray, n_rows: int, band: bool) -> np.ndarray:
     return out.reshape(h_kv, -1, hd)[:, w : w + n_rows]
 
 
+def _tiles(probs: np.ndarray, cfg: AttentionConfig, T: int):
+    """(b, e, view) per causal tile [b, e) of a TILES pass over rows 0 .. T-1,
+    in order. view is the tile's (num_kv_heads, group_size, 1, e - b, e)
+    block of the 1-D packed probs, which stores the blocks one after another."""
+    start = 0
+    for b in range(0, T, _TILE):
+        e = min(b + _TILE, T)
+        shape = (cfg.num_kv_heads, cfg.group_size, 1, e - b, e)
+        end = start + cfg.num_query_heads * (e - b) * e
+        yield b, e, probs[start:end].reshape(shape)
+        start = end
+
+
 def attend(
     q: np.ndarray, k: np.ndarray, v: np.ndarray, cfg: AttentionConfig, mask: np.ndarray,
     layout: str,
@@ -229,17 +243,18 @@ def attend(
 
     DENSE: one block under a (Tq, Tk) additive mask. BAND: q, k, v cover
     the same consecutive rows and mask is band_mask(Tq, window). TILES: q,
-    k, v cover rows 0 .. T-1 and mask is their (T, T) causal mask. probs
-    (num_kv_heads, group_size, n_blocks, rows, keys) is the softmax over
-    keys of the 1/sqrt(head_dim)-scaled logits plus the mask; out is
-    (num_query_heads, Tq, hd). Inputs are not validated.
+    k, v cover rows 0 .. T-1 and mask is their (T, T) causal mask. probs is
+    the softmax over keys of the 1/sqrt(head_dim)-scaled logits plus the
+    mask: (num_kv_heads, group_size, n_blocks, rows, keys) for DENSE and
+    BAND; for TILES one 1-D array of every tile's block, which _tiles
+    reads. out is (num_query_heads, Tq, hd). Inputs are not validated.
     """
     if layout == TILES:  # tile [b, e) is the dense pass of its rows over keys [0, e)
         T = q.shape[1]
-        probs, out = np.zeros((cfg.num_kv_heads, cfg.group_size, 1, T, T)), np.empty_like(q)
-        for b in range(0, T, _TILE):
-            e = min(b + _TILE, T)
-            probs[..., b:e, :e], out[:, b:e] = attend(
+        row_keys = np.minimum(np.arange(T) // _TILE * _TILE + _TILE, T)  # e of each row
+        probs, out = np.empty(cfg.num_query_heads * int(row_keys.sum())), np.empty_like(q)
+        for b, e, tile in _tiles(probs, cfg, T):
+            tile[...], out[:, b:e] = attend(
                 q[:, b:e], k[:, :e], v[:, :e], cfg, mask[b:e, :e], DENSE)
         return probs, out
     band = layout == BAND
@@ -261,10 +276,9 @@ def attend_backward(
     n_rows = q.shape[1]
     if layout == TILES:  # tile [b, e) reads and writes key rows [0, e)
         dq, dk, dv = np.empty_like(q), np.zeros_like(k), np.zeros_like(v)
-        for b in range(0, n_rows, _TILE):
-            e = min(b + _TILE, n_rows)
+        for b, e, tile in _tiles(probs, cfg, n_rows):
             dq[:, b:e], dk_tile, dv_tile = attend_backward(
-                probs[..., b:e, :e], q[:, b:e], k[:, :e], v[:, :e], dout[:, b:e], cfg, DENSE)
+                tile, q[:, b:e], k[:, :e], v[:, :e], dout[:, b:e], cfg, DENSE)
             dk[:, :e] += dk_tile
             dv[:, :e] += dv_tile
         return dq, dk, dv

@@ -177,7 +177,20 @@ def run_toy_distillation(
 
     Every run goes through train_byte_lm, so each draws its batch_len
     windows over the whole training head, both ends included, and decays
-    its own step size from lr to lr / 10 over its steps."""
+    its own step size from lr to lr / 10 over its steps.
+
+    k, batch_len and the two configs' vocabularies are checked before the
+    teacher trains: a batch_len window must fit both models' max_context."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if batch_len is not None:
+        limit = min(teacher_cfg.max_context, student_cfg.max_context)
+        if not 1 <= batch_len <= limit:
+            raise ValueError(f"batch_len {batch_len} must lie in [1, {limit}], the smaller "
+                             "max_context of teacher and student")
+    if teacher_cfg.vocab_size != student_cfg.vocab_size:
+        raise ValueError(f"teacher vocab_size {teacher_cfg.vocab_size} != student "
+                         f"vocab_size {student_cfg.vocab_size}")
     data = np.asarray(corpus_tokens, dtype=np.int64)
     split = int(len(data) * train_frac)
     train, held_out = data[:split], data[split:]

@@ -9,8 +9,8 @@ gated MLP:
 Attention is QK-normed and rotary-embedded with parameters chosen by the
 layer's kind. A pass computes one attention.plan per layer kind (rotation,
 mask and layout) and shares it with every layer of that kind; the training
-tape keeps the plans for backward_full. Logits read out through the tied
-embedding by default.
+tape keeps the plans, less their masks, for backward_full. Logits read out
+through the tied embedding by default.
 Weights are immutable after load and can be shared across threads; each
 generation stream owns its private KvCache.
 """
@@ -282,7 +282,8 @@ def _run(params, cfg, tokens, positions, cache=None, tape=None):
     """Embed, run every layer, read out logits; appends to `tape` if given.
 
     Each layer kind's attention.plan is computed once, before the layers run
-    (a chunk at position 0 has no earlier keys); the tape keeps them.
+    (a chunk at position 0 has no earlier keys). The tape keeps them as
+    (cos, sin, None, layout): the backward reads no mask.
     """
     plans = {}
     for i, kind in enumerate(cfg._kinds):
@@ -297,7 +298,9 @@ def _run(params, cfg, tokens, positions, cache=None, tape=None):
     div_hf = rms_divisor(h, cfg.rms_eps)
     hf = rms_norm(h, params["final_norm"], cfg.rms_eps, div_hf)
     if tape is not None:
-        tape["h_last"], tape["hf"], tape["div_hf"], tape["plans"] = h, hf, div_hf, plans
+        tape["h_last"], tape["hf"], tape["div_hf"] = h, hf, div_hf
+        tape["plans"] = {kind: (cos, sin, None, layout)
+                         for kind, (cos, sin, _, layout) in plans.items()}
     return hf @ (params["embed"].T if cfg.tie_embeddings else params["lm_head"])
 
 
@@ -307,7 +310,8 @@ def forward_full(
     tokens: Sequence[int],
     keep_tape: bool = False,
 ):
-    """Whole-sequence forward pass over positions 0 .. len(tokens) - 1.
+    """Whole-sequence forward pass over positions 0 .. len(tokens) - 1, for 1
+    to max_context tokens.
 
     Long LOCAL layers run banded, long GLOBAL layers in causal tiles, every
     other layer dense (see attention.plan).
@@ -316,6 +320,8 @@ def forward_full(
     """
     tokens = _check_tokens(cfg, tokens)
     T = tokens.shape[0]
+    if T == 0:
+        raise ValueError("forward_full needs at least 1 token, got 0")
     if T > cfg.max_context:
         raise CapacityError(f"sequence length {T} exceeds max_context {cfg.max_context}")
     positions = np.arange(T)

@@ -37,16 +37,78 @@ def cross_entropy(logits: np.ndarray, targets: Sequence[int]):
     return loss, dlogits / T
 
 
+def _mlp_backward(p, g, t: dict, eps: float, dh: np.ndarray) -> np.ndarray:
+    """d(x1) of one layer's h = x1 + rms_norm(mlp(rms_norm(x1)), post_mlp_norm)
+    given d(h), adding the MLP half's parameter gradients to g. Its
+    temporaries are freed on return, before the attention half runs."""
+    dmlp_out, dg_post = _rms_norm_bwd(t["mlp_out"], p("post_mlp_norm"), t["div_mlp"], dh)
+    g("post_mlp_norm")[...] += dg_post.sum(axis=0)
+    gate, up, th = t["gate"], t["up"], t["tanh"]
+    gelu_gate = gelu(gate, th)
+    dact = dmlp_out @ p("w_down").T
+    g("w_down")[...] += (gelu_gate * up).T @ dmlp_out
+    # d gelu / d gate, from the taped tanh
+    dgelu = 0.5 * (1.0 + th) + 0.5 * gate * (1.0 - th * th) * GELU_C * (
+        1.0 + 3.0 * GELU_A * gate * gate)
+    dgate = dact * up * dgelu
+    dup = dact * gelu_gate
+    dln2 = dgate @ p("w_gate").T + dup @ p("w_up").T
+    ln2 = rms_norm(t["x1"], p("pre_mlp_norm"), eps, t["div_ln2"])
+    g("w_gate")[...] += ln2.T @ dgate
+    g("w_up")[...] += ln2.T @ dup
+    dx1_ln2, dg_pre = _rms_norm_bwd(t["x1"], p("pre_mlp_norm"), t["div_ln2"], dln2)
+    g("pre_mlp_norm")[...] += dg_pre.sum(axis=0)
+    return dh + dx1_ln2
+
+
+def _attention_backward(p, g, t: dict, att, unrotate: tuple, layout: str, eps: float,
+                        dx1: np.ndarray) -> np.ndarray:
+    """d(x0) of one layer's x1 = x0 + rms_norm(attn(rms_norm(x0)), post_attn_norm)
+    given d(x1), adding the attention half's parameter gradients to g.
+    unrotate is the (cos, -sin) of the layer kind's rotation."""
+    dattn_out, dg_post_a = _rms_norm_bwd(t["attn_out"], p("post_attn_norm"), t["div_attn"], dx1)
+    g("post_attn_norm")[...] += dg_post_a.sum(axis=0)
+    dmerged = dattn_out @ p("wo").T
+    g("wo")[...] += t["merged"].T @ dattn_out
+
+    dattn = _split_heads(dmerged, att.num_query_heads, att.head_dim)
+    dqr, dkr, dv = attend_backward(t["probs"], t["qr"], t["kr"], t["v"], dattn, att, layout)
+
+    dqn = rope_rotate(dqr, *unrotate)
+    dkn = rope_rotate(dkr, *unrotate)
+
+    # qk-norm: per-head rms norm with per-head gains (H, hd)
+    n_q = att.num_query_heads
+    dq, dgq = _rms_norm_bwd(t["q"], p("q_gain")[:, None, :], t["div_qk"][:n_q], dqn)
+    dk, dgk = _rms_norm_bwd(t["k"], p("k_gain")[:, None, :], t["div_qk"][n_q:], dkn)
+    g("q_gain")[...] += dgq.sum(axis=1)
+    g("k_gain")[...] += dgk.sum(axis=1)
+
+    dq_flat, dk_flat, dv_flat = _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
+    dln1 = dq_flat @ p("wq").T + dk_flat @ p("wk").T + dv_flat @ p("wv").T
+    ln1 = rms_norm(t["x0"], p("pre_attn_norm"), eps, t["div_ln1"])
+    g("wq")[...] += ln1.T @ dq_flat
+    g("wk")[...] += ln1.T @ dk_flat
+    g("wv")[...] += ln1.T @ dv_flat
+
+    dx0_ln1, dg_pre_a = _rms_norm_bwd(t["x0"], p("pre_attn_norm"), t["div_ln1"], dln1)
+    g("pre_attn_norm")[...] += dg_pre_a.sum(axis=0)
+    return dx1 + dx0_ln1
+
+
 def backward_full(params: dict, cfg: ModelConfig, tape: dict, dlogits: np.ndarray) -> dict:
     """Gradients for every parameter given d(loss)/d(logits).
 
     Each norm's divisor and the GELU's tanh term are read from the tape. The
     pre-attention and pre-MLP norm outputs and the GELU's output are rebuilt
     from them with the forward's own arithmetic, so they match it bit for bit.
+
+    The tape is spent: each layer's entry is popped from tape["layers"] as
+    the backward reaches it, so its arrays are freed once read, and the list
+    is empty on return.
     """
     eps = cfg.rms_eps
     grads = {name: np.zeros_like(arr) for name, arr in params.items()}
-    tokens = tape["tokens"]
     plans = tape["plans"]  # attention.plan per layer kind, as the forward ran it
     # rope is an orthogonal map: its backward is the inverse rotation, by (cos, -sin)
     unrotate = {kind: (cos, -sin) for kind, (cos, sin, _, _) in plans.items()}
@@ -62,66 +124,18 @@ def backward_full(params: dict, cfg: ModelConfig, tape: dict, dlogits: np.ndarra
     dh, dg = _rms_norm_bwd(h_last, params["final_norm"], tape["div_hf"], dhf)
     grads["final_norm"] += dg.sum(axis=0)
 
+    layers = tape["layers"]
     for i in reversed(range(cfg.n_layers)):
-        t = tape["layers"][i]
-        att = cfg.attn_for(t["kind"])
+        t = layers.pop()  # layer i, the last one left
         names = cfg._layer_keys[i]
         p = lambda name: params[names[name]]
         g = lambda name: grads[names[name]]
+        kind = t["kind"]
+        dx1 = _mlp_backward(p, g, t, eps, dh)
+        dh = _attention_backward(
+            p, g, t, cfg.attn_for(kind), unrotate[kind], plans[kind][3], eps, dx1)
 
-        # h = x1 + rms_norm(mlp_out, post_mlp_norm)
-        dmlp_out, dg_post = _rms_norm_bwd(t["mlp_out"], p("post_mlp_norm"), t["div_mlp"], dh)
-        g("post_mlp_norm")[...] += dg_post.sum(axis=0)
-        gate, up, th = t["gate"], t["up"], t["tanh"]
-        gelu_gate = gelu(gate, th)
-        dact = dmlp_out @ p("w_down").T
-        g("w_down")[...] += (gelu_gate * up).T @ dmlp_out
-        # d gelu / d gate, from the taped tanh
-        dgelu = 0.5 * (1.0 + th) + 0.5 * gate * (1.0 - th * th) * GELU_C * (
-            1.0 + 3.0 * GELU_A * gate * gate)
-        dgate = dact * up * dgelu
-        dup = dact * gelu_gate
-        dln2 = dgate @ p("w_gate").T + dup @ p("w_up").T
-        ln2 = rms_norm(t["x1"], p("pre_mlp_norm"), eps, t["div_ln2"])
-        g("w_gate")[...] += ln2.T @ dgate
-        g("w_up")[...] += ln2.T @ dup
-        dx1_ln2, dg_pre = _rms_norm_bwd(t["x1"], p("pre_mlp_norm"), t["div_ln2"], dln2)
-        g("pre_mlp_norm")[...] += dg_pre.sum(axis=0)
-        dx1 = dh + dx1_ln2
-
-        # x1 = x0 + rms_norm(attn_out, post_attn_norm)
-        dattn_out, dg_post_a = _rms_norm_bwd(
-            t["attn_out"], p("post_attn_norm"), t["div_attn"], dx1)
-        g("post_attn_norm")[...] += dg_post_a.sum(axis=0)
-        dmerged = dattn_out @ p("wo").T
-        g("wo")[...] += t["merged"].T @ dattn_out
-
-        dattn = _split_heads(dmerged, att.num_query_heads, att.head_dim)
-        dqr, dkr, dv = attend_backward(
-            t["probs"], t["qr"], t["kr"], t["v"], dattn, att, plans[t["kind"]][3])
-
-        dqn = rope_rotate(dqr, *unrotate[t["kind"]])
-        dkn = rope_rotate(dkr, *unrotate[t["kind"]])
-
-        # qk-norm: per-head rms norm with per-head gains (H, hd)
-        n_q = att.num_query_heads
-        dq, dgq = _rms_norm_bwd(t["q"], p("q_gain")[:, None, :], t["div_qk"][:n_q], dqn)
-        dk, dgk = _rms_norm_bwd(t["k"], p("k_gain")[:, None, :], t["div_qk"][n_q:], dkn)
-        g("q_gain")[...] += dgq.sum(axis=1)
-        g("k_gain")[...] += dgk.sum(axis=1)
-
-        dq_flat, dk_flat, dv_flat = _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
-        dln1 = dq_flat @ p("wq").T + dk_flat @ p("wk").T + dv_flat @ p("wv").T
-        ln1 = rms_norm(t["x0"], p("pre_attn_norm"), eps, t["div_ln1"])
-        g("wq")[...] += ln1.T @ dq_flat
-        g("wk")[...] += ln1.T @ dk_flat
-        g("wv")[...] += ln1.T @ dv_flat
-
-        dx0_ln1, dg_pre_a = _rms_norm_bwd(t["x0"], p("pre_attn_norm"), t["div_ln1"], dln1)
-        g("pre_attn_norm")[...] += dg_pre_a.sum(axis=0)
-        dh = dx1 + dx0_ln1
-
-    np.add.at(grads["embed"], tokens, dh)
+    np.add.at(grads["embed"], tape["tokens"], dh)
     return grads
 
 
@@ -134,11 +148,14 @@ def loss_and_grads(
     """One forward/backward pass. grad_fn(logits) -> (loss, dlogits); the
     default is next-token cross-entropy over the sequence."""
     tokens = np.asarray(tokens, dtype=np.int64)
+    if len(tokens) < 2:
+        raise ValueError(f"need at least 2 tokens to train on, got {len(tokens)}")
     logits, tape = forward_full(params, cfg, tokens[:-1], keep_tape=True)
     if grad_fn is None:
         loss, dlogits = cross_entropy(logits, tokens[1:])
     else:
         loss, dlogits = grad_fn(logits)
+    del logits  # the backward reads dlogits only
     return loss, backward_full(params, cfg, tape, dlogits)
 
 
@@ -184,7 +201,8 @@ def train_byte_lm(
     grad_fn_for: Optional[Callable] = None,
     init: Optional[dict] = None,
 ) -> TrainResult:
-    """Full-batch (or random-window) Adam training on one token sequence.
+    """Full-batch (or random-window) Adam training on one token sequence of
+    at least 2 tokens; batch_len, when set, is at least 1.
 
     With batch_len set and shorter than the data, each step trains on a
     window of batch_len + 1 tokens. Its start is drawn uniformly from
@@ -202,6 +220,10 @@ def train_byte_lm(
     custom per-window loss (used by distillation); default is hard-label CE.
     """
     data = np.asarray(data, dtype=np.int64)
+    if batch_len is not None and batch_len < 1:
+        raise ValueError(f"batch_len must be >= 1, got {batch_len}")
+    if len(data) < 2:
+        raise ValueError(f"need at least 2 tokens to train on, got {len(data)}")
     rng = np.random.default_rng(seed)
     # steps mutate arrays in place; never touch a caller's dict
     params = (

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gemma_mini import model, train
-from gemma_mini.attention import BAND, TILES, LayerKind, pass_layout
+from gemma_mini.attention import BAND, TILES, LayerKind, _tiles, pass_layout
 from gemma_mini.model import ModelConfig, forward_full, init_params
 from gemma_mini.train import cross_entropy, loss_and_grads
 
@@ -104,15 +104,23 @@ def test_long_local_layers_run_banded(T, local_shape):
 
 @pytest.mark.parametrize("T", [129, 197])
 def test_tiled_probs_are_zero_above_the_tiles(T):
+    """Each tile's block of the packed probabilities is causal and row-stochastic,
+    and the packed array holds those blocks and nothing else."""
     cfg = small_config(4, 2, True)
     att = cfg.attn_for(LayerKind.GLOBAL)
     assert pass_layout(att, T) == TILES
     _, tape = forward_full(init_params(cfg, seed=2, scale=0.3), cfg, np.arange(T) % 40,
                            keep_tape=True)
     probs = tape["layers"][1]["probs"]
-    assert probs.shape == (2, 2, 1, T, T)
-    np.testing.assert_array_equal(np.triu(probs, 1), 0.0)  # above every row's diagonal
-    np.testing.assert_allclose(probs.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+    assert isinstance(probs, np.ndarray) and probs.ndim == 1
+    tiles = list(_tiles(probs, att, T))
+    assert [(b, e) for b, e, _ in tiles] == [(b, min(b + 64, T)) for b in range(0, T, 64)]
+    for b, e, tile in tiles:
+        assert tile.shape == (2, 2, 1, e - b, e)
+        np.testing.assert_array_equal(np.triu(tile, 1 + b), 0.0)  # above each row's diagonal
+        np.testing.assert_allclose(tile.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(np.concatenate([tile.ravel() for _, _, tile in tiles]), probs)
+    assert probs.size < 2 * 2 * T * T  # fewer elements than the (T, T) layout
 
 
 def test_banded_gradient_matches_central_differences():

@@ -365,6 +365,34 @@ class TestTeacherQueries:
         assert len(calls) == 2 + len(middle)
 
 
+class TestRunChecksBeforeTraining:
+    """Bad arguments are refused before the teacher's run, not after it."""
+
+    @pytest.mark.parametrize("student, kwargs, match", [
+        (_cfg(1, 16, 4, window=4), dict(k=0), "k must be"),
+        (_cfg(1, 16, 4, window=4), dict(batch_len=0), "batch_len"),
+        (ModelConfig(n_layers=1, d_model=16, hidden_dim=32, vocab_size=VOCAB_SIZE,
+                     max_context=64, num_query_heads=4, num_kv_heads=2, head_dim=4,
+                     window=4), dict(batch_len=128), "batch_len"),
+        (ModelConfig(n_layers=1, d_model=16, hidden_dim=32, vocab_size=300,
+                     max_context=1024, num_query_heads=4, num_kv_heads=2, head_dim=4,
+                     window=4), dict(), "vocab_size"),
+    ], ids=["k-0", "batch_len-0", "batch_len-above-max_context", "vocab-mismatch"])
+    def test_refused_before_any_training(self, monkeypatch, student, kwargs, match):
+        runs = []
+
+        def counting_train_byte_lm(*args, **kw):
+            runs.append(args)
+            return train_byte_lm(*args, **kw)
+
+        monkeypatch.setattr(distill, "train_byte_lm", counting_train_byte_lm)
+        args = {**dict(teacher_steps=40, student_steps=1, k=8, batch_len=16), **kwargs}
+        with pytest.raises(ValueError, match=match):
+            run_toy_distillation(word_corpus(n_words=12), _cfg(2, 16, 4, window=4), student,
+                                 **args)
+        assert runs == []
+
+
 class TestWindowSeeds:
     def test_window_seed_is_a_function_of_seed_and_window(self):
         w = np.arange(9)

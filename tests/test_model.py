@@ -190,6 +190,19 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(params, cfg, [cfg.vocab_size])
 
+    def test_uncached_pass_refuses_zero_tokens(self):
+        cfg = toy_config()
+        params = init_params(cfg, seed=4)
+        for run in (lambda: forward_full(params, cfg, []), lambda: forward(params, cfg, [])):
+            with pytest.raises(ValueError, match="at least 1 token"):
+                run()
+
+    def test_cached_pass_of_zero_tokens_is_empty(self):
+        cfg = toy_config()
+        cache = make_cache(cfg)
+        logits = forward(init_params(cfg, seed=4), cfg, [], cache)
+        assert logits.shape == (0, cfg.vocab_size) and cache.next_pos == 0
+
 
 class TestChunk:
     """model._extend: a chunk of T >= 1 tokens through the cache in one pass."""
@@ -317,6 +330,17 @@ class TestPerKindWork:
             rope = cfg.attn_for(kind).rope
             assert np.array_equal(t["qr"], rope_apply(qn, positions, rope))
             assert np.array_equal(t["kr"], rope_apply(kn, positions, rope))
+
+    @pytest.mark.parametrize("T", [5, 20, 200])  # dense; banded; banded and tiled
+    def test_tape_plans_keep_no_mask(self, T):
+        """The backward reads each kind's rotation and layout, never its mask."""
+        cfg = toy_config(window=4, max_context=512)
+        _, tape = forward_full(init_params(cfg, seed=5), cfg, np.arange(T) % 48, keep_tape=True)
+        assert set(tape["plans"]) == {LayerKind.LOCAL, LayerKind.GLOBAL}
+        for kind, (cos, sin, mask, layout) in tape["plans"].items():
+            assert mask is None
+            assert cos.shape == sin.shape == (T, cfg.head_dim // 2)
+            assert layout == attention.pass_layout(cfg.attn_for(kind), T)
 
     @pytest.mark.parametrize("tied", [True, False])
     def test_chunks_across_a_ring_wrap_match_one_step_per_token(self, tied):

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from gemma_mini import presets, train
 from gemma_mini.model import ModelConfig, forward_full, init_params
 from gemma_mini.train import (
     Adam, backward_full, cross_entropy, loss_and_grads, mean_ce, train_byte_lm,
@@ -66,6 +69,45 @@ class TestBackward:
             numeric = (up - down) / (2 * h)
             analytic = grads["lm_head"].reshape(-1)[i]
             assert abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-8) < 1e-4
+
+    def test_needs_two_tokens(self):
+        cfg = tiny_config()
+        params = init_params(cfg, seed=0)
+        for tokens in ([], [3]):
+            with pytest.raises(ValueError, match="at least 2 tokens"):
+                loss_and_grads(params, cfg, tokens)
+
+    def test_backward_spends_the_tape(self, monkeypatch):
+        """Each layer's tape entry is popped once the backward has read it."""
+        tapes = []
+
+        def recording_backward(params, cfg, tape, dlogits):
+            tapes.append(tape)
+            return backward_full(params, cfg, tape, dlogits)
+
+        monkeypatch.setattr(train, "backward_full", recording_backward)
+        cfg = tiny_config()
+        loss_and_grads(init_params(cfg, seed=5, scale=0.3), cfg, np.arange(20) % 32)
+        assert len(tapes) == 1 and tapes[0]["layers"] == []
+
+    def test_heap_peak_of_a_long_training_step(self):
+        """One step on `toy` at T=512 holds only what its backward still needs.
+
+        tracemalloc peak, numpy's buffers included: 53.7 MB while the tape kept
+        the masks, every layer and a (T, T) tiled-probs array through the
+        backward; 39.7 MB with the tape spent layer by layer, packed tiles and
+        the MLP half's temporaries freed before the attention half runs.
+        """
+        cfg = ModelConfig.from_dict(presets.preset_values("toy"))
+        params = init_params(cfg, seed=0)
+        tokens = np.random.default_rng(0).integers(0, cfg.vocab_size, size=513)
+        tracemalloc.start()
+        try:
+            loss_and_grads(params, cfg, tokens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 46e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_gradients_cover_every_parameter(self):
         cfg = tiny_config()
@@ -145,6 +187,17 @@ class TestTrainByteLm:
         assert set(result.params) == set(expected)
         for name, value in expected.items():
             np.testing.assert_array_equal(result.params[name], value, err_msg=name)
+
+    @pytest.mark.parametrize("data, batch_len", [
+        ([5], None), ([], None), ([5], 4), (np.arange(20), 0), (np.arange(20), -1),
+    ])
+    def test_bad_inputs_refused_before_step_zero(self, monkeypatch, data, batch_len):
+        steps = []
+        monkeypatch.setattr(train, "loss_and_grads", lambda *a: steps.append(a))
+        cfg = tiny_config()
+        with pytest.raises(ValueError, match="batch_len|at least 2 tokens"):
+            train_byte_lm(cfg, data, steps=3, batch_len=batch_len)
+        assert steps == []
 
 
 class TestMeanCe:
