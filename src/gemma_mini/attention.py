@@ -5,8 +5,8 @@ part of the window); Global layers attend to the whole causal prefix. Both
 kinds carry their own rotary parameters.
 
 `plan` computes what every layer of one kind shares over a chunk: the
-rotation, the mask and the layout. The forward pass calls it once per kind
-and the training tape keeps the plans for the backward pass.
+rotation, the mask and the layout. The forward pass calls it once per kind,
+and the backward pass again from the tape's positions.
 
 Scores are computed in blocks, with query heads grouped under the kv head
 they read. A pass has one of three layouts:
@@ -17,12 +17,13 @@ they read. A pass has one of three layouts:
   queries, each scoring only its own key block and the one before, so it
   costs O(T * window) instead of O(T^2).
 - TILES: a long uncached GLOBAL pass runs in causal query tiles of 64 rows.
-  Tile [b, e) is the dense pass of its rows over keys [0, e) under mask[b:e,
-  :e], which skips the fully masked blocks above the diagonal (as
-  FlashAttention does). No T x T array is built: the tiles' probabilities
-  are packed one tile after another in one 1-D array, which holds only the
-  (Hkv, g, 1, e - b, e) block of each tile and which `_tiles` cuts back
-  into those blocks.
+  Tile [b, e) is the dense pass of its rows over keys [0, e), masked by
+  `_tiles` from the plan's (64, 64) causal diagonal block, which skips the
+  fully masked blocks above the diagonal (as FlashAttention does). No T x T
+  array is built.
+
+attend returns no probabilities: attend_backward recomputes them block by
+block through the forward's own helper, so they match it bit for bit.
 """
 
 from dataclasses import dataclass
@@ -162,13 +163,16 @@ def plan(cfg: AttentionConfig, positions: np.ndarray, retained: Optional[np.ndar
     an uncached pass (pass_layout): a long LOCAL layer banded, a long GLOBAL
     layer in causal tiles, any other dense. Otherwise the rows attend
     densely over the retained keys followed by their own, masked by
-    position.
+    position. A banded pass's mask is band_mask's, a tiled one's the (64,
+    64) causal block on each tile's diagonal.
     """
     cos, sin = rope_cos_sin(positions, cfg.rope)
     T = positions.shape[0]
     layout = DENSE if retained is not None else pass_layout(cfg, T)
     if layout == BAND:
         mask = band_mask(T, cfg.window)  # the band reads keys by row, not position
+    elif layout == TILES:
+        mask = build_mask(cfg.kind, np.arange(_TILE), np.arange(_TILE))
     else:
         key_positions = positions if retained is None else np.concatenate((retained, positions))
         mask = build_mask(cfg.kind, positions, key_positions, cfg.window)
@@ -181,10 +185,9 @@ def _query_blocks(x: np.ndarray, cfg: AttentionConfig, band: bool) -> np.ndarray
     Query head h sits at [h // group_size, h % group_size]. A dense pass is
     one block of T rows; a banded one is zero-padded to whole windows.
     """
-    rows = x.shape[1]
-    if band:
-        rows = cfg.window
-        x = np.pad(x, ((0, 0), (0, -x.shape[1] % rows), (0, 0)))
+    rows = cfg.window if band else x.shape[1]
+    if x.shape[1] % rows:  # banded, not whole windows
+        x = np.concatenate((x, np.zeros((x.shape[0], -x.shape[1] % rows, x.shape[2]))), axis=1)
     return x.reshape(cfg.num_kv_heads, cfg.group_size, -1, rows, x.shape[-1])
 
 
@@ -202,9 +205,9 @@ def _key_blocks(x: np.ndarray, cfg: AttentionConfig, band: bool) -> np.ndarray:
     """
     if not band:
         return x[:, None, None]
-    w = cfg.window
-    padded = np.pad(x, ((0, 0), (w, -x.shape[1] % w), (0, 0)))
-    padded = padded.reshape(x.shape[0], -1, w, x.shape[-1])
+    (h_kv, T, hd), w = x.shape, cfg.window
+    padded = np.zeros((h_kv, -(-T // w) + 1, w, hd))  # rows -w .. T-1, then zeros
+    padded.reshape(h_kv, -1, hd)[:, w : w + T] = x
     return np.concatenate([padded[:, :-1], padded[:, 1:]], axis=2)[:, None]
 
 
@@ -221,54 +224,56 @@ def _fold_key_blocks(xb: np.ndarray, n_rows: int, band: bool) -> np.ndarray:
     return out.reshape(h_kv, -1, hd)[:, w : w + n_rows]
 
 
-def _tiles(probs: np.ndarray, cfg: AttentionConfig, T: int):
-    """(b, e, view) per causal tile [b, e) of a TILES pass over rows 0 .. T-1,
-    in order. view is the tile's (num_kv_heads, group_size, 1, e - b, e)
-    block of the 1-D packed probs, which stores the blocks one after another."""
-    start = 0
+def _tiles(diagonal: np.ndarray, T: int):
+    """(b, e, mask) per causal tile [b, e) of a TILES pass over rows 0 .. T-1,
+    in order. mask is the tile's (e - b, e) slice of the (T, T) causal mask:
+    0 left of the tile's diagonal block, which is diagonal[:e - b, :e - b]."""
     for b in range(0, T, _TILE):
         e = min(b + _TILE, T)
-        shape = (cfg.num_kv_heads, cfg.group_size, 1, e - b, e)
-        end = start + cfg.num_query_heads * (e - b) * e
-        yield b, e, probs[start:end].reshape(shape)
-        start = end
+        mask = np.zeros((e - b, e))
+        mask[:, b:] = diagonal[: e - b, : e - b]
+        yield b, e, mask
+
+
+def _probs(qb: np.ndarray, kb: np.ndarray, cfg: AttentionConfig, mask: np.ndarray) -> np.ndarray:
+    """Softmax over keys of qb's scaled logits against kb plus the mask; one
+    helper for attend and attend_backward, so both get the same bits."""
+    scores = qb @ kb.swapaxes(-1, -2)
+    scores /= np.sqrt(cfg.head_dim)
+    scores += mask
+    return softmax_rows(scores)
 
 
 def attend(
     q: np.ndarray, k: np.ndarray, v: np.ndarray, cfg: AttentionConfig, mask: np.ndarray,
     layout: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(probs, out): attention of q (num_query_heads, Tq, hd) over k, v
-    (num_kv_heads, Tk, hd), query head h reading kv head h // group_size.
+) -> np.ndarray:
+    """Attention of q (num_query_heads, Tq, hd) over k, v (num_kv_heads, Tk,
+    hd), query head h reading kv head h // group_size: (num_query_heads,
+    Tq, hd).
 
     DENSE: one block under a (Tq, Tk) additive mask. BAND: q, k, v cover
     the same consecutive rows and mask is band_mask(Tq, window). TILES: q,
-    k, v cover rows 0 .. T-1 and mask is their (T, T) causal mask. probs is
-    the softmax over keys of the 1/sqrt(head_dim)-scaled logits plus the
-    mask: (num_kv_heads, group_size, n_blocks, rows, keys) for DENSE and
-    BAND; for TILES one 1-D array of every tile's block, which _tiles
-    reads. out is (num_query_heads, Tq, hd). Inputs are not validated.
+    k, v cover rows 0 .. T-1 and mask is plan's (64, 64) diagonal block.
+    Inputs are not validated.
     """
     if layout == TILES:  # tile [b, e) is the dense pass of its rows over keys [0, e)
-        T = q.shape[1]
-        row_keys = np.minimum(np.arange(T) // _TILE * _TILE + _TILE, T)  # e of each row
-        probs, out = np.empty(cfg.num_query_heads * int(row_keys.sum())), np.empty_like(q)
-        for b, e, tile in _tiles(probs, cfg, T):
-            tile[...], out[:, b:e] = attend(
-                q[:, b:e], k[:, :e], v[:, :e], cfg, mask[b:e, :e], DENSE)
-        return probs, out
+        out = np.empty_like(q)
+        for b, e, tile_mask in _tiles(mask, q.shape[1]):
+            out[:, b:e] = attend(q[:, b:e], k[:, :e], v[:, :e], cfg, tile_mask, DENSE)
+        return out
     band = layout == BAND
-    qb, kb = _query_blocks(q, cfg, band), _key_blocks(k, cfg, band)
-    probs = softmax_rows(qb @ kb.swapaxes(-1, -2) / np.sqrt(cfg.head_dim) + mask)
-    return probs, _merge_query_blocks(probs @ _key_blocks(v, cfg, band), q.shape[1])
+    probs = _probs(_query_blocks(q, cfg, band), _key_blocks(k, cfg, band), cfg, mask)
+    return _merge_query_blocks(probs @ _key_blocks(v, cfg, band), q.shape[1])
 
 
 def attend_backward(
-    probs: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray, dout: np.ndarray,
-    cfg: AttentionConfig, layout: str,
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, dout: np.ndarray, cfg: AttentionConfig,
+    mask: np.ndarray, layout: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(dq, dk, dv) of an uncached attend over rows 0 .. T-1, given its probs
-    and d(out).
+    """(dq, dk, dv) of an uncached attend over rows 0 .. T-1, given its mask
+    and d(out). The probabilities are recomputed block by block (tile by
+    tile) from q and k, as attend computed them.
 
     A key row sits in every block that reads it and under every query head
     of its group; its gradient sums those copies.
@@ -276,20 +281,27 @@ def attend_backward(
     n_rows = q.shape[1]
     if layout == TILES:  # tile [b, e) reads and writes key rows [0, e)
         dq, dk, dv = np.empty_like(q), np.zeros_like(k), np.zeros_like(v)
-        for b, e, tile in _tiles(probs, cfg, n_rows):
+        for b, e, tile_mask in _tiles(mask, n_rows):
             dq[:, b:e], dk_tile, dv_tile = attend_backward(
-                tile, q[:, b:e], k[:, :e], v[:, :e], dout[:, b:e], cfg, DENSE)
+                q[:, b:e], k[:, :e], v[:, :e], dout[:, b:e], cfg, tile_mask, DENSE)
             dk[:, :e] += dk_tile
             dv[:, :e] += dv_tile
         return dq, dk, dv
     band = layout == BAND
+    qb, kb = _query_blocks(q, cfg, band), _key_blocks(k, cfg, band)
+    probs = _probs(qb, kb, cfg, mask)
     dout = _query_blocks(dout, cfg, band)
     dprobs = dout @ _key_blocks(v, cfg, band).swapaxes(-1, -2)
-    dscores = probs * (dprobs - np.sum(dprobs * probs, axis=-1, keepdims=True))
+    dscores = dprobs  # probs * (dprobs - rowsum(dprobs * probs)), in place
+    dscores -= np.add.reduce(dprobs * probs, axis=-1, keepdims=True)
+    dscores *= probs
     scale = 1.0 / np.sqrt(cfg.head_dim)
-    dq = _merge_query_blocks(dscores @ _key_blocks(k, cfg, band) * scale, n_rows)
-    dk = dscores.swapaxes(-1, -2) @ _query_blocks(q, cfg, band) * scale
+    dq = dscores @ kb
+    dq *= scale
+    dk = dscores.swapaxes(-1, -2) @ qb
+    dk *= scale
     dv = probs.swapaxes(-1, -2) @ dout
+    dq = _merge_query_blocks(dq, n_rows)
     return (
         dq,
         _fold_key_blocks(dk.sum(axis=1), n_rows, band),
@@ -322,4 +334,4 @@ def gqa_attend(
         raise ShapeError(f"bad head shapes: q {q.shape}, k {k.shape}, v {v.shape}")
     if mask.shape != (q.shape[1], k.shape[1]):
         raise ShapeError(f"mask shape {mask.shape} != ({q.shape[1]}, {k.shape[1]})")
-    return attend(q, k, v, cfg, mask, DENSE)[1]
+    return attend(q, k, v, cfg, mask, DENSE)

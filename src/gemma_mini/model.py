@@ -8,9 +8,9 @@ gated MLP:
 
 Attention is QK-normed and rotary-embedded with parameters chosen by the
 layer's kind. A pass computes one attention.plan per layer kind (rotation,
-mask and layout) and shares it with every layer of that kind; the training
-tape keeps the plans, less their masks, for backward_full. Logits read out
-through the tied embedding by default.
+mask and layout) and shares it with every layer of that kind; backward_full
+plans again from the training tape's positions. Logits read out through the
+tied embedding by default.
 Weights are immutable after load and can be shared across threads; each
 generation stream owns its private KvCache.
 """
@@ -236,7 +236,8 @@ def _layer(params, cfg, i, kind, h, positions, kind_plan, cache=None):
     the layer's retained rows followed by the chunk's. `saved` holds what
     backward_full reads from the tape: each norm's input and divisor
     (div_*), not the pre-attention and pre-MLP norm outputs, and the GELU's
-    tanh term, not its output.
+    tanh term, not its output, and neither the attention probabilities nor
+    x1, which the backward rebuilds from qr and kr and from x0 and attn_out.
     """
     names = cfg._layer_keys[i]
     p = lambda name: params[names[name]]
@@ -257,8 +258,7 @@ def _layer(params, cfg, i, kind, h, positions, kind_plan, cache=None):
     if cache is not None:  # the rows the layer retained, oldest first, then the chunk's
         keys, values = (a.transpose(1, 0, 2) for a in cache.append(
             i, kr.transpose(1, 0, 2), v.transpose(1, 0, 2), int(positions[0])))
-    probs, out = attend(qr, keys, values, att, mask, layout)
-    merged = _merge_heads(out)
+    merged = _merge_heads(attend(qr, keys, values, att, mask, layout))
     attn_out = merged @ p("wo")
     div_attn = rms_divisor(attn_out, eps)
     x1 = h + rms_norm(attn_out, p("post_attn_norm"), eps, div_attn)
@@ -272,8 +272,8 @@ def _layer(params, cfg, i, kind, h, positions, kind_plan, cache=None):
     div_mlp = rms_divisor(mlp_out, eps)
     saved = dict(
         kind=kind, x0=h, div_ln1=div_ln1, q=q, k=k, div_qk=div_qk, v=v, qr=qr, kr=kr,
-        probs=probs, merged=merged, attn_out=attn_out, div_attn=div_attn, x1=x1,
-        div_ln2=div_ln2, gate=gate, up=up, tanh=tanh, mlp_out=mlp_out, div_mlp=div_mlp,
+        merged=merged, attn_out=attn_out, div_attn=div_attn, div_ln2=div_ln2, gate=gate,
+        up=up, tanh=tanh, mlp_out=mlp_out, div_mlp=div_mlp,
     )
     return x1 + rms_norm(mlp_out, p("post_mlp_norm"), eps, div_mlp), saved
 
@@ -282,8 +282,8 @@ def _run(params, cfg, tokens, positions, cache=None, tape=None):
     """Embed, run every layer, read out logits; appends to `tape` if given.
 
     Each layer kind's attention.plan is computed once, before the layers run
-    (a chunk at position 0 has no earlier keys). The tape keeps them as
-    (cos, sin, None, layout): the backward reads no mask.
+    (a chunk at position 0 has no earlier keys). The tape keeps no plan:
+    backward_full makes its own from the tape's positions.
     """
     plans = {}
     for i, kind in enumerate(cfg._kinds):
@@ -299,8 +299,6 @@ def _run(params, cfg, tokens, positions, cache=None, tape=None):
     hf = rms_norm(h, params["final_norm"], cfg.rms_eps, div_hf)
     if tape is not None:
         tape["h_last"], tape["hf"], tape["div_hf"] = h, hf, div_hf
-        tape["plans"] = {kind: (cos, sin, None, layout)
-                         for kind, (cos, sin, _, layout) in plans.items()}
     return hf @ (params["embed"].T if cfg.tie_embeddings else params["lm_head"])
 
 

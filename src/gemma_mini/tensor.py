@@ -75,8 +75,10 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
         if np.isnan(row_max).any() or (row_max == np.inf).any():
             raise ValueError("softmax input must be finite or -inf")
         raise MaskError("fully masked row: every entry is -inf")
-    e = np.exp(m - row_max)  # exp(-inf) == 0, no nan because row_max is finite
-    return e / np.add.reduce(e, axis=-1, keepdims=True)
+    e = m - row_max
+    np.exp(e, out=e)  # exp(-inf) == 0, no nan because row_max is finite
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def rms_divisor(v: np.ndarray, eps: float = 1e-6) -> np.ndarray:

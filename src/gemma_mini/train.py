@@ -10,7 +10,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .attention import attend_backward
+from .attention import attend_backward, plan
 from .model import (
     GELU_A, GELU_C, ModelConfig, _merge_heads, _split_heads, forward_full, gelu, init_params,
 )
@@ -21,8 +21,10 @@ def _rms_norm_bwd(v, gain, div, dy):
     """(dv, dgain elementwise) of rms_norm(v, gain) given its taped divisor;
     the caller reduces dgain to the gain shape."""
     r = 1.0 / div
-    gdy = gain * dy
-    dv = gdy * r - v * r**3 * np.mean(gdy * v, axis=-1, keepdims=True)
+    dv = gain * dy
+    mean = np.add.reduce(dv * v, axis=-1, keepdims=True) / v.shape[-1]  # np.mean, unwrapped
+    dv *= r
+    dv -= v * r**3 * mean
     return dv, dy * v * r
 
 
@@ -30,69 +32,75 @@ def cross_entropy(logits: np.ndarray, targets: Sequence[int]):
     """Mean next-token CE and its gradient w.r.t. logits."""
     targets = np.asarray(targets, dtype=np.int64)
     T = logits.shape[0]
-    probs = softmax_rows(logits)
-    loss = float(-np.mean(np.log(probs[np.arange(T), targets] + 1e-300)))
-    dlogits = probs.copy()
+    dlogits = softmax_rows(logits)  # the probabilities, then their gradient in place
+    loss = float(-np.mean(np.log(dlogits[np.arange(T), targets] + 1e-300)))
     dlogits[np.arange(T), targets] -= 1.0
-    return loss, dlogits / T
+    dlogits /= T
+    return loss, dlogits
 
 
-def _mlp_backward(p, g, t: dict, eps: float, dh: np.ndarray) -> np.ndarray:
+def _mlp_backward(p, g: dict, t: dict, eps: float, dh: np.ndarray) -> np.ndarray:
     """d(x1) of one layer's h = x1 + rms_norm(mlp(rms_norm(x1)), post_mlp_norm)
-    given d(h), adding the MLP half's parameter gradients to g. Its
-    temporaries are freed on return, before the attention half runs."""
+    given d(h), storing the MLP half's parameter gradients in g. x1 is
+    rebuilt as the forward summed it. Its temporaries are freed on return,
+    before the attention half runs."""
     dmlp_out, dg_post = _rms_norm_bwd(t["mlp_out"], p("post_mlp_norm"), t["div_mlp"], dh)
-    g("post_mlp_norm")[...] += dg_post.sum(axis=0)
+    g["post_mlp_norm"] = dg_post.sum(axis=0)
     gate, up, th = t["gate"], t["up"], t["tanh"]
     gelu_gate = gelu(gate, th)
     dact = dmlp_out @ p("w_down").T
-    g("w_down")[...] += (gelu_gate * up).T @ dmlp_out
-    # d gelu / d gate, from the taped tanh
-    dgelu = 0.5 * (1.0 + th) + 0.5 * gate * (1.0 - th * th) * GELU_C * (
-        1.0 + 3.0 * GELU_A * gate * gate)
-    dgate = dact * up * dgelu
-    dup = dact * gelu_gate
+    g["w_down"] = (gelu_gate * up).T @ dmlp_out
+    dgelu = 1.0 - th * th  # d gelu / d gate from the taped tanh, built in place
+    dgelu *= 0.5 * gate
+    dgelu *= GELU_C
+    dgelu *= 1.0 + 3.0 * GELU_A * gate * gate
+    dgelu += 0.5 * (1.0 + th)
+    dgate = np.multiply(dact * up, dgelu, out=dgelu)
+    dup = np.multiply(dact, gelu_gate, out=dact)
     dln2 = dgate @ p("w_gate").T + dup @ p("w_up").T
-    ln2 = rms_norm(t["x1"], p("pre_mlp_norm"), eps, t["div_ln2"])
-    g("w_gate")[...] += ln2.T @ dgate
-    g("w_up")[...] += ln2.T @ dup
-    dx1_ln2, dg_pre = _rms_norm_bwd(t["x1"], p("pre_mlp_norm"), t["div_ln2"], dln2)
-    g("pre_mlp_norm")[...] += dg_pre.sum(axis=0)
+    x1 = t["x0"] + rms_norm(t["attn_out"], p("post_attn_norm"), eps, t["div_attn"])
+    ln2 = rms_norm(x1, p("pre_mlp_norm"), eps, t["div_ln2"])
+    g["w_gate"] = ln2.T @ dgate
+    g["w_up"] = ln2.T @ dup
+    dx1_ln2, dg_pre = _rms_norm_bwd(x1, p("pre_mlp_norm"), t["div_ln2"], dln2)
+    g["pre_mlp_norm"] = dg_pre.sum(axis=0)
     return dh + dx1_ln2
 
 
-def _attention_backward(p, g, t: dict, att, unrotate: tuple, layout: str, eps: float,
+def _attention_backward(p, g: dict, t: dict, att, kind_plan: tuple, eps: float,
                         dx1: np.ndarray) -> np.ndarray:
     """d(x0) of one layer's x1 = x0 + rms_norm(attn(rms_norm(x0)), post_attn_norm)
-    given d(x1), adding the attention half's parameter gradients to g.
-    unrotate is the (cos, -sin) of the layer kind's rotation."""
+    given d(x1), storing the attention half's parameter gradients in g.
+    kind_plan is attention.plan's for the layer kind, as the forward made it."""
+    cos, sin, mask, layout = kind_plan
     dattn_out, dg_post_a = _rms_norm_bwd(t["attn_out"], p("post_attn_norm"), t["div_attn"], dx1)
-    g("post_attn_norm")[...] += dg_post_a.sum(axis=0)
+    g["post_attn_norm"] = dg_post_a.sum(axis=0)
     dmerged = dattn_out @ p("wo").T
-    g("wo")[...] += t["merged"].T @ dattn_out
+    g["wo"] = t["merged"].T @ dattn_out
 
     dattn = _split_heads(dmerged, att.num_query_heads, att.head_dim)
-    dqr, dkr, dv = attend_backward(t["probs"], t["qr"], t["kr"], t["v"], dattn, att, layout)
+    dqr, dkr, dv = attend_backward(t["qr"], t["kr"], t["v"], dattn, att, mask, layout)
 
-    dqn = rope_rotate(dqr, *unrotate)
-    dkn = rope_rotate(dkr, *unrotate)
+    # rope is an orthogonal map: its backward is the inverse rotation, by (cos, -sin)
+    dqn = rope_rotate(dqr, cos, -sin)
+    dkn = rope_rotate(dkr, cos, -sin)
 
     # qk-norm: per-head rms norm with per-head gains (H, hd)
     n_q = att.num_query_heads
     dq, dgq = _rms_norm_bwd(t["q"], p("q_gain")[:, None, :], t["div_qk"][:n_q], dqn)
     dk, dgk = _rms_norm_bwd(t["k"], p("k_gain")[:, None, :], t["div_qk"][n_q:], dkn)
-    g("q_gain")[...] += dgq.sum(axis=1)
-    g("k_gain")[...] += dgk.sum(axis=1)
+    g["q_gain"] = dgq.sum(axis=1)
+    g["k_gain"] = dgk.sum(axis=1)
 
     dq_flat, dk_flat, dv_flat = _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
     dln1 = dq_flat @ p("wq").T + dk_flat @ p("wk").T + dv_flat @ p("wv").T
     ln1 = rms_norm(t["x0"], p("pre_attn_norm"), eps, t["div_ln1"])
-    g("wq")[...] += ln1.T @ dq_flat
-    g("wk")[...] += ln1.T @ dk_flat
-    g("wv")[...] += ln1.T @ dv_flat
+    g["wq"] = ln1.T @ dq_flat
+    g["wk"] = ln1.T @ dk_flat
+    g["wv"] = ln1.T @ dv_flat
 
     dx0_ln1, dg_pre_a = _rms_norm_bwd(t["x0"], p("pre_attn_norm"), t["div_ln1"], dln1)
-    g("pre_attn_norm")[...] += dg_pre_a.sum(axis=0)
+    g["pre_attn_norm"] = dg_pre_a.sum(axis=0)
     return dx1 + dx0_ln1
 
 
@@ -100,18 +108,17 @@ def backward_full(params: dict, cfg: ModelConfig, tape: dict, dlogits: np.ndarra
     """Gradients for every parameter given d(loss)/d(logits).
 
     Each norm's divisor and the GELU's tanh term are read from the tape. The
-    pre-attention and pre-MLP norm outputs and the GELU's output are rebuilt
-    from them with the forward's own arithmetic, so they match it bit for bit.
+    pre-attention and pre-MLP norm outputs, x1 and the GELU's output are
+    rebuilt with the forward's own arithmetic, and so are the attention
+    probabilities, under plans made again from the tape's positions.
 
     The tape is spent: each layer's entry is popped from tape["layers"] as
     the backward reaches it, so its arrays are freed once read, and the list
-    is empty on return.
+    is empty on return. A layer's gradients are made when the backward reaches it.
     """
     eps = cfg.rms_eps
-    grads = {name: np.zeros_like(arr) for name, arr in params.items()}
-    plans = tape["plans"]  # attention.plan per layer kind, as the forward ran it
-    # rope is an orthogonal map: its backward is the inverse rotation, by (cos, -sin)
-    unrotate = {kind: (cos, -sin) for kind, (cos, sin, _, _) in plans.items()}
+    grads = {"embed": np.zeros_like(params["embed"])}
+    plans = {kind: plan(cfg.attn_for(kind), tape["positions"]) for kind in set(cfg._kinds)}
     hf, h_last = tape["hf"], tape["h_last"]
 
     if cfg.tie_embeddings:
@@ -119,24 +126,25 @@ def backward_full(params: dict, cfg: ModelConfig, tape: dict, dlogits: np.ndarra
         grads["embed"] += dlogits.T @ hf
     else:
         dhf = dlogits @ params["lm_head"].T
-        grads["lm_head"] += hf.T @ dlogits
+        grads["lm_head"] = hf.T @ dlogits
+    del dlogits  # freed here if the caller passed its only reference, as loss_and_grads does
 
     dh, dg = _rms_norm_bwd(h_last, params["final_norm"], tape["div_hf"], dhf)
-    grads["final_norm"] += dg.sum(axis=0)
+    grads["final_norm"] = dg.sum(axis=0)
 
     layers = tape["layers"]
     for i in reversed(range(cfg.n_layers)):
         t = layers.pop()  # layer i, the last one left
         names = cfg._layer_keys[i]
         p = lambda name: params[names[name]]
-        g = lambda name: grads[names[name]]
+        g = {}
         kind = t["kind"]
         dx1 = _mlp_backward(p, g, t, eps, dh)
-        dh = _attention_backward(
-            p, g, t, cfg.attn_for(kind), unrotate[kind], plans[kind][3], eps, dx1)
+        dh = _attention_backward(p, g, t, cfg.attn_for(kind), plans[kind], eps, dx1)
+        grads.update((names[name], grad) for name, grad in g.items())
 
     np.add.at(grads["embed"], tape["tokens"], dh)
-    return grads
+    return {name: grads[name] for name in params}
 
 
 def loss_and_grads(
@@ -151,12 +159,10 @@ def loss_and_grads(
     if len(tokens) < 2:
         raise ValueError(f"need at least 2 tokens to train on, got {len(tokens)}")
     logits, tape = forward_full(params, cfg, tokens[:-1], keep_tape=True)
-    if grad_fn is None:
-        loss, dlogits = cross_entropy(logits, tokens[1:])
-    else:
-        loss, dlogits = grad_fn(logits)
+    step = list(cross_entropy(logits, tokens[1:]) if grad_fn is None else grad_fn(logits))
     del logits  # the backward reads dlogits only
-    return loss, backward_full(params, cfg, tape, dlogits)
+    # popped into the call, so backward_full holds dlogits's only reference
+    return step[0], backward_full(params, cfg, tape, step.pop())
 
 
 class Adam:

@@ -4,34 +4,41 @@ The oracle below is the dense computation the band and the causal tiles
 replace: every query scores every key, the causal window is masked out, and
 kv heads are replicated per query head. Swapped into the model in place of
 `attention.attend` and `attention.attend_backward`, it gives reference
-logits and gradients for the banded and tiled full pass and training tape.
+logits and gradients for the banded and tiled full pass and training tape;
+like the model's, its backward recomputes the probabilities.
 """
 
 import numpy as np
 import pytest
 
-from gemma_mini import model, train
-from gemma_mini.attention import BAND, TILES, LayerKind, _tiles, pass_layout
+from gemma_mini import attention, model, train
+from gemma_mini.attention import BAND, DENSE, TILES, LayerKind, _tiles, pass_layout, plan
 from gemma_mini.model import ModelConfig, forward_full, init_params
 from gemma_mini.train import cross_entropy, loss_and_grads
 
 
-def dense_attend(q, k, v, cfg, mask, layout):
-    """Oracle for attend over rows 0 .. T-1; ignores the mask and layout it is given."""
+def dense_probs(q, k, cfg):
+    """(num_query_heads, T, T) probabilities of a pass over rows 0 .. T-1."""
     T = q.shape[1]
     diff = np.arange(T)[:, None] - np.arange(T)[None, :]
     allowed = diff >= 0
     if cfg.kind is LayerKind.LOCAL:
         allowed &= diff < cfg.window
     k_rep = np.repeat(k, cfg.group_size, axis=0)
-    v_rep = np.repeat(v, cfg.group_size, axis=0)
     scores = np.where(allowed, q @ k_rep.transpose(0, 2, 1) / np.sqrt(cfg.head_dim), -np.inf)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    probs = e / e.sum(axis=-1, keepdims=True)
-    return probs, probs @ v_rep
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def dense_attend_backward(probs, q, k, v, dout, cfg, layout):
+def dense_attend(q, k, v, cfg, mask, layout):
+    """Oracle for attend over rows 0 .. T-1; ignores the mask and layout it is given."""
+    return dense_probs(q, k, cfg) @ np.repeat(v, cfg.group_size, axis=0)
+
+
+def dense_attend_backward(q, k, v, dout, cfg, mask, layout):
+    """Oracle for attend_backward: the probabilities recomputed densely; ignores
+    the mask and layout it is given."""
+    probs = dense_probs(q, k, cfg)
     k_rep = np.repeat(k, cfg.group_size, axis=0)
     v_rep = np.repeat(v, cfg.group_size, axis=0)
     dprobs = dout @ v_rep.transpose(0, 2, 1)
@@ -91,36 +98,51 @@ def test_matches_dense_oracle(monkeypatch, T, window, group, tie):
 
 
 @pytest.mark.parametrize("T, local_shape", [
-    (8, (2, 2, 1, 8, 8)),  # T = 2 * window: dense
-    (9, (2, 2, 3, 4, 8)),  # banded, the last block padded
-    (12, (2, 2, 3, 4, 8)),
+    (8, (8, 8)),  # T = 2 * window: dense
+    (9, (3, 4, 8)),  # banded, the last block padded
+    (12, (3, 4, 8)),
 ])
 def test_long_local_layers_run_banded(T, local_shape):
+    """The plans of a pass over T rows: the LOCAL layer's mask is the band's
+    (n_blocks, window, 2 * window) above T = 2 * window, and the GLOBAL layer
+    runs dense up to 128 rows."""
     cfg = small_config(4, 2, True)
-    params = init_params(cfg, seed=1)
-    _, tape = forward_full(params, cfg, np.arange(T), keep_tape=True)
-    assert [layer["probs"].shape for layer in tape["layers"]] == [local_shape, (2, 2, 1, T, T)]
+    plans = [plan(cfg.attn_for(kind), np.arange(T)) for kind in cfg.kinds()]
+    local_layout = BAND if len(local_shape) == 3 else DENSE
+    assert [(layout, mask.shape) for _, _, mask, layout in plans] == [
+        (local_layout, local_shape), (DENSE, (T, T))]
 
 
 @pytest.mark.parametrize("T", [129, 197])
-def test_tiled_probs_are_zero_above_the_tiles(T):
-    """Each tile's block of the packed probabilities is causal and row-stochastic,
-    and the packed array holds those blocks and nothing else."""
+def test_tiled_probs_are_zero_above_the_tiles(T, monkeypatch):
+    """The probabilities the backward recomputes for each causal tile are
+    zero above the tile's diagonal and row-stochastic, and the tiles cover
+    the rows in order, each over keys [0, e)."""
     cfg = small_config(4, 2, True)
     att = cfg.attn_for(LayerKind.GLOBAL)
-    assert pass_layout(att, T) == TILES
-    _, tape = forward_full(init_params(cfg, seed=2, scale=0.3), cfg, np.arange(T) % 40,
-                           keep_tape=True)
-    probs = tape["layers"][1]["probs"]
-    assert isinstance(probs, np.ndarray) and probs.ndim == 1
-    tiles = list(_tiles(probs, att, T))
+    _, _, diagonal, layout = plan(att, np.arange(T))
+    assert layout == TILES and diagonal.shape == (64, 64)
+    tiles = list(_tiles(diagonal, T))
     assert [(b, e) for b, e, _ in tiles] == [(b, min(b + 64, T)) for b in range(0, T, 64)]
-    for b, e, tile in tiles:
-        assert tile.shape == (2, 2, 1, e - b, e)
-        np.testing.assert_array_equal(np.triu(tile, 1 + b), 0.0)  # above each row's diagonal
-        np.testing.assert_allclose(tile.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(np.concatenate([tile.ravel() for _, _, tile in tiles]), probs)
-    assert probs.size < 2 * 2 * T * T  # fewer elements than the (T, T) layout
+    recomputed = []
+
+    def recording_probs(qb, kb, cfg, mask):
+        probs = real_probs(qb, kb, cfg, mask)
+        if cfg.kind is LayerKind.GLOBAL:
+            recomputed.append(probs)
+        return probs
+
+    real_probs = attention._probs
+    monkeypatch.setattr(attention, "_probs", recording_probs)
+    params = init_params(cfg, seed=2, scale=0.3)
+    tokens = np.arange(T + 1) % 40
+    loss_and_grads(params, cfg, tokens)
+    assert len(recomputed) == 2 * len(tiles)  # each tile's in the forward, then the backward
+    for (b, e, _), fwd, bwd in zip(tiles, recomputed, recomputed[len(tiles):]):
+        assert bwd.shape == (2, 2, 1, e - b, e)
+        np.testing.assert_array_equal(bwd, fwd)  # the backward's are the forward's
+        np.testing.assert_array_equal(np.triu(bwd, 1 + b), 0.0)  # above each row's diagonal
+        np.testing.assert_allclose(bwd.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_banded_gradient_matches_central_differences():

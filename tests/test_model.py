@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from gemma_mini import attention, model
+from gemma_mini import attention, model, train
 from gemma_mini.attention import BAND, TILES, LayerKind, qk_norm
 from gemma_mini.errors import CapacityError, ConfigError
 from gemma_mini.model import (
@@ -21,6 +21,7 @@ from gemma_mini.model import (
     save_weights,
 )
 from gemma_mini.tensor import rope_apply
+from gemma_mini.train import loss_and_grads
 
 L, G = LayerKind.LOCAL, LayerKind.GLOBAL
 
@@ -332,15 +333,26 @@ class TestPerKindWork:
             assert np.array_equal(t["kr"], rope_apply(kn, positions, rope))
 
     @pytest.mark.parametrize("T", [5, 20, 200])  # dense; banded; banded and tiled
-    def test_tape_plans_keep_no_mask(self, T):
-        """The backward reads each kind's rotation and layout, never its mask."""
+    def test_tape_plans_keep_no_mask(self, T, monkeypatch):
+        """The tape keeps no plan, so no mask: the backward plans each kind
+        again from the tape's positions, with the forward's layout."""
         cfg = toy_config(window=4, max_context=512)
-        _, tape = forward_full(init_params(cfg, seed=5), cfg, np.arange(T) % 48, keep_tape=True)
-        assert set(tape["plans"]) == {LayerKind.LOCAL, LayerKind.GLOBAL}
-        for kind, (cos, sin, mask, layout) in tape["plans"].items():
-            assert mask is None
-            assert cos.shape == sin.shape == (T, cfg.head_dim // 2)
-            assert layout == attention.pass_layout(cfg.attn_for(kind), T)
+        tokens = np.arange(T + 1) % 48
+        _, tape = forward_full(init_params(cfg, seed=5), cfg, tokens[:-1], keep_tape=True)
+        assert "plans" not in tape
+        np.testing.assert_array_equal(tape["positions"], np.arange(T))
+        layouts = {}
+        real_plan = train.plan
+
+        def recording_plan(att, positions, *args):
+            kind_plan = real_plan(att, positions, *args)
+            layouts[att.kind] = kind_plan[3]
+            return kind_plan
+
+        monkeypatch.setattr(train, "plan", recording_plan)
+        loss_and_grads(init_params(cfg, seed=5), cfg, tokens)
+        assert layouts == {kind: attention.pass_layout(cfg.attn_for(kind), T)
+                           for kind in (LayerKind.LOCAL, LayerKind.GLOBAL)}
 
     @pytest.mark.parametrize("tied", [True, False])
     def test_chunks_across_a_ring_wrap_match_one_step_per_token(self, tied):

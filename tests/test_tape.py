@@ -4,14 +4,17 @@ Each RMS norm's divisor and the GELU's tanh term are computed once in the
 forward pass and read back by backward_full. The formulas the backward used
 to recompute them, and the backward that used them, are kept here as the
 reference: taped values must equal them bit for bit, and so must every
-gradient wherever no causal tiles run (T <= 128).
+gradient wherever no causal tiles run (T <= 128). The tape keeps neither the
+attention probabilities nor each layer's x1: the reference, like
+backward_full, recomputes the probabilities through attend_backward and
+rebuilds x1 from x0 and the post-attention norm.
 """
 
 import numpy as np
 import pytest
 
 from gemma_mini import presets
-from gemma_mini.attention import attend_backward, pass_layout
+from gemma_mini.attention import attend_backward, plan
 from gemma_mini.model import GELU_A, GELU_C, ModelConfig, forward_full, init_params
 from gemma_mini.tensor import rms_norm, rope_rotate
 from gemma_mini.train import cross_entropy, loss_and_grads
@@ -54,13 +57,18 @@ def old_gelu_grad(x):
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * GELU_C * (1.0 + 3.0 * GELU_A * x * x)
 
 
+def old_x1(t, gain, eps):
+    """A layer's x1 = x0 + rms_norm(attn_out, post_attn_norm), divisor recomputed."""
+    return t["x0"] + gain * t["attn_out"] / old_divisor(t["attn_out"], eps)
+
+
 def recomputing_backward(params, cfg, tape, dlogits):
     """backward_full as it was before the tape kept divisors and tanh: every
     norm's divisor and the GELU are recomputed from the tape's inputs, and the
     pre-attention and pre-MLP norm outputs are the forward's rms_norm."""
     eps = cfg.rms_eps
     grads = {name: np.zeros_like(arr) for name, arr in params.items()}
-    unrotate = {kind: (cos, -sin) for kind, (cos, sin, _, _) in tape["plans"].items()}
+    plans = {kind: plan(cfg.attn_for(kind), tape["positions"]) for kind in set(cfg.kinds())}
     if cfg.tie_embeddings:
         dhf = dlogits @ params["embed"]
         grads["embed"] += dlogits.T @ tape["hf"]
@@ -74,8 +82,10 @@ def recomputing_backward(params, cfg, tape, dlogits):
         att = cfg.attn_for(t["kind"])
         p = lambda name: params[f"layer{i}.{name}"]
         g = lambda name: grads[f"layer{i}.{name}"]
+        cos, sin, mask, layout = plans[t["kind"]]
+        x1 = old_x1(t, p("post_attn_norm"), eps)
         ln1 = rms_norm(t["x0"], p("pre_attn_norm"), eps)
-        ln2 = rms_norm(t["x1"], p("pre_mlp_norm"), eps)
+        ln2 = rms_norm(x1, p("pre_mlp_norm"), eps)
         act = old_gelu(t["gate"]) * t["up"]
 
         dmlp_out, dg_post = old_rms_norm_bwd(t["mlp_out"], p("post_mlp_norm"), eps, dh)
@@ -87,7 +97,7 @@ def recomputing_backward(params, cfg, tape, dlogits):
         dln2 = dgate @ p("w_gate").T + dup @ p("w_up").T
         g("w_gate")[...] += ln2.T @ dgate
         g("w_up")[...] += ln2.T @ dup
-        dx1_ln2, dg_pre = old_rms_norm_bwd(t["x1"], p("pre_mlp_norm"), eps, dln2)
+        dx1_ln2, dg_pre = old_rms_norm_bwd(x1, p("pre_mlp_norm"), eps, dln2)
         g("pre_mlp_norm")[...] += dg_pre.sum(axis=0)
         dx1 = dh + dx1_ln2
 
@@ -97,10 +107,9 @@ def recomputing_backward(params, cfg, tape, dlogits):
         g("wo")[...] += t["merged"].T @ dattn_out
         T = dmerged.shape[0]
         dattn = dmerged.reshape(T, att.num_query_heads, att.head_dim).transpose(1, 0, 2)
-        dqr, dkr, dv = attend_backward(
-            t["probs"], t["qr"], t["kr"], t["v"], dattn, att, pass_layout(att, T))
-        dqn = rope_rotate(dqr, *unrotate[t["kind"]])
-        dkn = rope_rotate(dkr, *unrotate[t["kind"]])
+        dqr, dkr, dv = attend_backward(t["qr"], t["kr"], t["v"], dattn, att, mask, layout)
+        dqn = rope_rotate(dqr, cos, -sin)
+        dkn = rope_rotate(dkr, cos, -sin)
         dq, dgq = old_rms_norm_bwd(t["q"], p("q_gain")[:, None, :], eps, dqn)
         dk, dgk = old_rms_norm_bwd(t["k"], p("k_gain")[:, None, :], eps, dkn)
         g("q_gain")[...] += dgq.sum(axis=1)
@@ -135,13 +144,14 @@ def taped_pass(make, T):
 
 @pytest.mark.parametrize("make, T", CASES, ids=IDS)
 def test_taped_terms_equal_the_old_recompute_formulas(make, T):
-    cfg, _, _, _, tape = taped_pass(make, T)
+    cfg, params, _, _, tape = taped_pass(make, T)
     eps = cfg.rms_eps
     np.testing.assert_array_equal(tape["div_hf"], old_divisor(tape["h_last"], eps))
-    for t in tape["layers"]:
+    for i, t in enumerate(tape["layers"]):
         inputs = {
             "div_ln1": t["x0"], "div_qk": np.concatenate((t["q"], t["k"])),
-            "div_attn": t["attn_out"], "div_ln2": t["x1"], "div_mlp": t["mlp_out"],
+            "div_attn": t["attn_out"], "div_mlp": t["mlp_out"],
+            "div_ln2": old_x1(t, params[f"layer{i}.post_attn_norm"], eps),
         }
         for key, v in inputs.items():
             np.testing.assert_array_equal(t[key], old_divisor(v, eps), err_msg=key)

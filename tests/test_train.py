@@ -96,7 +96,11 @@ class TestBackward:
         tracemalloc peak, numpy's buffers included: 53.7 MB while the tape kept
         the masks, every layer and a (T, T) tiled-probs array through the
         backward; 39.7 MB with the tape spent layer by layer, packed tiles and
-        the MLP half's temporaries freed before the attention half runs.
+        the MLP half's temporaries freed before the attention half runs;
+        28.7 MB with no probabilities and no x1 on the tape (the backward
+        recomputes them), each layer's gradients made when the backward
+        reaches it, dlogits freed after the readout's backward and the
+        softmax's and the norm backward's temporaries reused in place.
         """
         cfg = ModelConfig.from_dict(presets.preset_values("toy"))
         params = init_params(cfg, seed=0)
@@ -107,7 +111,21 @@ class TestBackward:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 46e6, f"peak {peak / 1e6:.1f} MB"
+        assert peak < 31.5e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_tape_holds_nothing_quadratic_in_T(self):
+        """At T=512 on `toy` no tape array has T * T elements or more (the
+        packed tile probabilities once had 589,824) and no layer entry holds
+        attention probabilities."""
+        cfg = ModelConfig.from_dict(presets.preset_values("toy"))
+        T = 512
+        tokens = np.random.default_rng(0).integers(0, cfg.vocab_size, size=T)
+        _, tape = forward_full(init_params(cfg, seed=0), cfg, tokens, keep_tape=True)
+        arrays = [a for a in tape.values() if isinstance(a, np.ndarray)]
+        for t in tape["layers"]:
+            assert "probs" not in t
+            arrays += [a for a in t.values() if isinstance(a, np.ndarray)]
+        assert max(a.size for a in arrays) < T * T
 
     def test_gradients_cover_every_parameter(self):
         cfg = tiny_config()
