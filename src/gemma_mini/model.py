@@ -11,6 +11,10 @@ layer's kind. A pass computes one attention.plan per layer kind (rotation,
 mask and layout) and shares it with every layer of that kind; backward_full
 plans again from the training tape's positions. Logits read out through the
 tied embedding by default.
+Every pass enters the layers through _run, which first refuses ids outside
+the vocabulary, a cache built for another config and a chunk past
+max_context; forward(tokens, cache) checks its whole chunk once before its
+per-token decode_steps.
 Weights are immutable after load and can be shared across threads; each
 generation stream owns its private KvCache.
 """
@@ -208,12 +212,22 @@ def count_params(cfg: ModelConfig) -> dict:
 # Forward
 # ---------------------------------------------------------------------------
 
-def _check_tokens(cfg: ModelConfig, tokens: np.ndarray) -> np.ndarray:
+def _check_tokens(cfg: ModelConfig, tokens, cache: Optional[KvCache] = None) -> np.ndarray:
+    """tokens as 1-D int64 ids in the vocabulary; refuses a cache built for
+    another config and tokens past max_context from its next position (0
+    without a cache)."""
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim != 1:
         raise ShapeError(f"tokens must be 1-D, got shape {tokens.shape}")
     if tokens.size and (tokens.min() < 0 or tokens.max() >= cfg.vocab_size):
         raise ValueError(f"token ids must lie in [0, {cfg.vocab_size})")
+    if cache is not None and cache.spec != cfg._cache_spec:
+        raise ConfigError("cache was built for a different model configuration")
+    pos = 0 if cache is None else cache.next_pos
+    if pos + tokens.shape[0] > cfg.max_context:
+        raise CapacityError(
+            f"{tokens.shape[0]} tokens from position {pos} exceed max_context {cfg.max_context}"
+        )
     return tokens
 
 
@@ -278,17 +292,27 @@ def _layer(params, cfg, i, kind, h, positions, kind_plan, cache=None):
     return x1 + rms_norm(mlp_out, p("post_mlp_norm"), eps, div_mlp), saved
 
 
-def _run(params, cfg, tokens, positions, cache=None, tape=None):
-    """Embed, run every layer, read out logits; appends to `tape` if given.
+def _run(params, cfg, tokens, cache=None, tape=None):
+    """The one way into the layer stack: logits (T, vocab) of T >= 1 tokens,
+    run as one chunk at the cache's next positions (0 without a cache),
+    appending their keys and values; the checks come before any work.
 
-    Each layer kind's attention.plan is computed once, before the layers run
-    (a chunk at position 0 has no earlier keys). The tape keeps no plan:
-    backward_full makes its own from the tape's positions.
+    A given `tape` receives the tokens, the positions and each layer's saved
+    arrays. Each layer kind's attention.plan is computed once, before the
+    layers run (a chunk at position 0 has no earlier keys). The tape keeps
+    no plan: backward_full makes its own from the tape's positions.
     """
+    tokens = _check_tokens(cfg, tokens, cache)
+    if tokens.shape[0] == 0:
+        raise ValueError("a pass needs at least 1 token, got 0")
+    start = 0 if cache is None else cache.next_pos
+    positions = np.arange(start, start + tokens.shape[0])
+    if tape is not None:
+        tape.update(tokens=tokens, positions=positions, layers=[])
     plans = {}
     for i, kind in enumerate(cfg._kinds):
         if kind not in plans:
-            retained = cache.retained(i) if cache is not None and positions[0] else None
+            retained = cache.retained(i) if cache is not None and start else None
             plans[kind] = plan(cfg.attn_for(kind), positions, retained)
     h = params["embed"][tokens]
     for i, kind in enumerate(cfg._kinds):
@@ -316,36 +340,17 @@ def forward_full(
     Returns (logits, tape); tape holds the per-layer intermediates the
     backward pass needs and is None unless keep_tape is set.
     """
-    tokens = _check_tokens(cfg, tokens)
-    T = tokens.shape[0]
-    if T == 0:
-        raise ValueError("forward_full needs at least 1 token, got 0")
-    if T > cfg.max_context:
-        raise CapacityError(f"sequence length {T} exceeds max_context {cfg.max_context}")
-    positions = np.arange(T)
-    tape = {"tokens": tokens, "positions": positions, "layers": []} if keep_tape else None
-    return _run(params, cfg, tokens, positions, tape=tape), tape
+    tape = {} if keep_tape else None
+    return _run(params, cfg, tokens, tape=tape), tape
 
 
 def make_cache(cfg: ModelConfig) -> KvCache:
     return KvCache(*cfg._cache_spec)
 
 
-def _extend(params, cfg, cache, tokens) -> np.ndarray:
-    """Run `tokens` (T >= 1 checked ids) as one chunk at the cache's next
-    positions, appending their keys and values: logits (T, vocab)."""
-    pos = cache.next_pos
-    if pos + tokens.shape[0] > cfg.max_context:
-        raise CapacityError(
-            f"cache at {pos} cannot take {tokens.shape[0]} more tokens "
-            f"(max_context {cfg.max_context})"
-        )
-    return _run(params, cfg, tokens, np.arange(pos, pos + tokens.shape[0]), cache)
-
-
 def decode_step(params: dict, cfg: ModelConfig, cache: KvCache, token: int) -> np.ndarray:
     """Append one token to the cache and return its logits row (vocab,)."""
-    return _extend(params, cfg, cache, np.asarray([token], dtype=np.int64))[0]
+    return _run(params, cfg, [token], cache)[0]
 
 
 def forward(
@@ -357,22 +362,14 @@ def forward(
     """Logits (len(tokens), vocab) for a token chunk.
 
     Without a cache this is a whole-sequence pass. With a cache the tokens
-    continue it, one decode_step per token; every query sees exactly the
-    window the cache retains. generate prefills a prompt as one chunk
-    instead.
+    continue it, one decode_step per token, after one check of the whole
+    chunk, so a bad id, a foreign cache or a chunk past max_context appends
+    nothing; every query sees exactly the window the cache retains.
+    generate prefills a prompt as one chunk instead.
     """
-    tokens = _check_tokens(cfg, tokens)
     if cache is None:
-        logits, _ = forward_full(params, cfg, tokens)
-        return logits
-    if cache.spec != cfg._cache_spec:
-        raise ConfigError("cache was built for a different model configuration")
-    if cache.next_pos + tokens.shape[0] > cfg.max_context:
-        raise CapacityError(
-            f"cache at {cache.next_pos} cannot take {tokens.shape[0]} more tokens "
-            f"(max_context {cfg.max_context})"
-        )
-    rows = [decode_step(params, cfg, cache, int(t)) for t in tokens]
+        return forward_full(params, cfg, tokens)[0]
+    rows = [decode_step(params, cfg, cache, int(t)) for t in _check_tokens(cfg, tokens, cache)]
     return np.stack(rows) if rows else np.zeros((0, cfg.vocab_size))
 
 
@@ -388,9 +385,10 @@ def generate(
 ) -> list[int]:
     """Autoregressive decode; stops at max_new tokens or any stop id.
 
-    The prompt enters the cache as one chunk, each new token but the last
-    through one decode step; the last one's logits would go unread. The
-    stop token, when produced, is kept in the returned sequence.
+    The prompt, checked even when max_new < 1, enters the cache as one
+    chunk; each new token but the last is fed back through one decode_step,
+    since the last one's logits would go unread. The stop token, when
+    produced, is kept in the returned sequence.
     Deterministic for a given seed; "greedy" ignores the seed entirely.
     """
     out = list(prompt)
@@ -404,13 +402,12 @@ def generate(
     if max_new < 1:
         return out
     cache = make_cache(cfg)
-    logits = _extend(params, cfg, cache, tokens)
+    row = _run(params, cfg, tokens, cache)[-1]
     rng = np.random.default_rng(seed)
     stop = set(int(s) for s in stop_ids)
     for step in range(max_new):
         if step:  # feed back the previous token; the last one's logits would go unread
-            logits = forward(params, cfg, [out[-1]], cache)
-        row = logits[-1]
+            row = decode_step(params, cfg, cache, out[-1])
         if sampler == "greedy":
             nxt = int(np.argmax(row))
         else:

@@ -51,17 +51,6 @@ def model_config_from_file(path: str) -> ModelConfig:
     return ModelConfig.from_dict(load_config_file(path))
 
 
-def config_to_text(cfg: ModelConfig) -> str:
-    """Render a ModelConfig as the flat key = value format."""
-    lines = []
-    for name in cfg.__dataclass_fields__:
-        value = getattr(cfg, name)
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{name} = {value}")
-    return "\n".join(lines) + "\n"
-
-
 def _builtin_dir():
     return resources.files("gemma_mini") / "presets"
 

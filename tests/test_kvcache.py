@@ -215,7 +215,7 @@ class TestHeldBytesMatchThePlanner:
         tokens = np.random.default_rng(4).integers(0, cfg.vocab_size, size=cfg.max_context)
         for prefill in (1, 20, 40, 129, 300):
             cache = model.make_cache(cfg)
-            model._extend(params, cfg, cache, tokens[:prefill])
+            model._run(params, cfg, tokens[:prefill], cache)
             for context in range(prefill, cfg.max_context + 1):
                 if context > prefill:
                     model.decode_step(params, cfg, cache, int(tokens[context - 1]))

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -20,6 +21,7 @@ from gemma_mini.model import (
     param_shapes,
     save_weights,
 )
+from gemma_mini.presets import preset_values
 from gemma_mini.tensor import rope_apply
 from gemma_mini.train import loss_and_grads
 
@@ -142,8 +144,10 @@ class TestForward:
         cfg = toy_config(window=8)
         params = init_params(cfg, seed=14)
         other = make_cache(toy_config(window=4))
-        with pytest.raises(ConfigError):
-            forward(params, cfg, [1, 2], other)
+        for tokens in ([1, 2], []):  # even a chunk of zero tokens
+            with pytest.raises(ConfigError):
+                forward(params, cfg, tokens, other)
+        assert other.next_pos == 0
 
     def test_incremental_continuation(self):
         cfg = toy_config()
@@ -181,7 +185,11 @@ class TestForward:
         with pytest.raises(CapacityError):
             forward(params, cfg, list(range(9)) + [0] * 3)
         cache = make_cache(cfg)
-        forward(params, cfg, [1] * 8, cache)
+        forward(params, cfg, [1] * 5, cache)
+        with pytest.raises(CapacityError):  # one token too long: refused before any step
+            forward(params, cfg, [1] * 4, cache)
+        assert cache.next_pos == 5
+        forward(params, cfg, [1] * 3, cache)
         with pytest.raises(CapacityError):
             forward(params, cfg, [1], cache)
 
@@ -201,12 +209,64 @@ class TestForward:
     def test_cached_pass_of_zero_tokens_is_empty(self):
         cfg = toy_config()
         cache = make_cache(cfg)
-        logits = forward(init_params(cfg, seed=4), cfg, [], cache)
+        params = init_params(cfg, seed=4)
+        logits = forward(params, cfg, [], cache)
         assert logits.shape == (0, cfg.vocab_size) and cache.next_pos == 0
+        with pytest.raises(ValueError, match="at least 1 token"):  # a chunk is never empty
+            model._run(params, cfg, [], cache)
+
+
+class TestOneCheckedEntry:
+    """Every entry reaches the layers through model._run, whose check refuses
+    a bad id, a foreign cache or a chunk past max_context before any work:
+    each refused call leaves the cache's next position where it was."""
+
+    @pytest.fixture(scope="class")
+    def toy(self):
+        cfg = ModelConfig.from_dict(preset_values("toy"))
+        return init_params(cfg, seed=40), cfg
+
+    @pytest.mark.parametrize("bad", ["-1", "vocab_size"])
+    @pytest.mark.parametrize(
+        "entry", ["forward_full", "forward", "forward_cached", "decode_step", "generate"])
+    def test_every_entry_refuses_an_id_outside_the_vocabulary(self, toy, entry, bad):
+        params, cfg = toy
+        bad = -1 if bad == "-1" else cfg.vocab_size
+        tokens = [3, 4, bad, 5]
+        cache = make_cache(cfg)
+        model._run(params, cfg, [1, 2], cache)
+        runs = {
+            "forward_full": lambda: forward_full(params, cfg, tokens),
+            "forward": lambda: forward(params, cfg, tokens),
+            "forward_cached": lambda: forward(params, cfg, tokens, cache),
+            "decode_step": lambda: decode_step(params, cfg, cache, bad),
+            "generate": lambda: generate(params, cfg, tokens, max_new=3),
+        }
+        with pytest.raises(ValueError, match="token ids"):
+            runs[entry]()
+        assert cache.next_pos == 2
+
+    def test_decode_step_refuses_a_foreign_cache(self, toy):
+        # a cache built for window 8 would otherwise decode with the wrong window
+        params, cfg = toy
+        other = dataclasses.replace(cfg, window=8)
+        foreign = make_cache(other)
+        model._run(params, other, np.arange(29), foreign)
+        with pytest.raises(ConfigError):
+            decode_step(params, cfg, foreign, 1)
+        assert foreign.next_pos == 29
+
+    def test_decode_step_refuses_a_full_cache(self, toy):
+        params, cfg = toy
+        cache = make_cache(cfg)
+        model._run(params, cfg, np.arange(cfg.max_context) % cfg.vocab_size, cache)
+        with pytest.raises(CapacityError):
+            decode_step(params, cfg, cache, 1)
+        assert cache.next_pos == cfg.max_context
 
 
 class TestChunk:
-    """model._extend: a chunk of T >= 1 tokens through the cache in one pass."""
+    """model._run: a chunk of T >= 1 tokens through the cache in one pass."""
 
     # 1, 2W, 2W + 1, 3W + 5, 50, and 300: the GLOBAL layer in causal tiles
     @pytest.mark.parametrize("T", [1, 8, 9, 17, 50, 300])
@@ -215,7 +275,7 @@ class TestChunk:
         params = init_params(cfg, seed=20)
         tokens = np.random.default_rng(T).integers(0, cfg.vocab_size, size=T)
         cache = make_cache(cfg)
-        chunk = model._extend(params, cfg, cache, tokens)
+        chunk = model._run(params, cfg, tokens, cache)
         np.testing.assert_array_equal(chunk, forward_full(params, cfg, tokens)[0])
         assert cache.next_pos == T
 
@@ -232,8 +292,8 @@ class TestChunk:
                 full, _ = forward_full(params, cfg, tokens)
                 cache = make_cache(cfg)
                 if prefix:
-                    model._extend(params, cfg, cache, tokens[:prefix])
-                chunk = model._extend(params, cfg, cache, tokens[prefix:])
+                    model._run(params, cfg, tokens[:prefix], cache)
+                chunk = model._run(params, cfg, tokens[prefix:], cache)
                 np.testing.assert_allclose(chunk, full[prefix:], atol=1e-9)
                 assert cache.next_pos == prefix + n
 
@@ -241,10 +301,10 @@ class TestChunk:
         cfg = toy_config(max_context=8, window=4)
         params = init_params(cfg, seed=21)
         cache = make_cache(cfg)
-        model._extend(params, cfg, cache, np.arange(6))
-        monkeypatch.setattr(model, "_run", lambda *a: pytest.fail("ran past capacity"))
+        model._run(params, cfg, np.arange(6), cache)
+        monkeypatch.setattr(model, "_layer", lambda *a: pytest.fail("ran past capacity"))
         with pytest.raises(CapacityError):
-            model._extend(params, cfg, cache, np.arange(3))
+            model._run(params, cfg, np.arange(3), cache)
         assert cache.next_pos == 6
 
     def test_greedy_generate_matches_forward_full_argmax(self):
@@ -303,7 +363,7 @@ class TestPerKindWork:
         for chunk_cache, start, stop in chunks:
             for c in (*calls.values(), layouts):
                 c.clear()
-            model._extend(params, cfg, chunk_cache, tokens[start:stop])
+            model._run(params, cfg, tokens[start:stop], chunk_cache)
             mask_kinds = [args[0] for args in calls["build_mask"]]
             assert len(mask_kinds) == len(set(mask_kinds)) <= len(kinds)
             assert len(calls["build_mask"]) + len(calls["band_mask"]) == len(kinds)
@@ -360,8 +420,8 @@ class TestPerKindWork:
         params = init_params(cfg, seed=32)
         tokens = np.random.default_rng(32).integers(0, cfg.vocab_size, size=21)
         cache = make_cache(cfg)
-        first = model._extend(params, cfg, cache, tokens[:7])
-        second = model._extend(params, cfg, cache, tokens[7:16])  # the local rings wrap
+        first = model._run(params, cfg, tokens[:7], cache)
+        second = model._run(params, cfg, tokens[7:16], cache)  # the local rings wrap
         decoded = [decode_step(params, cfg, cache, int(t)) for t in tokens[16:]]
         chunked = np.concatenate((first, second, np.stack(decoded)))
         steps = make_cache(cfg)
@@ -434,16 +494,16 @@ class TestGenerate:
         n_out = free.index(stop_ids[0], len(prompt)) + 1 if stop else len(free)
         chunks, steps = [], []
 
-        def counting_extend(*args):
-            chunks.append(args[-1].tolist())
-            return extend(*args)
+        def counting_run(*args):
+            chunks.append(np.asarray(args[2]).tolist())
+            return run(*args)
 
         def counting_decode_step(*args):
             steps.append(args[-1])
             return decode_step(*args)
 
-        extend = model._extend
-        monkeypatch.setattr(model, "_extend", counting_extend)
+        run = model._run
+        monkeypatch.setattr(model, "_run", counting_run)
         monkeypatch.setattr(model, "decode_step", counting_decode_step)
         out = generate(params, cfg, prompt, max_new=max_new, stop_ids=stop_ids)
         assert out == free[:n_out] and (n_out < len(free)) == stop

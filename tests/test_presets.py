@@ -2,7 +2,6 @@ import pytest
 
 from gemma_mini.model import ModelConfig
 from gemma_mini.presets import (
-    config_to_text,
     list_presets,
     load_preset,
     model_config_from_file,
@@ -25,15 +24,6 @@ class TestConfigParsing:
     def test_missing_equals_is_an_error(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_config_text("a = 1\nbroken line\n")
-
-    def test_config_text_round_trip(self):
-        cfg = ModelConfig(
-            n_layers=3, d_model=24, hidden_dim=48, vocab_size=64, max_context=128,
-            num_query_heads=4, num_kv_heads=2, head_dim=6, window=8,
-            tie_embeddings=False, rope_scale_global=8.0,
-        )
-        parsed = ModelConfig.from_dict(parse_config_text(config_to_text(cfg)))
-        assert parsed == cfg
 
     def test_model_config_from_file(self, tmp_path):
         path = tmp_path / "m.cfg"
