@@ -12,7 +12,8 @@ Scores are computed in blocks, with query heads grouped under the kv head
 they read. A pass has one of three layouts:
 
 - DENSE: one block, every query against every key under a (Tq, Tk) mask.
-  Cached chunks and short uncached passes run dense.
+  Cached chunks and short uncached passes run dense, and a decode step
+  (one row after a cache, which hands it only keys it sees) with no mask.
 - BAND: a long uncached LOCAL pass cuts the rows into blocks of `window`
   queries, each scoring only its own key block and the one before, so it
   costs O(T * window) instead of O(T^2).
@@ -156,20 +157,22 @@ def band_mask(n_rows: int, window: int) -> np.ndarray:
 
 def plan(cfg: AttentionConfig, positions: np.ndarray, retained: Optional[np.ndarray] = None):
     """(cos, sin, mask, layout): what every layer of cfg's kind shares over
-    a chunk at `positions`. retained holds the positions such a layer kept
-    from before the chunk, or is None.
+    a chunk at `positions`. retained holds the positions of the earlier keys
+    such a layer reads with the chunk (KvCache.retained), or is None.
 
     Rows with no earlier keys attend to one another only, in the layout of
     an uncached pass (pass_layout): a long LOCAL layer banded, a long GLOBAL
-    layer in causal tiles, any other dense. Otherwise the rows attend
-    densely over the retained keys followed by their own, masked by
-    position. A banded pass's mask is band_mask's, a tiled one's the (64,
-    64) causal block on each tile's diagonal.
+    layer in causal tiles, any other dense. Others attend densely over the
+    retained keys, then their own, masked by position; one row sees them
+    all, unmasked (mask None). A banded pass's mask is band_mask's, a tiled
+    one's the (64, 64) causal block on each tile's diagonal.
     """
     cos, sin = rope_cos_sin(positions, cfg.rope)
     T = positions.shape[0]
     layout = DENSE if retained is not None else pass_layout(cfg, T)
-    if layout == BAND:
+    if retained is not None and T == 1:
+        mask = None
+    elif layout == BAND:
         mask = band_mask(T, cfg.window)  # the band reads keys by row, not position
     elif layout == TILES:
         mask = build_mask(cfg.kind, np.arange(_TILE), np.arange(_TILE))
@@ -235,27 +238,28 @@ def _tiles(diagonal: np.ndarray, T: int):
         yield b, e, mask
 
 
-def _probs(qb: np.ndarray, kb: np.ndarray, cfg: AttentionConfig, mask: np.ndarray) -> np.ndarray:
-    """Softmax over keys of qb's scaled logits against kb plus the mask; one
-    helper for attend and attend_backward, so both get the same bits."""
+def _probs(qb: np.ndarray, kb: np.ndarray, cfg: AttentionConfig, mask) -> np.ndarray:
+    """Softmax over keys of qb's scaled logits against kb plus the mask, if
+    any; one helper for attend and attend_backward, so both get the same bits."""
     scores = qb @ kb.swapaxes(-1, -2)
     scores /= np.sqrt(cfg.head_dim)
-    scores += mask
+    if mask is not None:
+        scores += mask
     return softmax_rows(scores)
 
 
 def attend(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, cfg: AttentionConfig, mask: np.ndarray,
-    layout: str,
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, cfg: AttentionConfig,
+    mask: Optional[np.ndarray], layout: str,
 ) -> np.ndarray:
     """Attention of q (num_query_heads, Tq, hd) over k, v (num_kv_heads, Tk,
     hd), query head h reading kv head h // group_size: (num_query_heads,
     Tq, hd).
 
-    DENSE: one block under a (Tq, Tk) additive mask. BAND: q, k, v cover
-    the same consecutive rows and mask is band_mask(Tq, window). TILES: q,
-    k, v cover rows 0 .. T-1 and mask is plan's (64, 64) diagonal block.
-    Inputs are not validated.
+    DENSE: one block under a (Tq, Tk) additive mask, or None. BAND: q, k, v
+    cover the same consecutive rows and mask is band_mask(Tq, window).
+    TILES: q, k, v cover rows 0 .. T-1 and mask is plan's (64, 64) diagonal
+    block. Inputs are not validated.
     """
     if layout == TILES:  # tile [b, e) is the dense pass of its rows over keys [0, e)
         out = np.empty_like(q)

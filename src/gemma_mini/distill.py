@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import ModelConfig, forward_full
+from .model import ModelConfig, _token_ids, forward_full
 from .tensor import softmax_rows
 from .train import mean_ce, train_byte_lm
 
@@ -191,7 +191,7 @@ def run_toy_distillation(
     if teacher_cfg.vocab_size != student_cfg.vocab_size:
         raise ValueError(f"teacher vocab_size {teacher_cfg.vocab_size} != student "
                          f"vocab_size {student_cfg.vocab_size}")
-    data = np.asarray(corpus_tokens, dtype=np.int64)
+    data = _token_ids(corpus_tokens)
     split = int(len(data) * train_frac)
     train, held_out = data[:split], data[split:]
     if len(train) < 2 or len(held_out) < 2:

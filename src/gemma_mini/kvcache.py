@@ -1,6 +1,6 @@
 """Per-layer key/value storage plus cache-size accounting.
 
-Each layer keeps its retained rows oldest first, one array for keys and one
+Each layer holds its rows oldest first, one array for keys and one
 for values: a Local layer its last `window` entries, a Global layer
 everything up to max_context. Positions are appended in order, so a layer's
 next position and its row count fix which absolute positions it holds; none
@@ -8,10 +8,11 @@ are stored. The arrays own exactly the rows they hold, so a layer's bytes
 are what kv_bytes counts for it.
 
 Entries arrive in blocks of consecutive positions: one row per decode step,
-or a whole prompt in one prefill chunk. `append` joins the held rows and the
-block in one copy per array and returns the result, which is what the layer
-attends over; a Global layer keeps that result as it is, a Local layer a copy
-of its last `window` rows. `view` copies what a layer holds.
+or a whole prompt in one prefill chunk. `append` returns the held rows the
+block can see (`retained`), then the block, in one copy per array: all of a
+Global layer's, a Local layer's newest `window - 1`, since the one at `pos -
+window` is outside every row's window. The layer keeps the last `window` of
+them (a Global layer all), which after one row is what it returned.
 
 A cache instance has a single owner and is not thread-safe; separate
 generation streams each get their own cache.
@@ -51,12 +52,13 @@ class KvCache:
         self._keys = [none] * len(self.layer_kinds)  # never written in place
         self._values = [none] * len(self.layer_kinds)
         self._next_pos = [0] * len(self.layer_kinds)
+        self._visible = [window - 1 if k is LayerKind.LOCAL else max_context for k in layer_kinds]
 
     @property
     def next_pos(self) -> int:
         # all layers advance in lockstep; a partially appended step is a bug
         first = self._next_pos[0] if self._next_pos else 0
-        if any(p != first for p in self._next_pos):
+        if self._next_pos.count(first) != len(self._next_pos):
             raise OrderingError(f"layers disagree on next position: {self._next_pos}")
         return first
 
@@ -65,10 +67,10 @@ class KvCache:
         layer's next position.
 
         k, v: a block (T, num_kv_heads, head_dim) or one row (num_kv_heads,
-        head_dim). Returns (keys, values): the rows the layer held, oldest
-        first, followed by the block's, one copy per array. A Local layer
-        then keeps the last `window` of them. Every check runs before the
-        store changes.
+        head_dim). Returns (keys, values): the held rows at retained(layer),
+        oldest first, followed by the block's, one copy per array. A Local
+        layer then keeps the last `window` of them. Every check runs before
+        the store changes.
         """
         if k.ndim == 2:  # one row
             k, v = k[None], v[None]
@@ -82,8 +84,9 @@ class KvCache:
         end = pos + k.shape[0]
         if self.layer_kinds[layer] is LayerKind.GLOBAL and end > self.max_context:
             raise CapacityError(f"global layer {layer} is full at {self.max_context} entries")
-        keys = np.concatenate((self._keys[layer], k))
-        values = np.concatenate((self._values[layer], v))
+        first = max(0, self._keys[layer].shape[0] - self._visible[layer])  # oldest one seen
+        keys = np.concatenate((self._keys[layer][first:], k))
+        values = np.concatenate((self._values[layer][first:], v))
         if self.layer_kinds[layer] is LayerKind.LOCAL and keys.shape[0] > self.window:
             self._keys[layer] = keys[-self.window:].copy()
             self._values[layer] = values[-self.window:].copy()
@@ -93,16 +96,17 @@ class KvCache:
         return keys, values
 
     def retained(self, layer: int) -> np.ndarray:
-        """Positions (n,) the layer holds, in increasing order."""
+        """Positions (n,) of the held rows the next append returns, increasing."""
         n = self._next_pos[layer]
-        return np.arange(n - self._keys[layer].shape[0], n)
+        return np.arange(n - min(self._keys[layer].shape[0], self._visible[layer]), n)
 
     def view(self, layer: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Copies of the stored (keys, values, positions) in increasing position order.
+        """Copies of all stored (keys, values, positions) in increasing position order.
 
         keys/values: (n, num_kv_heads, head_dim), positions: (n,).
         """
-        return self._keys[layer].copy(), self._values[layer].copy(), self.retained(layer)
+        n, keys = self._next_pos[layer], self._keys[layer]
+        return keys.copy(), self._values[layer].copy(), np.arange(n - keys.shape[0], n)
 
 
 def kv_bytes(

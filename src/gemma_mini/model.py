@@ -212,11 +212,20 @@ def count_params(cfg: ModelConfig) -> dict:
 # Forward
 # ---------------------------------------------------------------------------
 
+def _token_ids(tokens) -> np.ndarray:
+    """tokens as int64; refuses a non-empty input of floats (65.0 too), strings or bools."""
+    ids = np.asarray(tokens)  # ints and bools make ints: only the items tell
+    if ids.size and (ids.dtype.kind not in "iu" or ids.ndim == 1 and not isinstance(
+            tokens, np.ndarray) and not {bool, np.bool_}.isdisjoint(map(type, tokens))):
+        raise ValueError(f"token ids must be integers, got {tokens!r:.60}")
+    return ids.astype(np.int64, copy=False)
+
+
 def _check_tokens(cfg: ModelConfig, tokens, cache: Optional[KvCache] = None) -> np.ndarray:
-    """tokens as 1-D int64 ids in the vocabulary; refuses a cache built for
-    another config and tokens past max_context from its next position (0
-    without a cache)."""
-    tokens = np.asarray(tokens, dtype=np.int64)
+    """tokens as 1-D int64 ids in the vocabulary (_token_ids); refuses a
+    cache built for another config and tokens past max_context from its
+    next position (0 without a cache)."""
+    tokens = _token_ids(tokens)
     if tokens.ndim != 1:
         raise ShapeError(f"tokens must be 1-D, got shape {tokens.shape}")
     if tokens.size and (tokens.min() < 0 or tokens.max() >= cfg.vocab_size):
@@ -241,55 +250,54 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
 
 
-def _layer(params, cfg, i, kind, h, positions, kind_plan, cache=None):
-    """Decoder block i over rows h at consecutive `positions`: (new h, saved).
+def _layer(params, cfg, i, kind, h, positions, kind_plan, cache=None, tape=None):
+    """Decoder block i over rows h at consecutive `positions`: the new h.
 
     kind_plan is attention.plan's for the layer's kind. With a cache, the
     rows are a chunk that continues it: the chunk's keys and values are
     appended to layer i's, and the rows attend over what append returns,
-    the layer's retained rows followed by the chunk's. `saved` holds what
-    backward_full reads from the tape: each norm's input and divisor
-    (div_*), not the pre-attention and pre-MLP norm outputs, and the GELU's
-    tanh term, not its output, and neither the attention probabilities nor
-    x1, which the backward rebuilds from qr and kr and from x0 and attn_out.
+    the retained rows the chunk can see followed by its own. A given tape
+    gets in tape["layers"] what backward_full reads: each norm's input and
+    divisor (div_*), not its output, and the GELU's tanh term, not its
+    output; neither the attention probabilities nor x1, which the backward
+    rebuilds from qr and kr and from x0 and attn_out.
     """
-    names = cfg._layer_keys[i]
-    p = lambda name: params[names[name]]
-    att, eps = cfg.attn_for(kind), cfg.rms_eps
+    w, att, eps = cfg._layer_keys[i], cfg.attn_for(kind), cfg.rms_eps
     cos, sin, mask, layout = kind_plan
     div_ln1 = rms_divisor(h, eps)
-    ln1 = rms_norm(h, p("pre_attn_norm"), eps, div_ln1)
-    q = _split_heads(ln1 @ p("wq"), att.num_query_heads, att.head_dim)
-    k = _split_heads(ln1 @ p("wk"), att.num_kv_heads, att.head_dim)
-    v = _split_heads(ln1 @ p("wv"), att.num_kv_heads, att.head_dim)
+    ln1 = rms_norm(h, params[w["pre_attn_norm"]], eps, div_ln1)
+    q = _split_heads(ln1 @ params[w["wq"]], att.num_query_heads, att.head_dim)
+    k = _split_heads(ln1 @ params[w["wk"]], att.num_kv_heads, att.head_dim)
+    v = _split_heads(ln1 @ params[w["wv"]], att.num_kv_heads, att.head_dim)
     # qk-norm and rotation of every query and key head at once
-    gains = np.concatenate((p("q_gain"), p("k_gain")))
+    gains = np.concatenate((params[w["q_gain"]], params[w["k_gain"]]))
     qk = np.concatenate((q, k))
     div_qk = rms_divisor(qk, eps)
     qkr = rope_rotate(rms_norm(qk, gains[:, None], eps, div_qk), cos, sin)
     qr, kr = qkr[:att.num_query_heads], qkr[att.num_query_heads:]
     keys, values = kr, v
-    if cache is not None:  # the rows the layer retained, oldest first, then the chunk's
-        keys, values = (a.transpose(1, 0, 2) for a in cache.append(
-            i, kr.transpose(1, 0, 2), v.transpose(1, 0, 2), int(positions[0])))
+    if cache is not None:  # the retained rows the chunk can see, oldest first, then its own
+        keys, values = cache.append(
+            i, kr.transpose(1, 0, 2), v.transpose(1, 0, 2), int(positions[0]))
+        keys, values = keys.transpose(1, 0, 2), values.transpose(1, 0, 2)
     merged = _merge_heads(attend(qr, keys, values, att, mask, layout))
-    attn_out = merged @ p("wo")
+    attn_out = merged @ params[w["wo"]]
     div_attn = rms_divisor(attn_out, eps)
-    x1 = h + rms_norm(attn_out, p("post_attn_norm"), eps, div_attn)
+    x1 = h + rms_norm(attn_out, params[w["post_attn_norm"]], eps, div_attn)
 
     div_ln2 = rms_divisor(x1, eps)
-    ln2 = rms_norm(x1, p("pre_mlp_norm"), eps, div_ln2)
-    gate = ln2 @ p("w_gate")
-    up = ln2 @ p("w_up")
+    ln2 = rms_norm(x1, params[w["pre_mlp_norm"]], eps, div_ln2)
+    gate = ln2 @ params[w["w_gate"]]
+    up = ln2 @ params[w["w_up"]]
     tanh = np.tanh(GELU_C * (gate + GELU_A * gate * gate * gate))  # gelu's tanh term
-    mlp_out = (gelu(gate, tanh) * up) @ p("w_down")
+    mlp_out = (gelu(gate, tanh) * up) @ params[w["w_down"]]
     div_mlp = rms_divisor(mlp_out, eps)
-    saved = dict(
-        kind=kind, x0=h, div_ln1=div_ln1, q=q, k=k, div_qk=div_qk, v=v, qr=qr, kr=kr,
-        merged=merged, attn_out=attn_out, div_attn=div_attn, div_ln2=div_ln2, gate=gate,
-        up=up, tanh=tanh, mlp_out=mlp_out, div_mlp=div_mlp,
-    )
-    return x1 + rms_norm(mlp_out, p("post_mlp_norm"), eps, div_mlp), saved
+    if tape is not None:
+        tape["layers"].append(dict(
+            kind=kind, x0=h, div_ln1=div_ln1, q=q, k=k, div_qk=div_qk, v=v, qr=qr, kr=kr,
+            merged=merged, attn_out=attn_out, div_attn=div_attn, div_ln2=div_ln2, gate=gate,
+            up=up, tanh=tanh, mlp_out=mlp_out, div_mlp=div_mlp))
+    return x1 + rms_norm(mlp_out, params[w["post_mlp_norm"]], eps, div_mlp)
 
 
 def _run(params, cfg, tokens, cache=None, tape=None):
@@ -297,8 +305,8 @@ def _run(params, cfg, tokens, cache=None, tape=None):
     run as one chunk at the cache's next positions (0 without a cache),
     appending their keys and values; the checks come before any work.
 
-    A given `tape` receives the tokens, the positions and each layer's saved
-    arrays. Each layer kind's attention.plan is computed once, before the
+    A given `tape` receives the tokens, the positions and each layer's
+    entry. Each layer kind's attention.plan is computed once, before the
     layers run (a chunk at position 0 has no earlier keys). The tape keeps
     no plan: backward_full makes its own from the tape's positions.
     """
@@ -316,9 +324,7 @@ def _run(params, cfg, tokens, cache=None, tape=None):
             plans[kind] = plan(cfg.attn_for(kind), positions, retained)
     h = params["embed"][tokens]
     for i, kind in enumerate(cfg._kinds):
-        h, saved = _layer(params, cfg, i, kind, h, positions, plans[kind], cache)
-        if tape is not None:
-            tape["layers"].append(saved)
+        h = _layer(params, cfg, i, kind, h, positions, plans[kind], cache, tape)
     div_hf = rms_divisor(h, cfg.rms_eps)
     hf = rms_norm(h, params["final_norm"], cfg.rms_eps, div_hf)
     if tape is not None:

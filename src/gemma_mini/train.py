@@ -12,7 +12,8 @@ import numpy as np
 
 from .attention import attend_backward, plan
 from .model import (
-    GELU_A, GELU_C, ModelConfig, _merge_heads, _split_heads, forward_full, gelu, init_params,
+    GELU_A, GELU_C, ModelConfig, _merge_heads, _split_heads, _token_ids, forward_full, gelu,
+    init_params,
 )
 from .tensor import rms_norm, rope_rotate, softmax_rows
 
@@ -155,7 +156,7 @@ def loss_and_grads(
 ):
     """One forward/backward pass. grad_fn(logits) -> (loss, dlogits); the
     default is next-token cross-entropy over the sequence."""
-    tokens = np.asarray(tokens, dtype=np.int64)
+    tokens = _token_ids(tokens)
     if len(tokens) < 2:
         raise ValueError(f"need at least 2 tokens to train on, got {len(tokens)}")
     logits, tape = forward_full(params, cfg, tokens[:-1], keep_tape=True)
@@ -225,7 +226,7 @@ def train_byte_lm(
     captures the initialization. grad_fn_for(window_tokens) may supply a
     custom per-window loss (used by distillation); default is hard-label CE.
     """
-    data = np.asarray(data, dtype=np.int64)
+    data = _token_ids(data)
     if batch_len is not None and batch_len < 1:
         raise ValueError(f"batch_len must be >= 1, got {batch_len}")
     if len(data) < 2:
@@ -264,7 +265,7 @@ def mean_ce(params: dict, cfg: ModelConfig, data: Sequence[int]) -> float:
     Data with more than max_context targets is scored in consecutive windows
     of up to max_context targets, each weighted by its target count.
     """
-    data = np.asarray(data, dtype=np.int64)
+    data = _token_ids(data)
     if len(data) < 2:
         raise ValueError(f"need at least 2 tokens to score, got {len(data)}")
     total = 0.0

@@ -183,26 +183,33 @@ class TestConstruction:
 class TestAppendReturns:
     @pytest.mark.parametrize("kind", [L, G])
     def test_retained_rows_then_the_chunk_in_one_copy(self, kind):
-        for n in (0, 1, 3, 4, 5, 9, 12):  # empty, filling, full, past the window
-            cache = small_cache([kind])
-            if n:
-                cache.append(0, *rows(0, n), 0)
-            start = max(0, n - 4) if kind is L else 0
-            np.testing.assert_array_equal(cache.retained(0), np.arange(start, n))
-            for got, want in zip(cache.view(0), (*rows(start, n - start), np.arange(start, n))):
-                np.testing.assert_array_equal(got, want)
-            keys, values = cache.append(0, *rows(n, 2), n)
-            want_k, want_v = rows(start, n + 2 - start)  # oldest retained row first
-            np.testing.assert_array_equal(keys, want_k)
-            np.testing.assert_array_equal(values, want_v)
-            # one row returns the same way; the rows returned before are copies,
-            # which the next append leaves as they were
-            start = max(0, n + 2 - 4) if kind is L else 0
-            for got, want in zip(cache.append(0, *(a[0] for a in rows(n + 2, 1)), n + 2),
-                                 rows(start, n + 3 - start)):
-                np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(keys, want_k)
-            np.testing.assert_array_equal(values, want_v)
+        # a Local layer holds its last `window` rows but returns only its newest
+        # window - 1 (none at window 1): the held row at pos - window is outside
+        # the window of every row of the block; a Global layer returns all
+        for window in (1, 4):
+            for n in (0, 1, 3, 4, 5, 9, 12):  # empty, filling, full, past the window
+                cache = small_cache([kind], window=window)
+                if n:
+                    cache.append(0, *rows(0, n), 0)
+                held = n - min(n, window) if kind is L else 0  # first held position
+                seen = n - min(n, window - 1) if kind is L else 0  # first one returned
+                np.testing.assert_array_equal(cache.retained(0), np.arange(seen, n))
+                for got, want in zip(cache.view(0), (*rows(held, n - held), np.arange(held, n))):
+                    np.testing.assert_array_equal(got, want)
+                keys, values = cache.append(0, *rows(n, 2), n)
+                want_k, want_v = rows(seen, n + 2 - seen)  # oldest returned row first
+                np.testing.assert_array_equal(keys, want_k)
+                np.testing.assert_array_equal(values, want_v)
+                # one row returns the same way, in the one array per side that the
+                # layer then holds; the rows returned before are copies, which
+                # the next append leaves as they were
+                seen = n + 2 - min(n + 2, window - 1) if kind is L else 0
+                step = cache.append(0, *(a[0] for a in rows(n + 2, 1)), n + 2)
+                for got, want in zip(step, rows(seen, n + 3 - seen)):
+                    np.testing.assert_array_equal(got, want)
+                assert step[0] is cache._keys[0] and step[1] is cache._values[0]
+                np.testing.assert_array_equal(keys, want_k)
+                np.testing.assert_array_equal(values, want_v)
 
 
 class TestHeldBytesMatchThePlanner:

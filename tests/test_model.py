@@ -1,5 +1,7 @@
+import cProfile
 import dataclasses
 import os
+import pstats
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from gemma_mini import attention, model, train
 from gemma_mini.attention import BAND, TILES, LayerKind, qk_norm
 from gemma_mini.errors import CapacityError, ConfigError
+from gemma_mini.kvcache import kv_bytes
 from gemma_mini.model import (
     ModelConfig,
     count_params,
@@ -226,12 +229,13 @@ class TestOneCheckedEntry:
         cfg = ModelConfig.from_dict(preset_values("toy"))
         return init_params(cfg, seed=40), cfg
 
-    @pytest.mark.parametrize("bad", ["-1", "vocab_size"])
+    # the last three are not integers: a float, a string and a bool
+    @pytest.mark.parametrize("bad", ["-1", "vocab_size", 65.5, "65", True])
     @pytest.mark.parametrize(
         "entry", ["forward_full", "forward", "forward_cached", "decode_step", "generate"])
     def test_every_entry_refuses_an_id_outside_the_vocabulary(self, toy, entry, bad):
         params, cfg = toy
-        bad = -1 if bad == "-1" else cfg.vocab_size
+        bad = {"-1": -1, "vocab_size": cfg.vocab_size}.get(bad, bad)
         tokens = [3, 4, bad, 5]
         cache = make_cache(cfg)
         model._run(params, cfg, [1, 2], cache)
@@ -297,6 +301,29 @@ class TestChunk:
                 np.testing.assert_allclose(chunk, full[prefix:], atol=1e-9)
                 assert cache.next_pos == prefix + n
 
+    @pytest.mark.parametrize("window", [1, 4])
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_chunk_after_any_cache_matches_the_full_pass(self, window, tied):
+        # the cache hands a local layer only the rows the chunk can see (none at
+        # window 1), and one row attends without a mask; after every chunk each
+        # layer holds exactly its kv_bytes
+        cfg = toy_config(window=window, tie_embeddings=tied, max_context=512)
+        params = init_params(cfg, seed=23 + window)
+        tokens = np.random.default_rng(window).integers(0, cfg.vocab_size, size=283)
+        for prefix in (0, 1, window - 1, window, 200):
+            for n in (1, 2, 37, 83):
+                cache = make_cache(cfg)
+                for start, stop in ((0, prefix), (prefix, prefix + n)):
+                    if stop > start:
+                        chunk = model._run(params, cfg, tokens[start:stop], cache)
+                    want = kv_bytes(cfg.kinds(), max(stop, 1), cfg.num_kv_heads,
+                                    cfg.head_dim, 8, cfg.window)["per_layer"]
+                    held = [cache._keys[i].nbytes + cache._values[i].nbytes
+                            for i in range(cfg.n_layers)]
+                    assert held == (want if stop else [0] * cfg.n_layers), (prefix, n, stop)
+                full, _ = forward_full(params, cfg, tokens[:prefix + n])
+                np.testing.assert_allclose(chunk, full[prefix:], rtol=0, atol=1e-12)
+
     def test_capacity_checked_before_any_work(self, monkeypatch):
         cfg = toy_config(max_context=8, window=4)
         params = init_params(cfg, seed=21)
@@ -319,7 +346,8 @@ class TestChunk:
 
 
 class TestPerKindWork:
-    """A chunk computes its rotation and its mask once per layer kind."""
+    """A chunk computes its rotation and its mask, if it has one, once per
+    layer kind."""
 
     @staticmethod
     def counting(monkeypatch, names):
@@ -364,9 +392,11 @@ class TestPerKindWork:
             for c in (*calls.values(), layouts):
                 c.clear()
             model._run(params, cfg, tokens[start:stop], chunk_cache)
+            # one row that continues a cache sees every key it is handed: no mask
+            masks = 0 if start and stop - start == 1 else len(kinds)
             mask_kinds = [args[0] for args in calls["build_mask"]]
             assert len(mask_kinds) == len(set(mask_kinds)) <= len(kinds)
-            assert len(calls["build_mask"]) + len(calls["band_mask"]) == len(kinds)
+            assert len(calls["build_mask"]) + len(calls["band_mask"]) == masks
             assert len(calls["rope_cos_sin"]) == len(kinds)
             assert len(layouts) == len(kinds)
         assert cache.next_pos == 40
@@ -433,6 +463,28 @@ class TestPerKindWork:
         np.testing.assert_allclose(chunked, stepped, atol=1e-9)
         np.testing.assert_allclose(chunked, full, atol=1e-9)
         assert cache.next_pos == steps.next_pos == 21
+
+
+class TestDecodeStepCost:
+    # calls one decode_step on toy makes into the package's own functions: six
+    # layers of fixed Python work, so a helper added per layer shows at once
+    PACKAGE_CALLS = 180
+
+    def test_a_decode_step_builds_no_mask_and_makes_few_calls(self):
+        cfg = ModelConfig.from_dict(preset_values("toy"))
+        params = init_params(cfg, seed=0)
+        cache = make_cache(cfg)
+        model._run(params, cfg, np.arange(40), cache)  # the local rings are full
+        profile = cProfile.Profile()
+        profile.runcall(decode_step, params, cfg, cache, 5)
+        package = os.path.dirname(model.__file__)
+        calls = {}
+        for (path, _, name), (_, count, *_) in pstats.Stats(profile).stats.items():
+            if os.path.dirname(path) == package:
+                calls[name] = calls.get(name, 0) + count
+        assert "build_mask" not in calls and "band_mask" not in calls
+        assert calls["append"] == cfg.n_layers
+        assert sum(calls.values()) <= self.PACKAGE_CALLS, calls
 
 
 class TestGenerate:

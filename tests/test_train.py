@@ -239,6 +239,23 @@ class TestMeanCe:
             mean_ce(init_params(cfg, seed=0), cfg, [3])
 
 
+class TestTokenIds:
+    @pytest.mark.parametrize("bad", [5.5, 5.0, "5", True])
+    @pytest.mark.parametrize("entry", ["loss_and_grads", "train_byte_lm", "mean_ce"])
+    def test_ids_that_are_not_integers_refused(self, entry, bad):
+        # the model's entries refuse these too; a cast would read 5.5 as 5
+        cfg = tiny_config()
+        params = init_params(cfg, seed=0)
+        tokens = [3, 4, bad, 6]
+        runs = {
+            "loss_and_grads": lambda: loss_and_grads(params, cfg, tokens),
+            "train_byte_lm": lambda: train_byte_lm(cfg, tokens, steps=1),
+            "mean_ce": lambda: mean_ce(params, cfg, tokens),
+        }
+        with pytest.raises(ValueError, match="token ids must be integers"):
+            runs[entry]()
+
+
 class TestOverfit:
     def test_two_layer_model_memorizes_small_corpus(self, overfit_run):
         """Mean CE drops under 0.1 within the step budget (forward/backward sanity)."""
