@@ -5,23 +5,21 @@ part of the window); Global layers attend to the whole causal prefix. Both
 kinds carry their own rotary parameters.
 
 `plan` computes what every layer of one kind shares over a chunk: the
-rotation, the mask and the layout. The forward pass calls it once per kind,
-and the backward pass again from the tape's positions.
+rotation and the layout, with the band's mask. The forward pass calls it
+once per kind, and the backward pass again from the tape's positions.
 
 Scores are computed in blocks, with query heads grouped under the kv head
-they read. A pass has one of three layouts:
+they read. A chunk has one of two layouts:
 
-- DENSE: one block, every query against every key under a (Tq, Tk) mask.
-  Cached chunks and short uncached passes run dense, and a decode step
-  (one row after a cache, which hands it only keys it sees) with no mask.
-- BAND: a long uncached LOCAL pass cuts the rows into blocks of `window`
-  queries, each scoring only its own key block and the one before, so it
-  costs O(T * window) instead of O(T^2).
-- TILES: a long uncached GLOBAL pass runs in causal query tiles of 64 rows.
-  Tile [b, e) is the dense pass of its rows over keys [0, e), masked by
-  `_tiles` from the plan's (64, 64) causal diagonal block, which skips the
-  fully masked blocks above the diagonal (as FlashAttention does). No T x T
-  array is built.
+- BAND: a LOCAL chunk with no earlier keys over more than 2 * window rows
+  cuts its rows into blocks of `window` queries, each scoring only its own
+  key block and the one before, all in one batch, so it costs O(T * window)
+  instead of O(T^2).
+- TILES: every other chunk, whether a short pass, a chunk that continues a
+  cache or a decode step, runs in causal query tiles of up to 64 rows. Tile
+  [b, e) scores keys [lo, R + e) of the R retained keys followed by the
+  chunk's: lo is 0 for GLOBAL and the first key row b sees for LOCAL. Each
+  tile builds its own mask as it runs. No T x (R + T) array is built.
 
 attend returns no probabilities: attend_backward recomputes them block by
 block through the forward's own helper, so they match it bit for bit.
@@ -90,10 +88,10 @@ def build_mask(
             raise ValueError("positions must be non-decreasing")
     if kind is LayerKind.LOCAL and window is None:
         raise ConfigError("LOCAL mask requires a window")
-    diff = q_positions[:, None] - k_positions[None, :]
-    allowed = diff >= 0
+    q_col, k_row = q_positions[:, None], k_positions[None, :]
+    allowed = k_row <= q_col  # compared directly: no (len(q), len(k)) int64 difference
     if kind is LayerKind.LOCAL:
-        allowed &= diff < window
+        allowed &= k_row > q_col - window
     return np.where(allowed, 0.0, NEG_INF)
 
 
@@ -122,21 +120,8 @@ def qk_norm(
     return rms_norm(q, q_gain, eps), rms_norm(k, k_gain, eps)
 
 
-DENSE, BAND, TILES = "dense", "band", "tiles"
+BAND, TILES = "band", "tiles"
 _TILE = 64  # query rows per causal tile
-
-
-def pass_layout(cfg: AttentionConfig, n_rows: int) -> str:
-    """The layout of an uncached pass over n_rows consecutive positions.
-
-    A banded LOCAL pass scores 2 * window keys per query; at n_rows <=
-    2 * window that is no fewer than the dense causal pass scores. Tiles
-    skip little of a GLOBAL pass over 2 * _TILE rows or fewer and cost a
-    loop, so such a pass stays dense.
-    """
-    if cfg.kind is LayerKind.LOCAL:
-        return BAND if n_rows > 2 * cfg.window else DENSE
-    return TILES if n_rows > 2 * _TILE else DENSE
 
 
 def band_mask(n_rows: int, window: int) -> np.ndarray:
@@ -160,35 +145,22 @@ def plan(cfg: AttentionConfig, positions: np.ndarray, retained: Optional[np.ndar
     a chunk at `positions`. retained holds the positions of the earlier keys
     such a layer reads with the chunk (KvCache.retained), or is None.
 
-    Rows with no earlier keys attend to one another only, in the layout of
-    an uncached pass (pass_layout): a long LOCAL layer banded, a long GLOBAL
-    layer in causal tiles, any other dense. Others attend densely over the
-    retained keys, then their own, masked by position; one row sees them
-    all, unmasked (mask None). A banded pass's mask is band_mask's, a tiled
-    one's the (64, 64) causal block on each tile's diagonal.
+    A LOCAL chunk with no earlier keys over more than 2 * window rows runs
+    BAND under band_mask; over fewer rows a band, which scores 2 * window
+    keys per row, would score no fewer than the tiles. Every other chunk
+    runs TILES with mask None: each tile builds its own as it runs, so no
+    mask outlives its tile.
     """
     cos, sin = rope_cos_sin(positions, cfg.rope)
-    T = positions.shape[0]
-    layout = DENSE if retained is not None else pass_layout(cfg, T)
-    if retained is not None and T == 1:
-        mask = None
-    elif layout == BAND:
-        mask = band_mask(T, cfg.window)  # the band reads keys by row, not position
-    elif layout == TILES:
-        mask = build_mask(cfg.kind, np.arange(_TILE), np.arange(_TILE))
-    else:
-        key_positions = positions if retained is None else np.concatenate((retained, positions))
-        mask = build_mask(cfg.kind, positions, key_positions, cfg.window)
-    return cos, sin, mask, layout
+    T, R = positions.shape[0], 0 if retained is None else retained.size
+    if cfg.kind is LayerKind.LOCAL and T > 2 * cfg.window and not R:
+        return cos, sin, band_mask(T, cfg.window), BAND  # the band reads keys by row, not position
+    return cos, sin, None, TILES
 
 
-def _query_blocks(x: np.ndarray, cfg: AttentionConfig, band: bool) -> np.ndarray:
-    """(num_query_heads, T, hd) -> (num_kv_heads, group_size, n_blocks, rows, hd).
-
-    Query head h sits at [h // group_size, h % group_size]. A dense pass is
-    one block of T rows; a banded one is zero-padded to whole windows.
-    """
-    rows = cfg.window if band else x.shape[1]
+def _query_blocks(x: np.ndarray, cfg: AttentionConfig, rows: int) -> np.ndarray:
+    """(num_query_heads, T, hd) -> (num_kv_heads, group_size, n_blocks, rows, hd),
+    zero-padded to whole blocks. Query head h sits at [h // group_size, h % group_size]."""
     if x.shape[1] % rows:  # banded, not whole windows
         x = np.concatenate((x, np.zeros((x.shape[0], -x.shape[1] % rows, x.shape[2]))), axis=1)
     return x.reshape(cfg.num_kv_heads, cfg.group_size, -1, rows, x.shape[-1])
@@ -200,25 +172,19 @@ def _merge_query_blocks(xb: np.ndarray, n_rows: int) -> np.ndarray:
     return xb.reshape(h_kv * group, n_blocks * rows, hd)[:, :n_rows]
 
 
-def _key_blocks(x: np.ndarray, cfg: AttentionConfig, band: bool) -> np.ndarray:
-    """(num_kv_heads, T, hd) -> (num_kv_heads, 1, n_blocks, keys, hd).
-
-    A dense pass is one block of all T keys. Banded block b holds key rows
-    [(b - 1) * window, (b + 1) * window), zero-padded outside [0, T).
-    """
-    if not band:
-        return x[:, None, None]
+def _key_blocks(x: np.ndarray, cfg: AttentionConfig) -> np.ndarray:
+    """(num_kv_heads, T, hd) -> (num_kv_heads, 1, n_blocks, 2 * window, hd) of a
+    banded pass: block b holds key rows [(b - 1) * window, (b + 1) * window),
+    zero-padded outside [0, T)."""
     (h_kv, T, hd), w = x.shape, cfg.window
     padded = np.zeros((h_kv, -(-T // w) + 1, w, hd))  # rows -w .. T-1, then zeros
     padded.reshape(h_kv, -1, hd)[:, w : w + T] = x
     return np.concatenate([padded[:, :-1], padded[:, 1:]], axis=2)[:, None]
 
 
-def _fold_key_blocks(xb: np.ndarray, n_rows: int, band: bool) -> np.ndarray:
-    """Adjoint of _key_blocks, group axis summed: (num_kv_heads, n_blocks, keys,
-    hd) -> (num_kv_heads, n_rows, hd), adding the two copies of each banded row."""
-    if not band:
-        return xb[:, 0]
+def _fold_key_blocks(xb: np.ndarray, n_rows: int) -> np.ndarray:
+    """Adjoint of _key_blocks, group axis summed: (num_kv_heads, n_blocks,
+    2 * window, hd) -> (num_kv_heads, n_rows, hd), adding the two copies of each row."""
     h_kv, n_blocks, keys, hd = xb.shape
     w = keys // 2
     out = np.zeros((h_kv, n_blocks + 1, w, hd))
@@ -227,15 +193,18 @@ def _fold_key_blocks(xb: np.ndarray, n_rows: int, band: bool) -> np.ndarray:
     return out.reshape(h_kv, -1, hd)[:, w : w + n_rows]
 
 
-def _tiles(diagonal: np.ndarray, T: int):
-    """(b, e, mask) per causal tile [b, e) of a TILES pass over rows 0 .. T-1,
-    in order. mask is the tile's (e - b, e) slice of the (T, T) causal mask:
-    0 left of the tile's diagonal block, which is diagonal[:e - b, :e - b]."""
-    for b in range(0, T, _TILE):
-        e = min(b + _TILE, T)
-        mask = np.zeros((e - b, e))
-        mask[:, b:] = diagonal[: e - b, : e - b]
-        yield b, e, mask
+def _tile(cfg: AttentionConfig, n_retained: int, b: int, n_rows: int):
+    """(e, lo, mask) of the causal tile at row b of a TILES pass over n_rows
+    rows after n_retained keys: its rows [b, e) read key rows [lo,
+    n_retained + e), from the first one row b sees (0 for GLOBAL) to row
+    e - 1 itself, skipping the fully masked blocks (as FlashAttention does).
+    mask is build_mask's over those rows, by position relative to the first
+    key; one row after retained keys sees every key it reads: no mask."""
+    R, e = n_retained, min(b + _TILE, n_rows)
+    lo = 0 if cfg.kind is LayerKind.GLOBAL else max(0, R + b - cfg.window + 1)
+    if e - b == 1 and R:
+        return e, lo, None
+    return e, lo, build_mask(cfg.kind, np.arange(R + b, R + e), np.arange(lo, R + e), cfg.window)
 
 
 def _probs(qb: np.ndarray, kb: np.ndarray, cfg: AttentionConfig, mask) -> np.ndarray:
@@ -248,6 +217,12 @@ def _probs(qb: np.ndarray, kb: np.ndarray, cfg: AttentionConfig, mask) -> np.nda
     return softmax_rows(scores)
 
 
+def _dense(q: np.ndarray, k: np.ndarray, v: np.ndarray, cfg: AttentionConfig, mask):
+    """Attention of q over every row of k, v in one block, under a (Tq, Tk) mask or none."""
+    probs = _probs(_query_blocks(q, cfg, q.shape[1]), k[:, None, None], cfg, mask)
+    return _merge_query_blocks(probs @ v[:, None, None], q.shape[1])
+
+
 def attend(
     q: np.ndarray, k: np.ndarray, v: np.ndarray, cfg: AttentionConfig,
     mask: Optional[np.ndarray], layout: str,
@@ -256,46 +231,27 @@ def attend(
     hd), query head h reading kv head h // group_size: (num_query_heads,
     Tq, hd).
 
-    DENSE: one block under a (Tq, Tk) additive mask, or None. BAND: q, k, v
-    cover the same consecutive rows and mask is band_mask(Tq, window).
-    TILES: q, k, v cover rows 0 .. T-1 and mask is plan's (64, 64) diagonal
-    block. Inputs are not validated.
+    BAND: q, k, v cover the same consecutive rows and mask is band_mask(Tq,
+    window). TILES (mask None): k, v hold Tk - Tq retained rows, then q's
+    own, and q runs in tiles of up to 64 rows (_tile). Inputs are not
+    validated.
     """
-    if layout == TILES:  # tile [b, e) is the dense pass of its rows over keys [0, e)
-        out = np.empty_like(q)
-        for b, e, tile_mask in _tiles(mask, q.shape[1]):
-            out[:, b:e] = attend(q[:, b:e], k[:, :e], v[:, :e], cfg, tile_mask, DENSE)
-        return out
-    band = layout == BAND
-    probs = _probs(_query_blocks(q, cfg, band), _key_blocks(k, cfg, band), cfg, mask)
-    return _merge_query_blocks(probs @ _key_blocks(v, cfg, band), q.shape[1])
+    if layout == BAND:
+        probs = _probs(_query_blocks(q, cfg, cfg.window), _key_blocks(k, cfg), cfg, mask)
+        return _merge_query_blocks(probs @ _key_blocks(v, cfg), q.shape[1])
+    n_rows, R = q.shape[1], k.shape[1] - q.shape[1]
+    tiles = []
+    for b in range(0, n_rows, _TILE):
+        e, lo, tile_mask = _tile(cfg, R, b, n_rows)
+        tiles.append(_dense(q[:, b:e], k[:, lo : R + e], v[:, lo : R + e], cfg, tile_mask))
+    return tiles[0] if len(tiles) == 1 else np.concatenate(tiles, axis=1)  # one: no copy
 
 
-def attend_backward(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, dout: np.ndarray, cfg: AttentionConfig,
-    mask: np.ndarray, layout: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(dq, dk, dv) of an uncached attend over rows 0 .. T-1, given its mask
-    and d(out). The probabilities are recomputed block by block (tile by
-    tile) from q and k, as attend computed them.
-
-    A key row sits in every block that reads it and under every query head
-    of its group; its gradient sums those copies.
-    """
-    n_rows = q.shape[1]
-    if layout == TILES:  # tile [b, e) reads and writes key rows [0, e)
-        dq, dk, dv = np.empty_like(q), np.zeros_like(k), np.zeros_like(v)
-        for b, e, tile_mask in _tiles(mask, n_rows):
-            dq[:, b:e], dk_tile, dv_tile = attend_backward(
-                q[:, b:e], k[:, :e], v[:, :e], dout[:, b:e], cfg, tile_mask, DENSE)
-            dk[:, :e] += dk_tile
-            dv[:, :e] += dv_tile
-        return dq, dk, dv
-    band = layout == BAND
-    qb, kb = _query_blocks(q, cfg, band), _key_blocks(k, cfg, band)
+def _block_grads(qb, kb, vb, dout_b, cfg: AttentionConfig, mask):
+    """(dq, dk, dv) of blocks qb over kb, vb given d(out) dout_b; dk and dv
+    are summed over the group axis, the query heads that read a kv head."""
     probs = _probs(qb, kb, cfg, mask)
-    dout = _query_blocks(dout, cfg, band)
-    dprobs = dout @ _key_blocks(v, cfg, band).swapaxes(-1, -2)
+    dprobs = dout_b @ vb.swapaxes(-1, -2)
     dscores = dprobs  # probs * (dprobs - rowsum(dprobs * probs)), in place
     dscores -= np.add.reduce(dprobs * probs, axis=-1, keepdims=True)
     dscores *= probs
@@ -304,13 +260,37 @@ def attend_backward(
     dq *= scale
     dk = dscores.swapaxes(-1, -2) @ qb
     dk *= scale
-    dv = probs.swapaxes(-1, -2) @ dout
-    dq = _merge_query_blocks(dq, n_rows)
-    return (
-        dq,
-        _fold_key_blocks(dk.sum(axis=1), n_rows, band),
-        _fold_key_blocks(dv.sum(axis=1), n_rows, band),
-    )
+    return dq, dk.sum(axis=1), (probs.swapaxes(-1, -2) @ dout_b).sum(axis=1)
+
+
+def attend_backward(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, dout: np.ndarray, cfg: AttentionConfig,
+    mask: Optional[np.ndarray], layout: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dq, dk, dv) of an uncached attend over rows 0 .. T-1, given its plan's
+    mask and layout and d(out). The probabilities are recomputed band by
+    band or tile by tile from q and k, as attend computed them.
+
+    A key row sits in every block that reads it and under every query head
+    of its group; its gradient sums those copies.
+    """
+    n_rows = q.shape[1]
+    if layout == BAND:
+        dq, dk, dv = _block_grads(_query_blocks(q, cfg, cfg.window), _key_blocks(k, cfg),
+                                  _key_blocks(v, cfg), _query_blocks(dout, cfg, cfg.window),
+                                  cfg, mask)
+        return (_merge_query_blocks(dq, n_rows), _fold_key_blocks(dk, n_rows),
+                _fold_key_blocks(dv, n_rows))
+    dq, dk, dv = np.empty_like(q), np.zeros_like(k), np.zeros_like(v)
+    for b in range(0, n_rows, _TILE):  # tile [b, e) reads and writes key rows [lo, e)
+        e, lo, tile_mask = _tile(cfg, 0, b, n_rows)
+        dq_tile, dk_tile, dv_tile = _block_grads(
+            _query_blocks(q[:, b:e], cfg, e - b), k[:, None, None, lo:e], v[:, None, None, lo:e],
+            _query_blocks(dout[:, b:e], cfg, e - b), cfg, tile_mask)
+        dq[:, b:e] = _merge_query_blocks(dq_tile, e - b)
+        dk[:, lo:e] += dk_tile[:, 0]
+        dv[:, lo:e] += dv_tile[:, 0]
+    return dq, dk, dv
 
 
 def gqa_attend(
@@ -338,4 +318,4 @@ def gqa_attend(
         raise ShapeError(f"bad head shapes: q {q.shape}, k {k.shape}, v {v.shape}")
     if mask.shape != (q.shape[1], k.shape[1]):
         raise ShapeError(f"mask shape {mask.shape} != ({q.shape[1]}, {k.shape[1]})")
-    return attend(q, k, v, cfg, mask, DENSE)
+    return _dense(q, k, v, cfg, mask)

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import ModelConfig, _token_ids, forward_full
+from .model import ModelConfig, _vocab_ids, forward_full
 from .tensor import softmax_rows
 from .train import mean_ce, train_byte_lm
 
@@ -179,8 +179,9 @@ def run_toy_distillation(
     windows over the whole training head, both ends included, and decays
     its own step size from lr to lr / 10 over its steps.
 
-    k, batch_len and the two configs' vocabularies are checked before the
-    teacher trains: a batch_len window must fit both models' max_context."""
+    k, batch_len, the two configs' vocabularies and the corpus ids are
+    checked before the teacher trains: a batch_len window must fit both
+    models' max_context."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if batch_len is not None:
@@ -191,7 +192,7 @@ def run_toy_distillation(
     if teacher_cfg.vocab_size != student_cfg.vocab_size:
         raise ValueError(f"teacher vocab_size {teacher_cfg.vocab_size} != student "
                          f"vocab_size {student_cfg.vocab_size}")
-    data = _token_ids(corpus_tokens)
+    data = _vocab_ids(teacher_cfg, corpus_tokens)
     split = int(len(data) * train_frac)
     train, held_out = data[:split], data[split:]
     if len(train) < 2 or len(held_out) < 2:

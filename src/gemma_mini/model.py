@@ -7,8 +7,8 @@ gated MLP:
     x = x + norm_post_mlp(mlp(norm_pre_mlp(x)))
 
 Attention is QK-normed and rotary-embedded with parameters chosen by the
-layer's kind. A pass computes one attention.plan per layer kind (rotation,
-mask and layout) and shares it with every layer of that kind; backward_full
+layer's kind. A pass computes one attention.plan per layer kind (rotation
+and layout) and shares it with every layer of that kind; backward_full
 plans again from the training tape's positions. Logits read out through the
 tied embedding by default.
 Every pass enters the layers through _run, which first refuses ids outside
@@ -212,24 +212,24 @@ def count_params(cfg: ModelConfig) -> dict:
 # Forward
 # ---------------------------------------------------------------------------
 
-def _token_ids(tokens) -> np.ndarray:
-    """tokens as int64; refuses a non-empty input of floats (65.0 too), strings or bools."""
+def _vocab_ids(cfg: ModelConfig, tokens) -> np.ndarray:
+    """tokens as 1-D int64 ids in the vocabulary; refuses a non-empty input of
+    floats (65.0 too), strings or bools."""
     ids = np.asarray(tokens)  # ints and bools make ints: only the items tell
     if ids.size and (ids.dtype.kind not in "iu" or ids.ndim == 1 and not isinstance(
             tokens, np.ndarray) and not {bool, np.bool_}.isdisjoint(map(type, tokens))):
         raise ValueError(f"token ids must be integers, got {tokens!r:.60}")
+    if ids.ndim != 1:
+        raise ShapeError(f"tokens must be 1-D, got shape {ids.shape}")
+    if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
+        raise ValueError(f"token ids must lie in [0, {cfg.vocab_size})")
     return ids.astype(np.int64, copy=False)
 
 
 def _check_tokens(cfg: ModelConfig, tokens, cache: Optional[KvCache] = None) -> np.ndarray:
-    """tokens as 1-D int64 ids in the vocabulary (_token_ids); refuses a
-    cache built for another config and tokens past max_context from its
-    next position (0 without a cache)."""
-    tokens = _token_ids(tokens)
-    if tokens.ndim != 1:
-        raise ShapeError(f"tokens must be 1-D, got shape {tokens.shape}")
-    if tokens.size and (tokens.min() < 0 or tokens.max() >= cfg.vocab_size):
-        raise ValueError(f"token ids must lie in [0, {cfg.vocab_size})")
+    """tokens as _vocab_ids; refuses a cache built for another config and
+    tokens past max_context from its next position (0 without a cache)."""
+    tokens = _vocab_ids(cfg, tokens)
     if cache is not None and cache.spec != cfg._cache_spec:
         raise ConfigError("cache was built for a different model configuration")
     pos = 0 if cache is None else cache.next_pos
@@ -341,8 +341,8 @@ def forward_full(
     """Whole-sequence forward pass over positions 0 .. len(tokens) - 1, for 1
     to max_context tokens.
 
-    Long LOCAL layers run banded, long GLOBAL layers in causal tiles, every
-    other layer dense (see attention.plan).
+    LOCAL layers over more than 2 * window tokens run banded, every other
+    layer in causal tiles (see attention.plan).
     Returns (logits, tape); tape holds the per-layer intermediates the
     backward pass needs and is None unless keep_tape is set.
     """

@@ -12,7 +12,7 @@ import numpy as np
 
 from .attention import attend_backward, plan
 from .model import (
-    GELU_A, GELU_C, ModelConfig, _merge_heads, _split_heads, _token_ids, forward_full, gelu,
+    GELU_A, GELU_C, ModelConfig, _merge_heads, _split_heads, _vocab_ids, forward_full, gelu,
     init_params,
 )
 from .tensor import rms_norm, rope_rotate, softmax_rows
@@ -155,8 +155,9 @@ def loss_and_grads(
     grad_fn: Optional[Callable] = None,
 ):
     """One forward/backward pass. grad_fn(logits) -> (loss, dlogits); the
-    default is next-token cross-entropy over the sequence."""
-    tokens = _token_ids(tokens)
+    default is next-token cross-entropy over the sequence. Every id, the last
+    target too, is checked before any work."""
+    tokens = _vocab_ids(cfg, tokens)
     if len(tokens) < 2:
         raise ValueError(f"need at least 2 tokens to train on, got {len(tokens)}")
     logits, tape = forward_full(params, cfg, tokens[:-1], keep_tape=True)
@@ -226,7 +227,7 @@ def train_byte_lm(
     captures the initialization. grad_fn_for(window_tokens) may supply a
     custom per-window loss (used by distillation); default is hard-label CE.
     """
-    data = _token_ids(data)
+    data = _vocab_ids(cfg, data)
     if batch_len is not None and batch_len < 1:
         raise ValueError(f"batch_len must be >= 1, got {batch_len}")
     if len(data) < 2:
@@ -263,9 +264,10 @@ def mean_ce(params: dict, cfg: ModelConfig, data: Sequence[int]) -> float:
     """Held-out next-token cross-entropy of a trained model.
 
     Data with more than max_context targets is scored in consecutive windows
-    of up to max_context targets, each weighted by its target count.
+    of up to max_context targets, each weighted by its target count. Every
+    id, the last target too, is checked before any window runs.
     """
-    data = _token_ids(data)
+    data = _vocab_ids(cfg, data)
     if len(data) < 2:
         raise ValueError(f"need at least 2 tokens to score, got {len(data)}")
     total = 0.0

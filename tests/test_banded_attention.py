@@ -1,4 +1,4 @@
-"""Banded LOCAL and tiled GLOBAL attention against dense masked attention.
+"""Banded and tiled attention against dense masked attention.
 
 The oracle below is the dense computation the band and the causal tiles
 replace: every query scores every key, the causal window is masked out, and
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from gemma_mini import attention, model, train
-from gemma_mini.attention import BAND, DENSE, TILES, LayerKind, _tiles, pass_layout, plan
+from gemma_mini.attention import BAND, TILES, LayerKind, plan
 from gemma_mini.model import ModelConfig, forward_full, init_params
 from gemma_mini.train import cross_entropy, loss_and_grads
 
@@ -73,9 +73,9 @@ def logits_and_grads(params, cfg, tokens):
 CASES = [
     (T, window, group, tie)
     for window in (1, 2, 16)
-    # band edges, then the GLOBAL layer's tile edges: dense at 128, tiled above
+    # band edges, then the tile edges: one tile up to 64 rows, more above
     for T in sorted({2 * window, 2 * window + 1, 3 * window, 3 * window + 5,
-                     128, 129, 192, 197, 512})
+                     64, 65, 128, 129, 192, 197, 512})
     for group in (1, 2)
     for tie in (True, False)
 ]
@@ -98,37 +98,48 @@ def test_matches_dense_oracle(monkeypatch, T, window, group, tie):
 
 
 @pytest.mark.parametrize("T, local_shape", [
-    (8, (8, 8)),  # T = 2 * window: dense
+    (8, None),  # T = 2 * window: causal tiles
     (9, (3, 4, 8)),  # banded, the last block padded
     (12, (3, 4, 8)),
 ])
 def test_long_local_layers_run_banded(T, local_shape):
     """The plans of a pass over T rows: the LOCAL layer's mask is the band's
-    (n_blocks, window, 2 * window) above T = 2 * window, and the GLOBAL layer
-    runs dense up to 128 rows."""
+    (n_blocks, window, 2 * window) above T = 2 * window. Every other pass,
+    and any chunk after retained keys, runs causal tiles with no planned
+    mask: each tile builds its own."""
     cfg = small_config(4, 2, True)
     plans = [plan(cfg.attn_for(kind), np.arange(T)) for kind in cfg.kinds()]
-    local_layout = BAND if len(local_shape) == 3 else DENSE
-    assert [(layout, mask.shape) for _, _, mask, layout in plans] == [
-        (local_layout, local_shape), (DENSE, (T, T))]
+    local = (BAND, local_shape) if local_shape else (TILES, None)
+    assert [(layout, None if mask is None else mask.shape) for _, _, mask, layout in plans] == [
+        local, (TILES, None)]
+    # an empty retained set is no earlier key; three are
+    local_att = cfg.attn_for(LayerKind.LOCAL)
+    assert plan(local_att, np.arange(T), np.arange(0))[3] == local[0]
+    assert plan(local_att, np.arange(3, 3 + T), np.arange(3))[2:] == (None, TILES)
 
 
-@pytest.mark.parametrize("T", [129, 197])
-def test_tiled_probs_are_zero_above_the_tiles(T, monkeypatch):
+@pytest.mark.parametrize("kind, window, T", [
+    (LayerKind.GLOBAL, 4, 129), (LayerKind.GLOBAL, 4, 197),
+    (LayerKind.LOCAL, 80, 129),  # T <= 2 * window: the local layer runs tiles too
+])
+def test_tiled_probs_are_zero_outside_each_rows_keys(kind, window, T, monkeypatch):
     """The probabilities the backward recomputes for each causal tile are
-    zero above the tile's diagonal and row-stochastic, and the tiles cover
-    the rows in order, each over keys [0, e)."""
-    cfg = small_config(4, 2, True)
-    att = cfg.attn_for(LayerKind.GLOBAL)
-    _, _, diagonal, layout = plan(att, np.arange(T))
-    assert layout == TILES and diagonal.shape == (64, 64)
-    tiles = list(_tiles(diagonal, T))
-    assert [(b, e) for b, e, _ in tiles] == [(b, min(b + 64, T)) for b in range(0, T, 64)]
+    the forward's, row-stochastic, and zero wherever a row may not look:
+    above its diagonal and, for LOCAL, left of its window. The tiles cover
+    the rows in order, tile [b, e) over keys [lo, e), lo the first key row
+    b sees (0 for GLOBAL)."""
+    cfg = small_config(window, 2, True)
+    _, _, mask, layout = plan(cfg.attn_for(kind), np.arange(T))
+    assert layout == TILES and mask is None
+    tiles = []
+    for b in range(0, T, 64):
+        lo = 0 if kind is LayerKind.GLOBAL else max(0, b - window + 1)
+        tiles.append((b, min(b + 64, T), lo))
     recomputed = []
 
     def recording_probs(qb, kb, cfg, mask):
         probs = real_probs(qb, kb, cfg, mask)
-        if cfg.kind is LayerKind.GLOBAL:
+        if cfg.kind is kind:
             recomputed.append(probs)
         return probs
 
@@ -138,10 +149,12 @@ def test_tiled_probs_are_zero_above_the_tiles(T, monkeypatch):
     tokens = np.arange(T + 1) % 40
     loss_and_grads(params, cfg, tokens)
     assert len(recomputed) == 2 * len(tiles)  # each tile's in the forward, then the backward
-    for (b, e, _), fwd, bwd in zip(tiles, recomputed, recomputed[len(tiles):]):
-        assert bwd.shape == (2, 2, 1, e - b, e)
+    for (b, e, lo), fwd, bwd in zip(tiles, recomputed, recomputed[len(tiles):]):
+        assert bwd.shape == (2, 2, 1, e - b, e - lo)
         np.testing.assert_array_equal(bwd, fwd)  # the backward's are the forward's
-        np.testing.assert_array_equal(np.triu(bwd, 1 + b), 0.0)  # above each row's diagonal
+        diff = np.arange(b, e)[:, None] - np.arange(lo, e)[None, :]
+        unseen = (diff < 0) | (diff >= window) if kind is LayerKind.LOCAL else diff < 0
+        np.testing.assert_array_equal(bwd[..., unseen], 0.0)
         np.testing.assert_allclose(bwd.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
 
@@ -151,7 +164,7 @@ def test_banded_gradient_matches_central_differences():
     rng = np.random.default_rng(11)
     params = init_params(cfg, seed=5, scale=0.3)
     tokens = rng.integers(0, cfg.vocab_size, size=14)
-    assert pass_layout(cfg.attn_for(LayerKind.LOCAL), len(tokens) - 1) == BAND
+    assert plan(cfg.attn_for(LayerKind.LOCAL), np.arange(len(tokens) - 1))[3] == BAND
     _, grads = loss_and_grads(params, cfg, tokens)
 
     def loss_at():

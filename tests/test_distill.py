@@ -392,6 +392,14 @@ class TestRunChecksBeforeTraining:
                                  **args)
         assert runs == []
 
+    def test_corpus_ids_checked_before_any_training(self, monkeypatch):
+        # the corpus's last id is only a target of the held-out score
+        monkeypatch.setattr(distill, "train_byte_lm", lambda *a, **k: pytest.fail("trained"))
+        student = _cfg(1, 16, 4, window=4)
+        with pytest.raises(ValueError, match="token ids must lie"):
+            run_toy_distillation(word_corpus(n_words=12) + [VOCAB_SIZE],
+                                 _cfg(2, 16, 4, window=4), student)
+
 
 class TestWindowSeeds:
     def test_window_seed_is_a_function_of_seed_and_window(self):

@@ -214,7 +214,7 @@ class TestAppendReturns:
 
 class TestHeldBytesMatchThePlanner:
     def test_every_context_on_toy(self):
-        # prefills dense, past the window, banded and tiled, then single steps
+        # prefills in one tile, past the window, banded and tiled, then single steps
         # up to max_context: every layer holds exactly its kv_bytes, in arrays
         # that own their data (no view pins a longer buffer)
         cfg = ModelConfig.from_dict(preset_values("toy"))

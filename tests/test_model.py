@@ -301,17 +301,19 @@ class TestChunk:
                 np.testing.assert_allclose(chunk, full[prefix:], atol=1e-9)
                 assert cache.next_pos == prefix + n
 
-    @pytest.mark.parametrize("window", [1, 4])
+    # window 80 is taller than a causal tile
+    @pytest.mark.parametrize("window", [1, 4, 80])
     @pytest.mark.parametrize("tied", [True, False])
     def test_chunk_after_any_cache_matches_the_full_pass(self, window, tied):
         # the cache hands a local layer only the rows the chunk can see (none at
-        # window 1), and one row attends without a mask; after every chunk each
-        # layer holds exactly its kv_bytes
+        # window 1), which the chunk reads in causal tiles of 64 rows (130 rows
+        # are three), one row without a mask; after every chunk each layer
+        # holds exactly its kv_bytes
         cfg = toy_config(window=window, tie_embeddings=tied, max_context=512)
         params = init_params(cfg, seed=23 + window)
-        tokens = np.random.default_rng(window).integers(0, cfg.vocab_size, size=283)
+        tokens = np.random.default_rng(window).integers(0, cfg.vocab_size, size=330)
         for prefix in (0, 1, window - 1, window, 200):
-            for n in (1, 2, 37, 83):
+            for n in (1, 2, 37, 83, 130):
                 cache = make_cache(cfg)
                 for start, stop in ((0, prefix), (prefix, prefix + n)):
                     if stop > start:
@@ -323,6 +325,25 @@ class TestChunk:
                     assert held == (want if stop else [0] * cfg.n_layers), (prefix, n, stop)
                 full, _ = forward_full(params, cfg, tokens[:prefix + n])
                 np.testing.assert_allclose(chunk, full[prefix:], rtol=0, atol=1e-12)
+
+    def test_no_mask_is_taller_than_a_tile(self, monkeypatch):
+        # a 300-row chunk after 200 cached tokens, then a fresh 130-row pass
+        # whose local layers run banded: every mask is a tile's or the band's
+        cfg = toy_config(window=4, max_context=512)
+        params = init_params(cfg, seed=24)
+        tokens = np.random.default_rng(24).integers(0, cfg.vocab_size, size=500)
+        cache = make_cache(cfg)
+        model._run(params, cfg, tokens[:200], cache)
+        rows, real_build_mask = [], attention.build_mask
+
+        def recording_build_mask(kind, q_positions, *args):
+            rows.append(len(q_positions))
+            return real_build_mask(kind, q_positions, *args)
+
+        monkeypatch.setattr(attention, "build_mask", recording_build_mask)
+        model._run(params, cfg, tokens[200:], cache)
+        model._run(params, cfg, tokens[:130], make_cache(cfg))
+        assert rows and max(rows) <= 64
 
     def test_capacity_checked_before_any_work(self, monkeypatch):
         cfg = toy_config(max_context=8, window=4)
@@ -346,8 +367,9 @@ class TestChunk:
 
 
 class TestPerKindWork:
-    """A chunk computes its rotation and its mask, if it has one, once per
-    layer kind."""
+    """A chunk computes its plan and its rotation once per layer kind, and
+    the band's mask once per banded kind; a causal tile builds its own mask
+    in each layer it runs in."""
 
     @staticmethod
     def counting(monkeypatch, names):
@@ -368,7 +390,7 @@ class TestPerKindWork:
             monkeypatch.setattr(attention, name, wrapper)
         return calls
 
-    def test_one_mask_and_one_rotation_per_kind_per_chunk(self, monkeypatch):
+    def test_one_plan_and_one_rotation_per_kind_per_chunk(self, monkeypatch):
         cfg = toy_config(window=4)
         params = init_params(cfg, seed=30)
         tokens = np.random.default_rng(30).integers(0, cfg.vocab_size, size=130)
@@ -392,18 +414,21 @@ class TestPerKindWork:
             for c in (*calls.values(), layouts):
                 c.clear()
             model._run(params, cfg, tokens[start:stop], chunk_cache)
-            # one row that continues a cache sees every key it is handed: no mask
-            masks = 0 if start and stop - start == 1 else len(kinds)
-            mask_kinds = [args[0] for args in calls["build_mask"]]
-            assert len(mask_kinds) == len(set(mask_kinds)) <= len(kinds)
-            assert len(calls["build_mask"]) + len(calls["band_mask"]) == masks
+            # a mask per tile of 64 rows in each tiled layer; one row that
+            # continues a cache sees every key it reads and builds none
+            tiles = 0 if start and stop - start == 1 else -(-(stop - start) // 64)
+            banded = [kind for kind, layout in layouts if layout == BAND]
+            assert len(calls["band_mask"]) == len(banded) <= 1
+            tiled = [kind for kind in cfg.kinds() if kind not in banded]
+            assert [args[0] for args in calls["build_mask"]] == [
+                kind for kind in tiled for _ in range(tiles)]
             assert len(calls["rope_cos_sin"]) == len(kinds)
             assert len(layouts) == len(kinds)
         assert cache.next_pos == 40
-        assert len(calls["band_mask"]) == 1 and mask_kinds == [LayerKind.GLOBAL]
+        assert tiles == 3 and len(calls["band_mask"]) == 1
         assert dict(layouts) == {LayerKind.LOCAL: BAND, LayerKind.GLOBAL: TILES}
 
-    @pytest.mark.parametrize("T", [5, 20])  # local layers dense, then banded (window 4)
+    @pytest.mark.parametrize("T", [5, 20])  # local layers tiled, then banded (window 4)
     @pytest.mark.parametrize("tied", [True, False])
     def test_tape_rotation_equals_the_public_kernels(self, T, tied):
         cfg = toy_config(window=4, tie_embeddings=tied, rope_scale_global=8.0)
@@ -422,7 +447,7 @@ class TestPerKindWork:
             assert np.array_equal(t["qr"], rope_apply(qn, positions, rope))
             assert np.array_equal(t["kr"], rope_apply(kn, positions, rope))
 
-    @pytest.mark.parametrize("T", [5, 20, 200])  # dense; banded; banded and tiled
+    @pytest.mark.parametrize("T", [5, 20, 200])  # tiled; banded; banded and 4 tiles
     def test_tape_plans_keep_no_mask(self, T, monkeypatch):
         """The tape keeps no plan, so no mask: the backward plans each kind
         again from the tape's positions, with the forward's layout."""
@@ -431,18 +456,17 @@ class TestPerKindWork:
         _, tape = forward_full(init_params(cfg, seed=5), cfg, tokens[:-1], keep_tape=True)
         assert "plans" not in tape
         np.testing.assert_array_equal(tape["positions"], np.arange(T))
-        layouts = {}
-        real_plan = train.plan
+        layouts = {model: {}, train: {}}  # kind -> layout, per planning module
+        for module, seen in layouts.items():
+            def recording_plan(att, positions, *args, _seen=seen, _real=module.plan):
+                kind_plan = _real(att, positions, *args)
+                _seen[att.kind] = kind_plan[3]
+                return kind_plan
 
-        def recording_plan(att, positions, *args):
-            kind_plan = real_plan(att, positions, *args)
-            layouts[att.kind] = kind_plan[3]
-            return kind_plan
-
-        monkeypatch.setattr(train, "plan", recording_plan)
+            monkeypatch.setattr(module, "plan", recording_plan)
         loss_and_grads(init_params(cfg, seed=5), cfg, tokens)
-        assert layouts == {kind: attention.pass_layout(cfg.attn_for(kind), T)
-                           for kind in (LayerKind.LOCAL, LayerKind.GLOBAL)}
+        assert layouts[train] == layouts[model] == {
+            LayerKind.LOCAL: BAND if T > 2 * cfg.window else TILES, LayerKind.GLOBAL: TILES}
 
     @pytest.mark.parametrize("tied", [True, False])
     def test_chunks_across_a_ring_wrap_match_one_step_per_token(self, tied):

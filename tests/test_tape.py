@@ -4,10 +4,9 @@ Each RMS norm's divisor and the GELU's tanh term are computed once in the
 forward pass and read back by backward_full. The formulas the backward used
 to recompute them, and the backward that used them, are kept here as the
 reference: taped values must equal them bit for bit, and so must every
-gradient wherever no causal tiles run (T <= 128). The tape keeps neither the
-attention probabilities nor each layer's x1: the reference, like
-backward_full, recomputes the probabilities through attend_backward and
-rebuilds x1 from x0 and the post-attention norm.
+gradient. The tape keeps neither the attention probabilities nor each
+layer's x1: the reference, like backward_full, recomputes the probabilities
+through attend_backward and rebuilds x1 from x0 and the post-attention norm.
 """
 
 import numpy as np
@@ -128,8 +127,8 @@ def recomputing_backward(params, cfg, tape, dlogits):
     return grads
 
 
-# T = 4 runs every layer dense; above 2 * window the LOCAL layers run banded.
-# No GLOBAL layer runs in tiles at T <= 128.
+# T = 4 runs every layer in one causal tile; above 2 * window the LOCAL
+# layers run banded. A GLOBAL layer runs one tile at T <= 64, two above.
 CASES = [(make, T) for make in (toy, distill_teacher) for T in (4, 40, 100, 128)]
 IDS = [f"{make.__name__}-T{T}" for make, T in CASES]
 

@@ -255,6 +255,23 @@ class TestTokenIds:
         with pytest.raises(ValueError, match="token ids must be integers"):
             runs[entry]()
 
+    @pytest.mark.parametrize("bad", ["-1", "vocab_size"])
+    @pytest.mark.parametrize("entry", ["loss_and_grads", "train_byte_lm", "mean_ce"])
+    def test_a_last_id_outside_the_vocabulary_refused_before_any_work(
+            self, monkeypatch, entry, bad):
+        # the last id is only a target, which no forward pass reads
+        cfg = tiny_config()
+        params = init_params(cfg, seed=0)
+        tokens = [3, 4, {"-1": -1, "vocab_size": cfg.vocab_size}[bad]]
+        monkeypatch.setattr(train, "forward_full", lambda *a, **k: pytest.fail("ran a pass"))
+        runs = {
+            "loss_and_grads": lambda: loss_and_grads(params, cfg, tokens),
+            "train_byte_lm": lambda: train_byte_lm(cfg, tokens, steps=1),
+            "mean_ce": lambda: mean_ce(params, cfg, tokens),
+        }
+        with pytest.raises(ValueError, match=r"token ids must lie in \[0, 32\)"):
+            runs[entry]()
+
 
 class TestOverfit:
     def test_two_layer_model_memorizes_small_corpus(self, overfit_run):
