@@ -19,7 +19,8 @@ they read. A chunk has one of two layouts:
   cache or a decode step, runs in causal query tiles of up to 64 rows. Tile
   [b, e) scores keys [lo, R + e) of the R retained keys followed by the
   chunk's: lo is 0 for GLOBAL and the first key row b sees for LOCAL. Each
-  tile builds its own mask as it runs. No T x (R + T) array is built.
+  tile builds its own mask as it runs. No T x (R + T) array is built. A
+  decode step, one row after retained keys, is one unmasked block.
 
 attend returns no probabilities: attend_backward recomputes them block by
 block through the forward's own helper, so they match it bit for bit.
@@ -27,6 +28,7 @@ block through the forward's own helper, so they match it bit for bit.
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -38,6 +40,7 @@ from .tensor import NEG_INF, RopeParams, rms_norm, rope_cos_sin, softmax_rows
 class LayerKind(Enum):
     LOCAL = "local"
     GLOBAL = "global"
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C, not by name
 
 
 @dataclass(frozen=True)
@@ -67,6 +70,10 @@ class AttentionConfig:
     @property
     def group_size(self) -> int:
         return self.num_query_heads // self.num_kv_heads
+
+    @cached_property
+    def _sqrt_head_dim(self) -> float:  # the logits' divisor, kept like RopeParams._inv_freqs
+        return float(np.sqrt(self.head_dim))
 
 
 def build_mask(
@@ -199,11 +206,9 @@ def _tile(cfg: AttentionConfig, n_retained: int, b: int, n_rows: int):
     n_retained + e), from the first one row b sees (0 for GLOBAL) to row
     e - 1 itself, skipping the fully masked blocks (as FlashAttention does).
     mask is build_mask's over those rows, by position relative to the first
-    key; one row after retained keys sees every key it reads: no mask."""
+    key."""
     R, e = n_retained, min(b + _TILE, n_rows)
     lo = 0 if cfg.kind is LayerKind.GLOBAL else max(0, R + b - cfg.window + 1)
-    if e - b == 1 and R:
-        return e, lo, None
     return e, lo, build_mask(cfg.kind, np.arange(R + b, R + e), np.arange(lo, R + e), cfg.window)
 
 
@@ -211,16 +216,17 @@ def _probs(qb: np.ndarray, kb: np.ndarray, cfg: AttentionConfig, mask) -> np.nda
     """Softmax over keys of qb's scaled logits against kb plus the mask, if
     any; one helper for attend and attend_backward, so both get the same bits."""
     scores = qb @ kb.swapaxes(-1, -2)
-    scores /= np.sqrt(cfg.head_dim)
+    scores /= cfg._sqrt_head_dim
     if mask is not None:
         scores += mask
     return softmax_rows(scores)
 
 
 def _dense(q: np.ndarray, k: np.ndarray, v: np.ndarray, cfg: AttentionConfig, mask):
-    """Attention of q over every row of k, v in one block, under a (Tq, Tk) mask or none."""
-    probs = _probs(_query_blocks(q, cfg, q.shape[1]), k[:, None, None], cfg, mask)
-    return _merge_query_blocks(probs @ v[:, None, None], q.shape[1])
+    """Attention of q over every row of k, v in one block, under a (Tq, Tk) mask or none.
+    The block is unpadded, so q and the output only change shape (_query_blocks' layout)."""
+    probs = _probs(q.reshape(cfg.num_kv_heads, -1, 1, *q.shape[1:]), k[:, None, None], cfg, mask)
+    return (probs @ v[:, None, None]).reshape(q.shape)
 
 
 def attend(
@@ -233,13 +239,17 @@ def attend(
 
     BAND: q, k, v cover the same consecutive rows and mask is band_mask(Tq,
     window). TILES (mask None): k, v hold Tk - Tq retained rows, then q's
-    own, and q runs in tiles of up to 64 rows (_tile). Inputs are not
-    validated.
+    own, and q runs in tiles of up to 64 rows (_tile); one row after them,
+    a decode step, is one unmasked block over the key rows [lo, Tk) it sees.
+    Inputs are not validated.
     """
     if layout == BAND:
         probs = _probs(_query_blocks(q, cfg, cfg.window), _key_blocks(k, cfg), cfg, mask)
         return _merge_query_blocks(probs @ _key_blocks(v, cfg), q.shape[1])
     n_rows, R = q.shape[1], k.shape[1] - q.shape[1]
+    if n_rows == 1 and R:  # sees every key from lo on: no mask
+        lo = 0 if cfg.kind is LayerKind.GLOBAL else max(0, R - cfg.window + 1)
+        return _dense(q, k[:, lo:], v[:, lo:], cfg, None)
     tiles = []
     for b in range(0, n_rows, _TILE):
         e, lo, tile_mask = _tile(cfg, R, b, n_rows)
@@ -255,7 +265,7 @@ def _block_grads(qb, kb, vb, dout_b, cfg: AttentionConfig, mask):
     dscores = dprobs  # probs * (dprobs - rowsum(dprobs * probs)), in place
     dscores -= np.add.reduce(dprobs * probs, axis=-1, keepdims=True)
     dscores *= probs
-    scale = 1.0 / np.sqrt(cfg.head_dim)
+    scale = 1.0 / cfg._sqrt_head_dim
     dq = dscores @ kb
     dq *= scale
     dk = dscores.swapaxes(-1, -2) @ qb

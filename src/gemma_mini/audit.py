@@ -78,8 +78,10 @@ def make_samples(
     return samples
 
 
-def levenshtein(a: Sequence[int], b: Sequence[int]) -> int:
-    """Token-level edit distance (insert/delete/substitute), two-row DP."""
+def levenshtein(a: Sequence[int], b: Sequence[int], bound: Optional[int] = None) -> int:
+    """Token-level edit distance (insert/delete/substitute), two-row DP. With a
+    bound, a distance above it is bound + 1, returned once a row's minimum
+    exceeds the bound: row minima never fall."""
     if len(a) < len(b):
         a, b = b, a
     prev = list(range(len(b) + 1))
@@ -87,8 +89,10 @@ def levenshtein(a: Sequence[int], b: Sequence[int]) -> int:
         cur = [i] + [0] * len(b)
         for j, y in enumerate(b, start=1):
             cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (x != y))
+        if bound is not None and min(cur) > bound:
+            return bound + 1
         prev = cur
-    return prev[len(b)]
+    return prev[len(b)] if bound is None else min(prev[len(b)], bound + 1)
 
 
 def classify(generated: Sequence[int], true_suffix: Sequence[int]) -> Match:
@@ -102,7 +106,7 @@ def classify(generated: Sequence[int], true_suffix: Sequence[int]) -> Match:
     true_suffix = [int(t) for t in true_suffix]
     if generated == true_suffix:
         return Match.EXACT
-    if levenshtein(generated, true_suffix) <= APPROX_DISTANCE:
+    if levenshtein(generated, true_suffix, APPROX_DISTANCE) <= APPROX_DISTANCE:
         return Match.APPROXIMATE
     return Match.NONE
 

@@ -221,7 +221,7 @@ def _vocab_ids(cfg: ModelConfig, tokens) -> np.ndarray:
         raise ValueError(f"token ids must be integers, got {tokens!r:.60}")
     if ids.ndim != 1:
         raise ShapeError(f"tokens must be 1-D, got shape {ids.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
+    if ids.size and (np.minimum.reduce(ids) < 0 or np.maximum.reduce(ids) >= cfg.vocab_size):
         raise ValueError(f"token ids must lie in [0, {cfg.vocab_size})")
     return ids.astype(np.int64, copy=False)
 
@@ -262,7 +262,7 @@ def _layer(params, cfg, i, kind, h, positions, kind_plan, cache=None, tape=None)
     output; neither the attention probabilities nor x1, which the backward
     rebuilds from qr and kr and from x0 and attn_out.
     """
-    w, att, eps = cfg._layer_keys[i], cfg.attn_for(kind), cfg.rms_eps
+    w, att, eps = cfg._layer_keys[i], cfg._attn_configs[kind], cfg.rms_eps
     cos, sin, mask, layout = kind_plan
     div_ln1 = rms_divisor(h, eps)
     ln1 = rms_norm(h, params[w["pre_attn_norm"]], eps, div_ln1)
@@ -321,7 +321,7 @@ def _run(params, cfg, tokens, cache=None, tape=None):
     for i, kind in enumerate(cfg._kinds):
         if kind not in plans:
             retained = cache.retained(i) if cache is not None and start else None
-            plans[kind] = plan(cfg.attn_for(kind), positions, retained)
+            plans[kind] = plan(cfg._attn_configs[kind], positions, retained)
     h = params["embed"][tokens]
     for i, kind in enumerate(cfg._kinds):
         h = _layer(params, cfg, i, kind, h, positions, plans[kind], cache, tape)

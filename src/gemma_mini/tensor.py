@@ -71,7 +71,7 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
     row_max = np.maximum.reduce(m, axis=-1, keepdims=True)  # np.max without its wrapper
     # a NaN anywhere in a row makes its max NaN, a +inf makes it +inf and a
     # fully masked row makes it -inf; one check catches all three
-    if not np.isfinite(row_max).all():
+    if not np.logical_and.reduce(np.isfinite(row_max), axis=None):  # .all() without its wrapper
         if np.isnan(row_max).any() or (row_max == np.inf).any():
             raise ValueError("softmax input must be finite or -inf")
         raise MaskError("fully masked row: every entry is -inf")

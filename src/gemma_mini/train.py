@@ -177,18 +177,27 @@ class Adam:
         self.t = 0
 
     def step(self, params: dict, grads: dict) -> None:
+        """params -= lr * m_hat / (sqrt(v_hat) + eps) in place, in that order of operations."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
+        c1, c2 = 1 - b1**self.t, 1 - b2**self.t
         for name, grad in grads.items():
-            m = self.m.setdefault(name, np.zeros_like(grad))
-            v = self.v.setdefault(name, np.zeros_like(grad))
+            if name not in self.m:  # its first step
+                self.m[name], self.v[name] = np.zeros_like(grad), np.zeros_like(grad)
+            m, v = self.m[name], self.v[name]
             m *= b1
             m += (1 - b1) * grad
+            tmp = np.multiply(1 - b2, grad)
+            tmp *= grad
             v *= b2
-            v += (1 - b2) * grad * grad
-            m_hat = m / (1 - b1**self.t)
-            v_hat = v / (1 - b2**self.t)
-            params[name] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            v += tmp
+            denom = np.divide(v, c2)  # v_hat
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            np.divide(m, c1, out=tmp)  # m_hat
+            tmp *= self.lr
+            tmp /= denom
+            params[name] -= tmp
 
 
 @dataclass

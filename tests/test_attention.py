@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gemma_mini import attention
 from gemma_mini.attention import AttentionConfig, LayerKind, build_mask, gqa_attend, qk_norm
 from gemma_mini.errors import ConfigError, MaskError
 from gemma_mini.tensor import NEG_INF, RopeParams, softmax_rows
@@ -161,3 +162,27 @@ class TestConfigValidation:
     def test_global_rejects_window(self):
         with pytest.raises(ConfigError):
             cfg_for(4, 2, kind=LayerKind.GLOBAL, window=5)
+
+
+class TestDecodeStep:
+    @pytest.mark.parametrize("kind", [LayerKind.LOCAL, LayerKind.GLOBAL])
+    @pytest.mark.parametrize("n_retained", [1, 15, 16, 40])  # 1, window - 1, window, past it
+    def test_one_row_equals_the_masked_block(self, kind, n_retained):
+        # a decode step skips the tile loop and the mask; it must still be the
+        # one-block attention of the row under build_mask, bit for bit over
+        # the keys the mask leaves it (masked keys would only add zeros, in
+        # another summation order) and to rounding over all of them
+        window = 16
+        cfg = cfg_for(4, 2, head_dim=16, kind=kind,
+                      window=window if kind is LayerKind.LOCAL else None)
+        rng = np.random.default_rng(n_retained)
+        q = rng.normal(size=(4, 1, 16))
+        k, v = rng.normal(size=(2, 2, n_retained + 1, 16))
+        keys = np.arange(n_retained + 1)
+        mask = build_mask(kind, keys[-1:], keys, cfg.window)
+        seen = np.flatnonzero(mask[0] == 0.0)
+        assert seen.size == (n_retained + 1 if cfg.window is None else min(n_retained + 1, window))
+        got = attention.attend(q, k, v, cfg, None, attention.TILES)
+        np.testing.assert_array_equal(
+            got, attention._dense(q, k[:, seen], v[:, seen], cfg, mask[:, seen]))
+        np.testing.assert_allclose(got, attention._dense(q, k, v, cfg, mask), rtol=0, atol=1e-15)

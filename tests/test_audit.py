@@ -51,6 +51,21 @@ class TestLevenshtein:
             b = rng.integers(0, 5, size=20).tolist()
             assert levenshtein(a, b) == levenshtein(b, a)
 
+    def test_bound_caps_the_distance_at_one_past_it(self):
+        rng = np.random.default_rng(2)
+        for _ in range(200):
+            a = rng.integers(0, 6, size=rng.integers(0, 30)).tolist()
+            if rng.random() < 0.5:  # random pairs, or a's copy with a few edits
+                b = rng.integers(0, 6, size=rng.integers(0, 30)).tolist()
+            else:
+                b = list(a)
+                for _ in range(rng.integers(0, 8)):
+                    j = int(rng.integers(0, len(b) + 1))
+                    b[j:j + int(rng.integers(0, 2))] = rng.integers(0, 6, size=rng.integers(0, 2))
+            full = levenshtein(a, b)
+            for k in range(0, 10):
+                assert levenshtein(a, b, bound=k) == min(full, k + 1), (a, b, k)
+
     def test_known_values(self):
         assert levenshtein([], []) == 0
         assert levenshtein([1, 2, 3], [1, 2, 3]) == 0

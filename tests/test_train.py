@@ -162,6 +162,27 @@ class TestAdam:
             opt.step(params, {"x": 2 * params["x"]})
         np.testing.assert_allclose(params["x"], 0.0, atol=1e-3)
 
+    def test_three_steps_equal_the_textbook_update_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        params = {"w": rng.normal(size=(5, 3)), "g": rng.normal(size=7)}
+        want = {name: p.copy() for name, p in params.items()}
+        opt, lr, b1, b2, eps = Adam(lr=0.05), 0.05, 0.9, 0.999, 1e-8
+        m = {name: np.zeros_like(p) for name, p in params.items()}
+        v = {name: np.zeros_like(p) for name, p in params.items()}
+        for t in range(1, 4):
+            grads = {name: rng.normal(size=p.shape) for name, p in params.items()}
+            opt.step(params, grads)
+            for name, grad in grads.items():
+                m[name] = b1 * m[name] + (1 - b1) * grad
+                v[name] = b2 * v[name] + (1 - b2) * grad * grad
+                m_hat = m[name] / (1 - b1**t)
+                v_hat = v[name] / (1 - b2**t)
+                want[name] = want[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            for name in params:
+                np.testing.assert_array_equal(params[name], want[name])
+                np.testing.assert_array_equal(opt.m[name], m[name])
+                np.testing.assert_array_equal(opt.v[name], v[name])
+
 
 class TestTrainByteLm:
     def test_windows_reach_both_ends_of_the_data(self):
