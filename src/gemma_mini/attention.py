@@ -4,23 +4,24 @@ Local layers attend inside a trailing window (the query position counts as
 part of the window); Global layers attend to the whole causal prefix. Both
 kinds carry their own rotary parameters.
 
-`plan` computes what every layer of one kind shares over a chunk: the
-rotation and the layout, with the band's mask. The forward pass calls it
-once per kind, and the backward pass again from the tape's positions.
+`plan` computes, from a chunk's positions alone, what every layer of one
+kind shares over it: the rotation and, when the chunk runs banded, the
+band's mask. The forward pass calls it once per kind, and the backward pass
+again from the tape's positions.
 
 Scores are computed in blocks, with query heads grouped under the kv head
-they read. A chunk has one of two layouts:
+they read. A chunk runs one of two ways:
 
-- BAND: a LOCAL chunk with no earlier keys over more than 2 * window rows
+- Banded: a LOCAL chunk from position 0 over more than 2 * window rows
   cuts its rows into blocks of `window` queries, each scoring only its own
   key block and the one before, all in one batch, so it costs O(T * window)
   instead of O(T^2).
-- TILES: every other chunk, whether a short pass, a chunk that continues a
-  cache or a decode step, runs in causal query tiles of up to 64 rows. Tile
-  [b, e) scores keys [lo, R + e) of the R retained keys followed by the
+- Causal tiles: every other chunk, whether a short pass, a chunk after
+  earlier rows or a decode step, runs in query tiles of up to 64 rows. Tile
+  [b, e) scores keys [lo, R + e) of the R earlier keys followed by the
   chunk's: lo is 0 for GLOBAL and the first key row b sees for LOCAL. Each
   tile builds its own mask as it runs. No T x (R + T) array is built. A
-  decode step, one row after retained keys, is one unmasked block.
+  decode step, one row after earlier keys, is one unmasked block.
 
 attend returns no probabilities: attend_backward recomputes them block by
 block through the forward's own helper, so they match it bit for bit.
@@ -127,7 +128,6 @@ def qk_norm(
     return rms_norm(q, q_gain, eps), rms_norm(k, k_gain, eps)
 
 
-BAND, TILES = "band", "tiles"
 _TILE = 64  # query rows per causal tile
 
 
@@ -147,22 +147,21 @@ def band_mask(n_rows: int, window: int) -> np.ndarray:
     return mask
 
 
-def plan(cfg: AttentionConfig, positions: np.ndarray, retained: Optional[np.ndarray] = None):
-    """(cos, sin, mask, layout): what every layer of cfg's kind shares over
-    a chunk at `positions`. retained holds the positions of the earlier keys
-    such a layer reads with the chunk (KvCache.retained), or is None.
+def plan(cfg: AttentionConfig, positions: np.ndarray):
+    """(cos, sin, band): what every layer of cfg's kind shares over a chunk
+    at consecutive `positions`.
 
-    A LOCAL chunk with no earlier keys over more than 2 * window rows runs
-    BAND under band_mask; over fewer rows a band, which scores 2 * window
-    keys per row, would score no fewer than the tiles. Every other chunk
-    runs TILES with mask None: each tile builds its own as it runs, so no
-    mask outlives its tile.
+    band is band_mask(T, window) for a LOCAL chunk from position 0 over more
+    than 2 * window rows, and None for every other chunk, which runs in
+    causal tiles. Over fewer rows a band, which scores 2 * window keys per
+    row, would score no fewer than the tiles; a chunk after position 0
+    reads earlier keys, which the band has no block for.
     """
     cos, sin = rope_cos_sin(positions, cfg.rope)
-    T, R = positions.shape[0], 0 if retained is None else retained.size
-    if cfg.kind is LayerKind.LOCAL and T > 2 * cfg.window and not R:
-        return cos, sin, band_mask(T, cfg.window), BAND  # the band reads keys by row, not position
-    return cos, sin, None, TILES
+    T = positions.shape[0]
+    if cfg.kind is LayerKind.LOCAL and T > 2 * cfg.window and positions[0] == 0:
+        return cos, sin, band_mask(T, cfg.window)
+    return cos, sin, None
 
 
 def _query_blocks(x: np.ndarray, cfg: AttentionConfig, rows: int) -> np.ndarray:
@@ -200,14 +199,14 @@ def _fold_key_blocks(xb: np.ndarray, n_rows: int) -> np.ndarray:
     return out.reshape(h_kv, -1, hd)[:, w : w + n_rows]
 
 
-def _tile(cfg: AttentionConfig, n_retained: int, b: int, n_rows: int):
-    """(e, lo, mask) of the causal tile at row b of a TILES pass over n_rows
-    rows after n_retained keys: its rows [b, e) read key rows [lo,
-    n_retained + e), from the first one row b sees (0 for GLOBAL) to row
+def _tile(cfg: AttentionConfig, n_earlier: int, b: int, n_rows: int):
+    """(e, lo, mask) of the causal tile at row b of a tiled pass over n_rows
+    rows after n_earlier keys: its rows [b, e) read key rows [lo,
+    n_earlier + e), from the first one row b sees (0 for GLOBAL) to row
     e - 1 itself, skipping the fully masked blocks (as FlashAttention does).
     mask is build_mask's over those rows, by position relative to the first
     key."""
-    R, e = n_retained, min(b + _TILE, n_rows)
+    R, e = n_earlier, min(b + _TILE, n_rows)
     lo = 0 if cfg.kind is LayerKind.GLOBAL else max(0, R + b - cfg.window + 1)
     return e, lo, build_mask(cfg.kind, np.arange(R + b, R + e), np.arange(lo, R + e), cfg.window)
 
@@ -230,21 +229,20 @@ def _dense(q: np.ndarray, k: np.ndarray, v: np.ndarray, cfg: AttentionConfig, ma
 
 
 def attend(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, cfg: AttentionConfig,
-    mask: Optional[np.ndarray], layout: str,
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, cfg: AttentionConfig, band: Optional[np.ndarray],
 ) -> np.ndarray:
     """Attention of q (num_query_heads, Tq, hd) over k, v (num_kv_heads, Tk,
     hd), query head h reading kv head h // group_size: (num_query_heads,
-    Tq, hd).
+    Tq, hd). band is the chunk's plan's.
 
-    BAND: q, k, v cover the same consecutive rows and mask is band_mask(Tq,
-    window). TILES (mask None): k, v hold Tk - Tq retained rows, then q's
-    own, and q runs in tiles of up to 64 rows (_tile); one row after them,
-    a decode step, is one unmasked block over the key rows [lo, Tk) it sees.
+    With a band, q, k, v cover the same rows 0 .. T-1. Without, k, v hold
+    Tk - Tq earlier rows, then q's own, and q runs in tiles of up to 64
+    rows (_tile); one row after earlier rows, a decode step, is one
+    unmasked block over the key rows [lo, Tk) it sees.
     Inputs are not validated.
     """
-    if layout == BAND:
-        probs = _probs(_query_blocks(q, cfg, cfg.window), _key_blocks(k, cfg), cfg, mask)
+    if band is not None:
+        probs = _probs(_query_blocks(q, cfg, cfg.window), _key_blocks(k, cfg), cfg, band)
         return _merge_query_blocks(probs @ _key_blocks(v, cfg), q.shape[1])
     n_rows, R = q.shape[1], k.shape[1] - q.shape[1]
     if n_rows == 1 and R:  # sees every key from lo on: no mask
@@ -275,20 +273,20 @@ def _block_grads(qb, kb, vb, dout_b, cfg: AttentionConfig, mask):
 
 def attend_backward(
     q: np.ndarray, k: np.ndarray, v: np.ndarray, dout: np.ndarray, cfg: AttentionConfig,
-    mask: Optional[np.ndarray], layout: str,
+    band: Optional[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(dq, dk, dv) of an uncached attend over rows 0 .. T-1, given its plan's
-    mask and layout and d(out). The probabilities are recomputed band by
-    band or tile by tile from q and k, as attend computed them.
+    band and d(out). The probabilities are recomputed band by band or tile
+    by tile from q and k, as attend computed them.
 
     A key row sits in every block that reads it and under every query head
     of its group; its gradient sums those copies.
     """
     n_rows = q.shape[1]
-    if layout == BAND:
+    if band is not None:
         dq, dk, dv = _block_grads(_query_blocks(q, cfg, cfg.window), _key_blocks(k, cfg),
                                   _key_blocks(v, cfg), _query_blocks(dout, cfg, cfg.window),
-                                  cfg, mask)
+                                  cfg, band)
         return (_merge_query_blocks(dq, n_rows), _fold_key_blocks(dk, n_rows),
                 _fold_key_blocks(dv, n_rows))
     dq, dk, dv = np.empty_like(q), np.zeros_like(k), np.zeros_like(v)

@@ -7,7 +7,7 @@ position, (T, vocab) a window. All sampling is seeded and pure.
 """
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -155,7 +155,6 @@ class DistillRunResult:
     teacher_params: dict
     held_out_ce_distilled: Optional[float] = None
     held_out_ce_hard: Optional[float] = None
-    extra: dict = field(default_factory=dict)
 
 
 def run_toy_distillation(
@@ -238,5 +237,4 @@ def run_toy_distillation(
             batch_len=batch_len,
         )
         result.held_out_ce_hard = mean_ce(hard.params, student_cfg, held_out)
-        result.extra["hard_params"] = hard.params
     return result

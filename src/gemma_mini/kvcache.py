@@ -9,10 +9,12 @@ are what kv_bytes counts for it.
 
 Entries arrive in blocks of consecutive positions: one row per decode step,
 or a whole prompt in one prefill chunk. `append` returns the held rows the
-block can see (`retained`), then the block, in one copy per array: all of a
-Global layer's, a Local layer's newest `window - 1`, since the one at `pos -
+block can see, then the block, in one copy per array: all of a Global
+layer's, a Local layer's newest `window - 1`, since the one at `pos -
 window` is outside every row's window. The layer keeps the last `window` of
-them (a Global layer all), which after one row is what it returned.
+them (a Global layer all), which after one row is what it returned. The
+cache takes no part in planning attention: a chunk's plan follows from its
+positions alone.
 
 A cache instance has a single owner and is not thread-safe; separate
 generation streams each get their own cache.
@@ -67,7 +69,7 @@ class KvCache:
         layer's next position.
 
         k, v: a block (T, num_kv_heads, head_dim) or one row (num_kv_heads,
-        head_dim). Returns (keys, values): the held rows at retained(layer),
+        head_dim). Returns (keys, values): the held rows the block can see,
         oldest first, followed by the block's, one copy per array. A Local
         layer then keeps the last `window` of them. Every check runs before
         the store changes.
@@ -94,11 +96,6 @@ class KvCache:
             self._keys[layer], self._values[layer] = keys, values
         self._next_pos[layer] = end
         return keys, values
-
-    def retained(self, layer: int) -> np.ndarray:
-        """Positions (n,) of the held rows the next append returns, increasing."""
-        n = self._next_pos[layer]
-        return np.arange(n - min(self._keys[layer].shape[0], self._visible[layer]), n)
 
     def view(self, layer: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Copies of all stored (keys, values, positions) in increasing position order.

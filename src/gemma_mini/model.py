@@ -7,10 +7,11 @@ gated MLP:
     x = x + norm_post_mlp(mlp(norm_pre_mlp(x)))
 
 Attention is QK-normed and rotary-embedded with parameters chosen by the
-layer's kind. A pass computes one attention.plan per layer kind (rotation
-and layout) and shares it with every layer of that kind; backward_full
-plans again from the training tape's positions. Logits read out through the
-tied embedding by default.
+layer's kind. A pass computes one attention.plan per layer kind from the
+chunk's positions alone (the rotation and the band, if it runs banded) and
+shares it with every layer of that kind; backward_full plans again from the
+training tape's positions. Logits read out through the tied embedding by
+default.
 Every pass enters the layers through _run, which first refuses ids outside
 the vocabulary, a cache built for another config and a chunk past
 max_context; forward(tokens, cache) checks its whole chunk once before its
@@ -50,7 +51,7 @@ def layer_kinds(n_layers: int, local_per_global: int = 5) -> list[LayerKind]:
     if n_layers < 1:
         raise ConfigError(f"n_layers must be >= 1, got {n_layers}")
     if local_per_global < 0:
-        raise ConfigError(f"ratio must be >= 0, got {local_per_global}")
+        raise ConfigError(f"local_per_global must be >= 0, got {local_per_global}")
     period = local_per_global + 1
     return [
         LayerKind.GLOBAL if i % period == local_per_global else LayerKind.LOCAL
@@ -81,25 +82,28 @@ class ModelConfig:
     rms_eps: float = 1e-6
 
     def __post_init__(self):
-        for name in ("n_layers", "num_query_heads", "num_kv_heads"):  # before any modulo
+        """Every bad field fails here, with one ConfigError, before any pass."""
+        for name in ("n_layers", "d_model", "hidden_dim", "vocab_size", "num_query_heads",
+                     "num_kv_heads"):  # the heads before any modulo
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 1 <= self.window <= self.max_context:
             raise ConfigError(
                 f"window {self.window} must lie in [1, max_context={self.max_context}]"
             )
-        if self.num_query_heads % self.num_kv_heads != 0:
-            raise ConfigError("num_kv_heads must divide num_query_heads")
-        if self.head_dim % 2 != 0:
-            raise ConfigError("head_dim must be even")
+        if not 0 < self.rms_eps < np.inf:
+            raise ConfigError(f"rms_eps must be finite and > 0, got {self.rms_eps}")
+        # built now, so that layer_kinds, AttentionConfig and RopeParams check
+        # local_per_global, the heads, head_dim and the rotary fields at construction
+        self._kinds, self._attn_configs
 
     def attn_for(self, kind: LayerKind) -> AttentionConfig:
         return self._attn_configs[kind]
 
     @cached_property
     def _attn_configs(self) -> dict:
-        # built on first use and kept in the instance __dict__, outside the fields
-        # that equality, hashing and weight files read
+        # built by __post_init__ and kept in the instance __dict__, outside the
+        # fields that equality, hashing and weight files read
         heads = (self.num_query_heads, self.num_kv_heads, self.head_dim)
         local = RopeParams(self.rope_local_base, self.rope_scale_local, self.head_dim)
         glob = RopeParams(self.rope_global_base, self.rope_scale_global, self.head_dim)
@@ -113,7 +117,8 @@ class ModelConfig:
 
     @cached_property
     def _kinds(self) -> tuple:
-        # built once, like _attn_configs; immutable, since every cache and pass shares it
+        # built by __post_init__, like _attn_configs; immutable, since every cache and
+        # pass shares it
         return tuple(layer_kinds(self.n_layers, self.local_per_global))
 
     @cached_property
@@ -131,7 +136,7 @@ class ModelConfig:
     def from_dict(cls, d: dict) -> "ModelConfig":
         """The config of a config file's or a weight archive's values; keys that
         are no field are ignored. An int field takes an int (not a bool), a
-        float field an int or a float, a bool field a bool; d_model must be >= 1."""
+        float field an int or a float, a bool field a bool."""
         names = cls.__dataclass_fields__
         missing = [n for n, f in names.items() if f.default is MISSING and n not in d]
         if missing:
@@ -141,8 +146,6 @@ class ModelConfig:
             want = names[name].type
             if isinstance(value, bool) != (want is bool) or not isinstance(value, _TAKES[want]):
                 raise ConfigError(f"{name} must be {want.__name__}, got {value!r}")
-        if values["d_model"] < 1:
-            raise ConfigError(f"d_model must be >= 1, got {values['d_model']}")
         return cls(**values)
 
 
@@ -263,7 +266,7 @@ def _layer(params, cfg, i, kind, h, positions, kind_plan, cache=None, tape=None)
     rebuilds from qr and kr and from x0 and attn_out.
     """
     w, att, eps = cfg._layer_keys[i], cfg._attn_configs[kind], cfg.rms_eps
-    cos, sin, mask, layout = kind_plan
+    cos, sin, band = kind_plan
     div_ln1 = rms_divisor(h, eps)
     ln1 = rms_norm(h, params[w["pre_attn_norm"]], eps, div_ln1)
     q = _split_heads(ln1 @ params[w["wq"]], att.num_query_heads, att.head_dim)
@@ -280,7 +283,7 @@ def _layer(params, cfg, i, kind, h, positions, kind_plan, cache=None, tape=None)
         keys, values = cache.append(
             i, kr.transpose(1, 0, 2), v.transpose(1, 0, 2), int(positions[0]))
         keys, values = keys.transpose(1, 0, 2), values.transpose(1, 0, 2)
-    merged = _merge_heads(attend(qr, keys, values, att, mask, layout))
+    merged = _merge_heads(attend(qr, keys, values, att, band))
     attn_out = merged @ params[w["wo"]]
     div_attn = rms_divisor(attn_out, eps)
     x1 = h + rms_norm(attn_out, params[w["post_attn_norm"]], eps, div_attn)
@@ -306,9 +309,9 @@ def _run(params, cfg, tokens, cache=None, tape=None):
     appending their keys and values; the checks come before any work.
 
     A given `tape` receives the tokens, the positions and each layer's
-    entry. Each layer kind's attention.plan is computed once, before the
-    layers run (a chunk at position 0 has no earlier keys). The tape keeps
-    no plan: backward_full makes its own from the tape's positions.
+    entry. Each layer kind's attention.plan is computed once from the
+    positions, before the layers run. The tape keeps no plan: backward_full
+    makes its own from the tape's positions.
     """
     tokens = _check_tokens(cfg, tokens, cache)
     if tokens.shape[0] == 0:
@@ -318,10 +321,8 @@ def _run(params, cfg, tokens, cache=None, tape=None):
     if tape is not None:
         tape.update(tokens=tokens, positions=positions, layers=[])
     plans = {}
-    for i, kind in enumerate(cfg._kinds):
-        if kind not in plans:
-            retained = cache.retained(i) if cache is not None and start else None
-            plans[kind] = plan(cfg._attn_configs[kind], positions, retained)
+    for kind in set(cfg._kinds):  # a loop, not a comprehension: no extra Python frame per step
+        plans[kind] = plan(cfg._attn_configs[kind], positions)
     h = params["embed"][tokens]
     for i, kind in enumerate(cfg._kinds):
         h = _layer(params, cfg, i, kind, h, positions, plans[kind], cache, tape)
@@ -329,7 +330,9 @@ def _run(params, cfg, tokens, cache=None, tape=None):
     hf = rms_norm(h, params["final_norm"], cfg.rms_eps, div_hf)
     if tape is not None:
         tape["h_last"], tape["hf"], tape["div_hf"] = h, hf, div_hf
-    return hf @ (params["embed"].T if cfg.tie_embeddings else params["lm_head"])
+    # (vocab, d) @ (d, T), then transposed: OpenBLAS gives these logits the same bits at
+    # one and two threads, which hf @ embed.T does not (tests/test_blas_threads.py)
+    return ((params["embed"] if cfg.tie_embeddings else params["lm_head"].T) @ hf.T).T
 
 
 def forward_full(
@@ -342,7 +345,7 @@ def forward_full(
     to max_context tokens.
 
     LOCAL layers over more than 2 * window tokens run banded, every other
-    layer in causal tiles (see attention.plan).
+    layer in causal tiles (attention.plan).
     Returns (logits, tape); tape holds the per-layer intermediates the
     backward pass needs and is None unless keep_tape is set.
     """

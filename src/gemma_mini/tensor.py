@@ -31,10 +31,10 @@ class RopeParams:
     def __post_init__(self):
         if self.head_dim % 2 != 0 or self.head_dim <= 0:
             raise ConfigError(f"head_dim must be positive and even, got {self.head_dim}")
-        if self.base_freq <= 0:
-            raise ConfigError(f"base_freq must be > 0, got {self.base_freq}")
-        if self.scale < 1:
-            raise ConfigError(f"scale must be >= 1, got {self.scale}")
+        if not 0 < self.base_freq < np.inf:
+            raise ConfigError(f"base_freq must be finite and > 0, got {self.base_freq}")
+        if not 1 <= self.scale < np.inf:
+            raise ConfigError(f"scale must be finite and >= 1, got {self.scale}")
 
     def inv_freqs(self) -> np.ndarray:
         """theta_i = base ** (-2i / head_dim), i = 0 .. head_dim/2 - 1; read-only, shared."""

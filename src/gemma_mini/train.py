@@ -73,14 +73,14 @@ def _attention_backward(p, g: dict, t: dict, att, kind_plan: tuple, eps: float,
     """d(x0) of one layer's x1 = x0 + rms_norm(attn(rms_norm(x0)), post_attn_norm)
     given d(x1), storing the attention half's parameter gradients in g.
     kind_plan is attention.plan's for the layer kind, as the forward made it."""
-    cos, sin, mask, layout = kind_plan
+    cos, sin, band = kind_plan
     dattn_out, dg_post_a = _rms_norm_bwd(t["attn_out"], p("post_attn_norm"), t["div_attn"], dx1)
     g["post_attn_norm"] = dg_post_a.sum(axis=0)
     dmerged = dattn_out @ p("wo").T
     g["wo"] = t["merged"].T @ dattn_out
 
     dattn = _split_heads(dmerged, att.num_query_heads, att.head_dim)
-    dqr, dkr, dv = attend_backward(t["qr"], t["kr"], t["v"], dattn, att, mask, layout)
+    dqr, dkr, dv = attend_backward(t["qr"], t["kr"], t["v"], dattn, att, band)
 
     # rope is an orthogonal map: its backward is the inverse rotation, by (cos, -sin)
     dqn = rope_rotate(dqr, cos, -sin)

@@ -182,7 +182,7 @@ class TestDecodeStep:
         mask = build_mask(kind, keys[-1:], keys, cfg.window)
         seen = np.flatnonzero(mask[0] == 0.0)
         assert seen.size == (n_retained + 1 if cfg.window is None else min(n_retained + 1, window))
-        got = attention.attend(q, k, v, cfg, None, attention.TILES)
+        got = attention.attend(q, k, v, cfg, None)  # one row after earlier ones: no band
         np.testing.assert_array_equal(
             got, attention._dense(q, k[:, seen], v[:, seen], cfg, mask[:, seen]))
         np.testing.assert_allclose(got, attention._dense(q, k, v, cfg, mask), rtol=0, atol=1e-15)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from gemma_mini import attention, model, train
-from gemma_mini.attention import BAND, TILES, LayerKind, plan
+from gemma_mini.attention import LayerKind, plan
 from gemma_mini.model import ModelConfig, forward_full, init_params
 from gemma_mini.train import cross_entropy, loss_and_grads
 
@@ -30,14 +30,14 @@ def dense_probs(q, k, cfg):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def dense_attend(q, k, v, cfg, mask, layout):
-    """Oracle for attend over rows 0 .. T-1; ignores the mask and layout it is given."""
+def dense_attend(q, k, v, cfg, band):
+    """Oracle for attend over rows 0 .. T-1; ignores the band it is given."""
     return dense_probs(q, k, cfg) @ np.repeat(v, cfg.group_size, axis=0)
 
 
-def dense_attend_backward(q, k, v, dout, cfg, mask, layout):
+def dense_attend_backward(q, k, v, dout, cfg, band):
     """Oracle for attend_backward: the probabilities recomputed densely; ignores
-    the mask and layout it is given."""
+    the band it is given."""
     probs = dense_probs(q, k, cfg)
     k_rep = np.repeat(k, cfg.group_size, axis=0)
     v_rep = np.repeat(v, cfg.group_size, axis=0)
@@ -103,19 +103,29 @@ def test_matches_dense_oracle(monkeypatch, T, window, group, tie):
     (12, (3, 4, 8)),
 ])
 def test_long_local_layers_run_banded(T, local_shape):
-    """The plans of a pass over T rows: the LOCAL layer's mask is the band's
+    """The plans of a pass over T rows: the LOCAL layer's band is
     (n_blocks, window, 2 * window) above T = 2 * window. Every other pass,
-    and any chunk after retained keys, runs causal tiles with no planned
-    mask: each tile builds its own."""
+    and any chunk after position 0, runs causal tiles with no band: each
+    tile builds its own mask."""
     cfg = small_config(4, 2, True)
     plans = [plan(cfg.attn_for(kind), np.arange(T)) for kind in cfg.kinds()]
-    local = (BAND, local_shape) if local_shape else (TILES, None)
-    assert [(layout, None if mask is None else mask.shape) for _, _, mask, layout in plans] == [
-        local, (TILES, None)]
-    # an empty retained set is no earlier key; three are
+    assert [None if band is None else band.shape for _, _, band in plans] == [local_shape, None]
     local_att = cfg.attn_for(LayerKind.LOCAL)
-    assert plan(local_att, np.arange(T), np.arange(0))[3] == local[0]
-    assert plan(local_att, np.arange(3, 3 + T), np.arange(3))[2:] == (None, TILES)
+    assert plan(local_att, np.arange(3, 3 + T))[2] is None
+
+
+def test_a_window_1_chunk_after_position_0_runs_tiles():
+    """The plan follows from positions alone, at window 1 too, where the
+    cache returns no earlier row (window - 1 = 0): a long LOCAL chunk is
+    banded from position 0 and tiled from any later one. Every row sees
+    only itself, so the tiles give exactly the chunk's values."""
+    att, T = small_config(1, 2, True).attn_for(LayerKind.LOCAL), 7
+    assert plan(att, np.arange(T))[2].shape == (T, 1, 2)
+    for start in (1, 40):
+        assert plan(att, np.arange(start, start + T))[2] is None
+    q, k, v = np.random.default_rng(1).normal(size=(3, 4, T, 4))
+    out = attention.attend(q, k[:2], v[:2], att, None)
+    np.testing.assert_array_equal(out, np.repeat(v[:2], 2, axis=0))
 
 
 @pytest.mark.parametrize("kind, window, T", [
@@ -129,8 +139,7 @@ def test_tiled_probs_are_zero_outside_each_rows_keys(kind, window, T, monkeypatc
     the rows in order, tile [b, e) over keys [lo, e), lo the first key row
     b sees (0 for GLOBAL)."""
     cfg = small_config(window, 2, True)
-    _, _, mask, layout = plan(cfg.attn_for(kind), np.arange(T))
-    assert layout == TILES and mask is None
+    assert plan(cfg.attn_for(kind), np.arange(T))[2] is None
     tiles = []
     for b in range(0, T, 64):
         lo = 0 if kind is LayerKind.GLOBAL else max(0, b - window + 1)
@@ -164,7 +173,7 @@ def test_banded_gradient_matches_central_differences():
     rng = np.random.default_rng(11)
     params = init_params(cfg, seed=5, scale=0.3)
     tokens = rng.integers(0, cfg.vocab_size, size=14)
-    assert plan(cfg.attn_for(LayerKind.LOCAL), np.arange(len(tokens) - 1))[3] == BAND
+    assert plan(cfg.attn_for(LayerKind.LOCAL), np.arange(len(tokens) - 1))[2] is not None
     _, grads = loss_and_grads(params, cfg, tokens)
 
     def loss_at():

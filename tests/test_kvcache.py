@@ -193,13 +193,19 @@ class TestAppendReturns:
                     cache.append(0, *rows(0, n), 0)
                 held = n - min(n, window) if kind is L else 0  # first held position
                 seen = n - min(n, window - 1) if kind is L else 0  # first one returned
-                np.testing.assert_array_equal(cache.retained(0), np.arange(seen, n))
-                for got, want in zip(cache.view(0), (*rows(held, n - held), np.arange(held, n))):
+                held_k, held_v, held_pos = cache.view(0)
+                for got, want in zip((held_k, held_v, held_pos),
+                                     (*rows(held, n - held), np.arange(held, n))):
                     np.testing.assert_array_equal(got, want)
                 keys, values = cache.append(0, *rows(n, 2), n)
                 want_k, want_v = rows(seen, n + 2 - seen)  # oldest returned row first
                 np.testing.assert_array_equal(keys, want_k)
                 np.testing.assert_array_equal(values, want_v)
+                # the held rows returned are the ones view placed at positions [seen, n)
+                returned = held_pos >= seen
+                np.testing.assert_array_equal(held_pos[returned], np.arange(seen, n))
+                np.testing.assert_array_equal(keys[:-2], held_k[returned])
+                np.testing.assert_array_equal(values[:-2], held_v[returned])
                 # one row returns the same way, in the one array per side that the
                 # layer then holds; the rows returned before are copies, which
                 # the next append leaves as they were

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gemma_mini import attention, model, train
-from gemma_mini.attention import BAND, TILES, LayerKind, qk_norm
+from gemma_mini.attention import LayerKind, qk_norm
 from gemma_mini.errors import CapacityError, ConfigError
 from gemma_mini.kvcache import kv_bytes
 from gemma_mini.model import (
@@ -24,7 +24,7 @@ from gemma_mini.model import (
     param_shapes,
     save_weights,
 )
-from gemma_mini.presets import preset_values
+from gemma_mini.presets import model_config_from_file, preset_values
 from gemma_mini.tensor import rope_apply
 from gemma_mini.train import loss_and_grads
 
@@ -77,6 +77,57 @@ class TestAttnFor:
         fresh = toy_config(rope_scale_global=8.0)
         assert cfg == fresh and hash(cfg) == hash(fresh)
         assert fresh.attn_for(L) is not local and fresh.attn_for(L) == local
+
+
+class TestConfigChecks:
+    """Every bad field fails at construction with one ConfigError, whichever
+    way the config arrives: the constructor, from_dict, a config file or a
+    weight archive. None of these waits for a pass to fail."""
+
+    BAD = [
+        ("rms_eps", float("nan"), "rms_eps must be finite and > 0"),
+        ("rms_eps", 0.0, "rms_eps must be finite and > 0"),
+        ("rope_local_base", -5.0, "base_freq must be finite and > 0"),
+        ("rope_global_base", float("inf"), "base_freq must be finite and > 0"),
+        ("rope_scale_global", float("nan"), "scale must be finite and >= 1"),
+        ("hidden_dim", 0, "hidden_dim must be >= 1"),
+        ("vocab_size", 0, "vocab_size must be >= 1"),
+        ("d_model", 0, "d_model must be >= 1"),
+        ("local_per_global", -1, "local_per_global must be >= 0"),
+        ("head_dim", 3, "head_dim must be positive and even"),
+    ]
+    IDS = [f"{name}={value}" for name, value, _ in BAD]
+
+    @pytest.mark.parametrize("name, value, cause", BAD, ids=IDS)
+    def test_constructor_and_from_dict(self, name, value, cause):
+        values = dataclasses.asdict(toy_config())
+        values[name] = value
+        with pytest.raises(ConfigError, match=cause):
+            ModelConfig(**values)
+        with pytest.raises(ConfigError, match=cause):
+            ModelConfig.from_dict(values)
+
+    @pytest.mark.parametrize("name, value, cause", BAD, ids=IDS)
+    def test_config_file(self, tmp_path, name, value, cause):
+        values = {**dataclasses.asdict(toy_config()), name: value}
+        path = tmp_path / "bad.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        with pytest.raises(ConfigError, match=cause):
+            model_config_from_file(str(path))
+
+    @pytest.mark.parametrize("name, value, cause", BAD, ids=IDS)
+    def test_weight_archive(self, tmp_path, name, value, cause):
+        cfg = toy_config(n_layers=2)
+        path = str(tmp_path / "model.bin")
+        save_weights(init_params(cfg, seed=13), cfg, path)
+        with np.load(path) as archive:
+            entries = dict(archive)
+        entries[f"config.{name}"] = np.asarray(value, dtype=entries[f"config.{name}"].dtype)
+        with open(path, "wb") as f:
+            np.savez(f, **entries)
+        with pytest.raises(ValueError, match=cause) as info:
+            load_weights(path)
+        assert isinstance(info.value.__cause__, ConfigError)
 
 
 class TestKinds:
@@ -395,12 +446,12 @@ class TestPerKindWork:
         params = init_params(cfg, seed=30)
         tokens = np.random.default_rng(30).integers(0, cfg.vocab_size, size=130)
         calls = self.counting(monkeypatch, ("build_mask", "band_mask", "rope_cos_sin"))
-        layouts = []  # (kind, layout) of each plan the chunk made
+        layouts = []  # (kind, banded) of each plan the chunk made
         real_plan = model.plan
 
         def recording_plan(att, *args):
             kind_plan = real_plan(att, *args)
-            layouts.append((att.kind, kind_plan[3]))
+            layouts.append((att.kind, kind_plan[2] is not None))
             return kind_plan
 
         monkeypatch.setattr(model, "plan", recording_plan)
@@ -417,7 +468,7 @@ class TestPerKindWork:
             # a mask per tile of 64 rows in each tiled layer; one row that
             # continues a cache sees every key it reads and builds none
             tiles = 0 if start and stop - start == 1 else -(-(stop - start) // 64)
-            banded = [kind for kind, layout in layouts if layout == BAND]
+            banded = [kind for kind, is_banded in layouts if is_banded]
             assert len(calls["band_mask"]) == len(banded) <= 1
             tiled = [kind for kind in cfg.kinds() if kind not in banded]
             assert [args[0] for args in calls["build_mask"]] == [
@@ -426,7 +477,7 @@ class TestPerKindWork:
             assert len(layouts) == len(kinds)
         assert cache.next_pos == 40
         assert tiles == 3 and len(calls["band_mask"]) == 1
-        assert dict(layouts) == {LayerKind.LOCAL: BAND, LayerKind.GLOBAL: TILES}
+        assert dict(layouts) == {LayerKind.LOCAL: True, LayerKind.GLOBAL: False}
 
     @pytest.mark.parametrize("T", [5, 20])  # local layers tiled, then banded (window 4)
     @pytest.mark.parametrize("tied", [True, False])
@@ -450,23 +501,23 @@ class TestPerKindWork:
     @pytest.mark.parametrize("T", [5, 20, 200])  # tiled; banded; banded and 4 tiles
     def test_tape_plans_keep_no_mask(self, T, monkeypatch):
         """The tape keeps no plan, so no mask: the backward plans each kind
-        again from the tape's positions, with the forward's layout."""
+        again from the tape's positions, banded where the forward was."""
         cfg = toy_config(window=4, max_context=512)
         tokens = np.arange(T + 1) % 48
         _, tape = forward_full(init_params(cfg, seed=5), cfg, tokens[:-1], keep_tape=True)
         assert "plans" not in tape
         np.testing.assert_array_equal(tape["positions"], np.arange(T))
-        layouts = {model: {}, train: {}}  # kind -> layout, per planning module
+        layouts = {model: {}, train: {}}  # kind -> banded, per planning module
         for module, seen in layouts.items():
-            def recording_plan(att, positions, *args, _seen=seen, _real=module.plan):
-                kind_plan = _real(att, positions, *args)
-                _seen[att.kind] = kind_plan[3]
+            def recording_plan(att, positions, _seen=seen, _real=module.plan):
+                kind_plan = _real(att, positions)
+                _seen[att.kind] = kind_plan[2] is not None
                 return kind_plan
 
             monkeypatch.setattr(module, "plan", recording_plan)
         loss_and_grads(init_params(cfg, seed=5), cfg, tokens)
         assert layouts[train] == layouts[model] == {
-            LayerKind.LOCAL: BAND if T > 2 * cfg.window else TILES, LayerKind.GLOBAL: TILES}
+            LayerKind.LOCAL: T > 2 * cfg.window, LayerKind.GLOBAL: False}
 
     @pytest.mark.parametrize("tied", [True, False])
     def test_chunks_across_a_ring_wrap_match_one_step_per_token(self, tied):
@@ -492,7 +543,7 @@ class TestPerKindWork:
 class TestDecodeStepCost:
     # calls one decode_step on toy makes into the package's own functions: six
     # layers of fixed Python work, so a helper added per layer shows at once
-    PACKAGE_CALLS = 148
+    PACKAGE_CALLS = 146
 
     def test_a_decode_step_builds_no_mask_and_makes_few_calls(self):
         cfg = ModelConfig.from_dict(preset_values("toy"))
@@ -631,9 +682,10 @@ class TestCountParams:
         cfg = toy_config(vocab_size=262144, d_model=1152)
         assert count_params(cfg)["embedding"] == 301_989_888
 
-    def test_zero_width_degenerate(self):
-        cfg = toy_config(d_model=0)
-        assert count_params(cfg)["embedding"] == 0
+    def test_unit_width_degenerate(self):
+        # a zero width is refused at construction (TestConfigChecks); one is the least
+        cfg = toy_config(d_model=1)
+        assert count_params(cfg)["embedding"] == cfg.vocab_size
 
     def test_untied_head_counts_as_non_embedding(self):
         tied = count_params(toy_config())

@@ -81,7 +81,7 @@ def recomputing_backward(params, cfg, tape, dlogits):
         att = cfg.attn_for(t["kind"])
         p = lambda name: params[f"layer{i}.{name}"]
         g = lambda name: grads[f"layer{i}.{name}"]
-        cos, sin, mask, layout = plans[t["kind"]]
+        cos, sin, band = plans[t["kind"]]
         x1 = old_x1(t, p("post_attn_norm"), eps)
         ln1 = rms_norm(t["x0"], p("pre_attn_norm"), eps)
         ln2 = rms_norm(x1, p("pre_mlp_norm"), eps)
@@ -106,7 +106,7 @@ def recomputing_backward(params, cfg, tape, dlogits):
         g("wo")[...] += t["merged"].T @ dattn_out
         T = dmerged.shape[0]
         dattn = dmerged.reshape(T, att.num_query_heads, att.head_dim).transpose(1, 0, 2)
-        dqr, dkr, dv = attend_backward(t["qr"], t["kr"], t["v"], dattn, att, mask, layout)
+        dqr, dkr, dv = attend_backward(t["qr"], t["kr"], t["v"], dattn, att, band)
         dqn = rope_rotate(dqr, cos, -sin)
         dkn = rope_rotate(dkr, cos, -sin)
         dq, dgq = old_rms_norm_bwd(t["q"], p("q_gain")[:, None, :], eps, dqn)
