@@ -7,10 +7,13 @@ gated MLP:
     x = x + norm_post_mlp(mlp(norm_pre_mlp(x)))
 
 Attention is QK-normed and rotary-embedded with parameters chosen by the
-layer's kind. A pass computes one attention.plan per layer kind from the
-chunk's positions alone (the rotation and the band, if it runs banded) and
-shares it with every layer of that kind; backward_full plans again from the
-training tape's positions. Logits read out through the tied embedding by
+layer's kind. A layer stores its projections as one wqkv = [wq | wk | wv]
+and its qk-norm gains as one qk_gain, so one product makes every head; each
+norm on the layer path runs tensor's private (divisor, output) body. A pass
+computes one attention.plan per layer kind from the chunk's positions alone
+(the rotation and the band, if it runs banded) and shares it with every
+layer of that kind; backward_full plans again from the training tape's
+positions. Logits read out through the tied embedding by
 default.
 Every pass enters the layers through _run, which first refuses ids outside
 the vocabulary, a cache built for another config and a chunk past
@@ -30,7 +33,7 @@ import numpy as np
 from .attention import AttentionConfig, LayerKind, attend, plan
 from .errors import CapacityError, ConfigError, ShapeError
 from .kvcache import KvCache
-from .tensor import RopeParams, rms_divisor, rms_norm, rope_rotate, softmax_rows
+from .tensor import RopeParams, _rms_norm, rms_norm, rope_rotate, softmax_rows
 
 GELU_C = float(np.sqrt(2.0 / np.pi))
 GELU_A = 0.044715
@@ -105,12 +108,22 @@ class ModelConfig:
         # built by __post_init__ and kept in the instance __dict__, outside the
         # fields that equality, hashing and weight files read
         heads = (self.num_query_heads, self.num_kv_heads, self.head_dim)
-        local = RopeParams(self.rope_local_base, self.rope_scale_local, self.head_dim)
-        glob = RopeParams(self.rope_global_base, self.rope_scale_global, self.head_dim)
+        local = self._rope("rope_local_base", "rope_scale_local")
+        glob = self._rope("rope_global_base", "rope_scale_global")
         return {
             LayerKind.LOCAL: AttentionConfig(*heads, LayerKind.LOCAL, local, self.window),
             LayerKind.GLOBAL: AttentionConfig(*heads, LayerKind.GLOBAL, glob),
         }
+
+    def _rope(self, base: str, scale: str) -> RopeParams:
+        # RopeParams of the two named fields; its error for one of them names the field
+        try:
+            return RopeParams(getattr(self, base), getattr(self, scale), self.head_dim)
+        except ConfigError as exc:
+            field = {"base_freq": base, "scale": scale}.get(str(exc).split()[0])
+            if field is None:  # head_dim's own error already names its field
+                raise
+            raise ConfigError(f"{field}: {exc}") from None
 
     def kinds(self) -> list[LayerKind]:
         return list(self._kinds)
@@ -156,12 +169,9 @@ class ModelConfig:
 def _layer_param_shapes(cfg: ModelConfig) -> dict:
     d, hq, hkv, hd = cfg.d_model, cfg.num_query_heads, cfg.num_kv_heads, cfg.head_dim
     return {
-        "wq": (d, hq * hd),
-        "wk": (d, hkv * hd),
-        "wv": (d, hkv * hd),
+        "wqkv": (d, (hq + 2 * hkv) * hd),  # [wq | wk | wv]
         "wo": (hq * hd, d),
-        "q_gain": (hq, hd),
-        "k_gain": (hkv, hd),
+        "qk_gain": (hq + hkv, hd),  # the query heads' gains, then the key heads'
         "pre_attn_norm": (d,),
         "post_attn_norm": (d,),
         "pre_mlp_norm": (d,),
@@ -185,13 +195,18 @@ def param_shapes(cfg: ModelConfig) -> dict:
 
 
 def init_params(cfg: ModelConfig, seed: int = 0, scale: float = 0.02) -> dict:
-    """Gaussian init for projections and the embedding; unit gains for norms."""
+    """Gaussian init for projections and the embedding; unit gains for norms.
+    wqkv draws its wq, wk and wv blocks one after another, each in one draw."""
     rng = np.random.default_rng(seed)
     params = {}
+    heads = (cfg.num_query_heads, cfg.num_kv_heads, cfg.num_kv_heads)  # wqkv's column blocks
     for name, shape in param_shapes(cfg).items():
         base = name.split(".")[-1]
         if base.endswith("_norm") or base.endswith("_gain"):
             params[name] = np.ones(shape)
+        elif base == "wqkv":
+            params[name] = np.concatenate([
+                rng.normal(0.0, scale, size=(shape[0], n * cfg.head_dim)) for n in heads], axis=1)
         else:
             params[name] = rng.normal(0.0, scale, size=shape)
     return params
@@ -261,23 +276,24 @@ def _layer(params, cfg, i, kind, h, positions, kind_plan, cache=None, tape=None)
     appended to layer i's, and the rows attend over what append returns,
     the retained rows the chunk can see followed by its own. A given tape
     gets in tape["layers"] what backward_full reads: each norm's input and
-    divisor (div_*), not its output, and the GELU's tanh term, not its
-    output; neither the attention probabilities nor x1, which the backward
-    rebuilds from qr and kr and from x0 and attn_out.
+    divisor (div_*), not its output (the query and key heads' input is one
+    qk), and the GELU's tanh term, not its output; neither the attention
+    probabilities nor x1, which the backward rebuilds from qr and kr and
+    from x0 and attn_out.
     """
     w, att, eps = cfg._layer_keys[i], cfg._attn_configs[kind], cfg.rms_eps
+    n_q, n_qk = att.num_query_heads, att.num_query_heads + att.num_kv_heads
     cos, sin, band = kind_plan
-    div_ln1 = rms_divisor(h, eps)
-    ln1 = rms_norm(h, params[w["pre_attn_norm"]], eps, div_ln1)
-    q = _split_heads(ln1 @ params[w["wq"]], att.num_query_heads, att.head_dim)
-    k = _split_heads(ln1 @ params[w["wk"]], att.num_kv_heads, att.head_dim)
-    v = _split_heads(ln1 @ params[w["wv"]], att.num_kv_heads, att.head_dim)
+    div_ln1, ln1 = _rms_norm(h, params[w["pre_attn_norm"]], eps)
+    # every head from one product, copied into contiguous (heads, T, head_dim): a long
+    # pass's qk-norm, rotation and attention then run on compact arrays
+    qkv = np.ascontiguousarray(
+        (ln1 @ params[w["wqkv"]]).reshape(h.shape[0], -1, att.head_dim).transpose(1, 0, 2))
+    qk, v = qkv[:n_qk], qkv[n_qk:]
     # qk-norm and rotation of every query and key head at once
-    gains = np.concatenate((params[w["q_gain"]], params[w["k_gain"]]))
-    qk = np.concatenate((q, k))
-    div_qk = rms_divisor(qk, eps)
-    qkr = rope_rotate(rms_norm(qk, gains[:, None], eps, div_qk), cos, sin)
-    qr, kr = qkr[:att.num_query_heads], qkr[att.num_query_heads:]
+    div_qk, qkn = _rms_norm(qk, params[w["qk_gain"]][:, None], eps)
+    qkr = rope_rotate(qkn, cos, sin)
+    qr, kr = qkr[:n_q], qkr[n_q:]
     keys, values = kr, v
     if cache is not None:  # the retained rows the chunk can see, oldest first, then its own
         keys, values = cache.append(
@@ -285,22 +301,21 @@ def _layer(params, cfg, i, kind, h, positions, kind_plan, cache=None, tape=None)
         keys, values = keys.transpose(1, 0, 2), values.transpose(1, 0, 2)
     merged = _merge_heads(attend(qr, keys, values, att, band))
     attn_out = merged @ params[w["wo"]]
-    div_attn = rms_divisor(attn_out, eps)
-    x1 = h + rms_norm(attn_out, params[w["post_attn_norm"]], eps, div_attn)
+    div_attn, attn_normed = _rms_norm(attn_out, params[w["post_attn_norm"]], eps)
+    x1 = h + attn_normed
 
-    div_ln2 = rms_divisor(x1, eps)
-    ln2 = rms_norm(x1, params[w["pre_mlp_norm"]], eps, div_ln2)
+    div_ln2, ln2 = _rms_norm(x1, params[w["pre_mlp_norm"]], eps)
     gate = ln2 @ params[w["w_gate"]]
     up = ln2 @ params[w["w_up"]]
     tanh = np.tanh(GELU_C * (gate + GELU_A * gate * gate * gate))  # gelu's tanh term
     mlp_out = (gelu(gate, tanh) * up) @ params[w["w_down"]]
-    div_mlp = rms_divisor(mlp_out, eps)
+    div_mlp, mlp_normed = _rms_norm(mlp_out, params[w["post_mlp_norm"]], eps)
     if tape is not None:
         tape["layers"].append(dict(
-            kind=kind, x0=h, div_ln1=div_ln1, q=q, k=k, div_qk=div_qk, v=v, qr=qr, kr=kr,
+            kind=kind, x0=h, div_ln1=div_ln1, qk=qk, div_qk=div_qk, v=v, qr=qr, kr=kr,
             merged=merged, attn_out=attn_out, div_attn=div_attn, div_ln2=div_ln2, gate=gate,
             up=up, tanh=tanh, mlp_out=mlp_out, div_mlp=div_mlp))
-    return x1 + rms_norm(mlp_out, params[w["post_mlp_norm"]], eps, div_mlp)
+    return x1 + mlp_normed
 
 
 def _run(params, cfg, tokens, cache=None, tape=None):
@@ -326,9 +341,10 @@ def _run(params, cfg, tokens, cache=None, tape=None):
     h = params["embed"][tokens]
     for i, kind in enumerate(cfg._kinds):
         h = _layer(params, cfg, i, kind, h, positions, plans[kind], cache, tape)
-    div_hf = rms_divisor(h, cfg.rms_eps)
-    hf = rms_norm(h, params["final_norm"], cfg.rms_eps, div_hf)
-    if tape is not None:
+    if tape is None:
+        hf = rms_norm(h, params["final_norm"], cfg.rms_eps)
+    else:  # the backward reads the divisor too
+        div_hf, hf = _rms_norm(h, params["final_norm"], cfg.rms_eps)
         tape["h_last"], tape["hf"], tape["div_hf"] = h, hf, div_hf
     # (vocab, d) @ (d, T), then transposed: OpenBLAS gives these logits the same bits at
     # one and two threads, which hf @ embed.T does not (tests/test_blas_threads.py)
@@ -432,7 +448,7 @@ def generate(
 # Weight files: one np.savez archive of the tensors, the config and a format
 # ---------------------------------------------------------------------------
 
-WEIGHTS_FORMAT = 1
+WEIGHTS_FORMAT = 2
 
 
 def save_weights(params: dict, cfg: ModelConfig, path: str) -> None:
@@ -453,8 +469,9 @@ def load_weights(path: str) -> tuple[dict, ModelConfig]:
                 raise ValueError("not an np.savez archive; the old .bin + .manifest is not read")
             fh.seek(0)
             entries = dict(np.load(fh, allow_pickle=False))
-        if not np.array_equal(entries.pop("format", None), WEIGHTS_FORMAT):
-            raise ValueError(f"format entry is missing or not {WEIGHTS_FORMAT}")
+        fmt = entries.pop("format", None)
+        if not np.array_equal(fmt, WEIGHTS_FORMAT):
+            raise ValueError(f"format entry {fmt} is not {WEIGHTS_FORMAT}")
         dtypes = {f.name: np.dtype(f.type) for f in fields(ModelConfig)}
         values = {k[7:]: entries.pop(k) for k in list(entries) if k.startswith("config.")}
         if set(values) != set(dtypes):

@@ -151,8 +151,4 @@ def pool_embeddings(grid: np.ndarray, out: int = POOLED_GRID) -> np.ndarray:
     if g % out != 0:
         raise ShapeError(f"grid side {g} is not divisible by {out}")
     b = g // out
-    pooled = np.empty((out, out, grid.shape[2]))
-    for i in range(out):
-        for j in range(out):
-            pooled[i, j] = grid[i * b : (i + 1) * b, j * b : (j + 1) * b].mean(axis=(0, 1))
-    return pooled
+    return grid.reshape(out, b, out, b, grid.shape[2]).mean(axis=(1, 3))

@@ -81,14 +81,14 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
     return e
 
 
-def rms_divisor(v: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """The divisor step of rms_norm on a float64 array v: sqrt(mean(v^2) +
-    eps) along the last axis, which is kept with length 1. The training
-    tape keeps it."""
-    if eps <= 0:
-        raise ConfigError(f"eps must be > 0, got {eps}")
+def _rms_norm(v: np.ndarray, gain: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(div, out) of rms_norm on a float64 array v, without its checks: the
+    divisor sqrt(mean(v^2) + eps) along the last axis, kept with length 1,
+    which the training tape keeps, and gain * v / div. Every norm on the
+    layer path runs this body."""
     # np.mean's own sum and divide, without its Python wrapper
-    return np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True) / v.shape[-1] + eps)
+    div = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True) / v.shape[-1] + eps)
+    return div, gain * v / div
 
 
 def rms_norm(
@@ -96,15 +96,17 @@ def rms_norm(
 ) -> np.ndarray:
     """out[i] = gain[i] * v[i] / sqrt(mean(v^2) + eps), along the last axis.
 
-    div, if given, is rms_divisor(v, eps), computed once by the caller.
+    div, if given, is the divisor _rms_norm computes, kept by the caller.
     """
     v = np.asarray(v, dtype=np.float64)
     gain = np.asarray(gain, dtype=np.float64)
     if gain.shape[-1] != v.shape[-1]:
         raise ShapeError(f"gain length {gain.shape[-1]} != vector length {v.shape[-1]}")
-    if div is None:
-        div = rms_divisor(v, eps)
-    return gain * v / div
+    if div is not None:
+        return gain * v / div
+    if eps <= 0:
+        raise ConfigError(f"eps must be > 0, got {eps}")
+    return _rms_norm(v, gain, eps)[1]
 
 
 def rope_cos_sin(positions: np.ndarray, p: RopeParams) -> tuple[np.ndarray, np.ndarray]:

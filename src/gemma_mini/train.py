@@ -72,7 +72,11 @@ def _attention_backward(p, g: dict, t: dict, att, kind_plan: tuple, eps: float,
                         dx1: np.ndarray) -> np.ndarray:
     """d(x0) of one layer's x1 = x0 + rms_norm(attn(rms_norm(x0)), post_attn_norm)
     given d(x1), storing the attention half's parameter gradients in g.
-    kind_plan is attention.plan's for the layer kind, as the forward made it."""
+    kind_plan is attention.plan's for the layer kind, as the forward made it.
+    The query and key heads go through the inverse rotation and the qk-norm
+    backward at once, as the forward ran them; wqkv's gradient is one
+    product over the q, k and v heads' columns, and d(ln1) sums one product
+    per column block, as three separate projections summed it."""
     cos, sin, band = kind_plan
     dattn_out, dg_post_a = _rms_norm_bwd(t["attn_out"], p("post_attn_norm"), t["div_attn"], dx1)
     g["post_attn_norm"] = dg_post_a.sum(axis=0)
@@ -83,22 +87,20 @@ def _attention_backward(p, g: dict, t: dict, att, kind_plan: tuple, eps: float,
     dqr, dkr, dv = attend_backward(t["qr"], t["kr"], t["v"], dattn, att, band)
 
     # rope is an orthogonal map: its backward is the inverse rotation, by (cos, -sin)
-    dqn = rope_rotate(dqr, cos, -sin)
-    dkn = rope_rotate(dkr, cos, -sin)
+    dqkn = rope_rotate(np.concatenate((dqr, dkr)), cos, -sin)
 
-    # qk-norm: per-head rms norm with per-head gains (H, hd)
-    n_q = att.num_query_heads
-    dq, dgq = _rms_norm_bwd(t["q"], p("q_gain")[:, None, :], t["div_qk"][:n_q], dqn)
-    dk, dgk = _rms_norm_bwd(t["k"], p("k_gain")[:, None, :], t["div_qk"][n_q:], dkn)
-    g["q_gain"] = dgq.sum(axis=1)
-    g["k_gain"] = dgk.sum(axis=1)
+    # qk-norm: per-head rms norm with per-head gains (n_q + n_kv, hd)
+    dqk, dg_qk = _rms_norm_bwd(t["qk"], p("qk_gain")[:, None, :], t["div_qk"], dqkn)
+    g["qk_gain"] = dg_qk.sum(axis=1)
 
-    dq_flat, dk_flat, dv_flat = _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
-    dln1 = dq_flat @ p("wq").T + dk_flat @ p("wk").T + dv_flat @ p("wv").T
+    # the columns of ln1 @ wqkv: d(ln1) sums the q, k and v blocks' products in that order
+    dqkv = _merge_heads(np.concatenate((dqk, dv)))
+    wqkv, q_end = p("wqkv"), att.num_query_heads * att.head_dim
+    k_end = q_end + att.num_kv_heads * att.head_dim
+    dln1 = (dqkv[:, :q_end] @ wqkv[:, :q_end].T + dqkv[:, q_end:k_end] @ wqkv[:, q_end:k_end].T
+            + dqkv[:, k_end:] @ wqkv[:, k_end:].T)
     ln1 = rms_norm(t["x0"], p("pre_attn_norm"), eps, t["div_ln1"])
-    g["wq"] = ln1.T @ dq_flat
-    g["wk"] = ln1.T @ dk_flat
-    g["wv"] = ln1.T @ dv_flat
+    g["wqkv"] = ln1.T @ dqkv
 
     dx0_ln1, dg_pre_a = _rms_norm_bwd(t["x0"], p("pre_attn_norm"), t["div_ln1"], dln1)
     g["pre_attn_norm"] = dg_pre_a.sum(axis=0)

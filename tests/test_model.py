@@ -2,6 +2,7 @@ import cProfile
 import dataclasses
 import os
 import pstats
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,11 @@ class TestConfigChecks:
         ("d_model", 0, "d_model must be >= 1"),
         ("local_per_global", -1, "local_per_global must be >= 0"),
         ("head_dim", 3, "head_dim must be positive and even"),
+        # each rotary field's error names the field, not only RopeParams' own argument
+        ("rope_local_base", 0.0, "^rope_local_base: base_freq must be finite and > 0, got 0.0"),
+        ("rope_global_base", float("inf"), "^rope_global_base: base_freq must be finite"),
+        ("rope_scale_local", 0.5, "^rope_scale_local: scale must be finite and >= 1, got 0.5"),
+        ("rope_scale_global", float("inf"), "^rope_scale_global: scale must be finite"),
     ]
     IDS = [f"{name}={value}" for name, value, _ in BAD]
 
@@ -125,9 +131,10 @@ class TestConfigChecks:
         entries[f"config.{name}"] = np.asarray(value, dtype=entries[f"config.{name}"].dtype)
         with open(path, "wb") as f:
             np.savez(f, **entries)
-        with pytest.raises(ValueError, match=cause) as info:
+        with pytest.raises(ValueError, match=cause.lstrip("^")) as info:  # after the path
             load_weights(path)
         assert isinstance(info.value.__cause__, ConfigError)
+        assert re.search(cause, str(info.value.__cause__))
 
 
 class TestKinds:
@@ -491,9 +498,10 @@ class TestPerKindWork:
         tokens = rng.integers(0, cfg.vocab_size, size=T)
         _, tape = forward_full(params, cfg, tokens, keep_tape=True)
         positions = np.arange(T)
+        n_q = cfg.num_query_heads
         for i, (kind, t) in enumerate(zip(cfg.kinds(), tape["layers"])):
-            qn, kn = qk_norm(t["q"], t["k"], params[f"layer{i}.q_gain"],
-                             params[f"layer{i}.k_gain"], cfg.rms_eps)
+            gains = params[f"layer{i}.qk_gain"]  # the query heads' rows, then the key heads'
+            qn, kn = qk_norm(t["qk"][:n_q], t["qk"][n_q:], gains[:n_q], gains[n_q:], cfg.rms_eps)
             rope = cfg.attn_for(kind).rope
             assert np.array_equal(t["qr"], rope_apply(qn, positions, rope))
             assert np.array_equal(t["kr"], rope_apply(kn, positions, rope))
@@ -543,7 +551,7 @@ class TestPerKindWork:
 class TestDecodeStepCost:
     # calls one decode_step on toy makes into the package's own functions: six
     # layers of fixed Python work, so a helper added per layer shows at once
-    PACKAGE_CALLS = 146
+    PACKAGE_CALLS = 98
 
     def test_a_decode_step_builds_no_mask_and_makes_few_calls(self):
         cfg = ModelConfig.from_dict(preset_values("toy"))
@@ -562,6 +570,10 @@ class TestDecodeStepCost:
         assert "build_mask" not in calls and "band_mask" not in calls
         assert "_tile" not in calls  # one row is one block: no tile loop
         assert calls["append"] == cfg.n_layers
+        # one product makes every head and each norm runs the body once: no helper per
+        # projection, divisor or checked norm; rms_norm is the final norm's one call
+        assert "_split_heads" not in calls and "rms_divisor" not in calls
+        assert calls["rms_norm"] == 1 and calls["_rms_norm"] == 5 * cfg.n_layers + 1
         assert sum(calls.values()) <= self.PACKAGE_CALLS, calls
         assert not wrappers, wrappers
 
@@ -697,7 +709,57 @@ class TestCountParams:
         )
 
 
+class TestInitParams:
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_fused_blocks_hold_the_separate_draws(self, tied):
+        """wqkv's column blocks hold what wq, wk and wv held when each was
+        stored apart and drawn in turn: embed, then per layer wq, wk, wv, wo,
+        w_gate, w_up and w_down, then lm_head. qk_gain's rows are ones."""
+        cfg = toy_config(n_layers=2, tie_embeddings=tied)
+        d, hd, hidden = cfg.d_model, cfg.head_dim, cfg.hidden_dim
+        q_width, kv_width = cfg.num_query_heads * hd, cfg.num_kv_heads * hd
+        params = init_params(cfg, seed=3, scale=0.5)
+        rng = np.random.default_rng(3)
+
+        def drawn(*shape):
+            return rng.normal(0.0, 0.5, size=shape)
+
+        np.testing.assert_array_equal(params["embed"], drawn(cfg.vocab_size, d))
+        for i in range(cfg.n_layers):
+            layer = {name[len(f"layer{i}."):]: arr for name, arr in params.items()
+                     if name.startswith(f"layer{i}.")}
+            wq, wk, wv = np.split(layer["wqkv"], [q_width, q_width + kv_width], axis=1)
+            np.testing.assert_array_equal(wq, drawn(d, q_width))
+            np.testing.assert_array_equal(wk, drawn(d, kv_width))
+            np.testing.assert_array_equal(wv, drawn(d, kv_width))
+            np.testing.assert_array_equal(layer["wo"], drawn(q_width, d))
+            np.testing.assert_array_equal(layer["w_gate"], drawn(d, hidden))
+            np.testing.assert_array_equal(layer["w_up"], drawn(d, hidden))
+            np.testing.assert_array_equal(layer["w_down"], drawn(hidden, d))
+            heads = cfg.num_query_heads + cfg.num_kv_heads
+            np.testing.assert_array_equal(layer["qk_gain"], np.ones((heads, hd)))
+        if not tied:
+            np.testing.assert_array_equal(params["lm_head"], drawn(d, cfg.vocab_size))
+
+
 class TestWeightsIO:
+    def test_format_1_archive_refused(self, tmp_path):
+        """A format-1 archive stored wq, wk, wv and q_gain, k_gain apart; its
+        format entry alone refuses it, with one ValueError naming the format."""
+        cfg = toy_config(n_layers=2)
+        q_width, kv_width = cfg.num_query_heads * cfg.head_dim, cfg.num_kv_heads * cfg.head_dim
+
+        def as_format_1(entries):
+            entries["format"] = np.asarray(1)
+            for i in range(cfg.n_layers):
+                blocks = np.split(entries.pop(f"layer{i}.wqkv"), [q_width, q_width + kv_width], 1)
+                entries.update(zip((f"layer{i}.wq", f"layer{i}.wk", f"layer{i}.wv"), blocks))
+                gains = entries.pop(f"layer{i}.qk_gain")
+                entries[f"layer{i}.q_gain"] = gains[:cfg.num_query_heads]
+                entries[f"layer{i}.k_gain"] = gains[cfg.num_query_heads:]
+
+        self._rejects(self._saved(tmp_path, as_format_1), "^[^:]*: format entry 1 is not 2$")
+
     def test_round_trip(self, tmp_path):
         cfg = toy_config(n_layers=2)
         params = init_params(cfg, seed=10)
@@ -775,17 +837,19 @@ class TestWeightsIO:
         self._rejects(path, "not a zip file")
 
     @pytest.mark.parametrize("edit, cause", [
-        (lambda e: e.pop("layer1.wq"), r"tensor name mismatch: \['layer1.wq'\]"),
+        (lambda e: e.pop("layer1.wqkv"), r"tensor name mismatch: \['layer1.wqkv'\]"),
         (lambda e: e.update({"lm_head": np.zeros((24, 48))}), r"mismatch: \['lm_head'\]"),
         (lambda e: e.update({"final_norm": np.ones(23)}), "tensor final_norm is not"),
         (lambda e: e["embed"].__setitem__((3, 4), np.nan), "tensor embed is not finite"),
         (lambda e: e.update({"config.bogus": np.asarray(1)}), r"config field .*\['bogus'\]"),
         (lambda e: e.update({"config.window": np.asarray(8.0)}), "config.window is not a 0-d"),
-        (lambda e: e.update({"format": np.asarray(2)}), "format entry"),
+        (lambda e: e.update({"format": np.asarray(1)}), "format entry 1 is not 2"),
+        (lambda e: e.update({"format": np.asarray(3)}), "format entry 3 is not 2"),
+        (lambda e: e.pop("format"), "format entry None is not 2"),
         (lambda e: e.update({"config.num_kv_heads": np.asarray(0)}),
          "num_kv_heads must be >= 1, got 0"),
         (lambda e: e.update({"config.d_model": np.asarray(0)}), "d_model must be >= 1, got 0"),
     ], ids=["missing-tensor", "extra-tensor", "wrong-shape", "nan", "unknown-config-field",
-            "float-window", "format-2", "zero-kv-heads", "zero-width"])
+            "float-window", "format-1", "format-3", "no-format", "zero-kv-heads", "zero-width"])
     def test_malformed_archive_rejected(self, tmp_path, edit, cause):
         self._rejects(self._saved(tmp_path, edit), cause)

@@ -175,6 +175,29 @@ class TestPoolEmbeddings:
                 want[i, j] = block.mean(axis=(0, 1))
         np.testing.assert_array_equal(got, want)
 
+    @staticmethod
+    def _block_loop(grid, out):
+        """The double loop pool_embeddings ran before: one block mean per cell."""
+        b = grid.shape[0] // out
+        pooled = np.empty((out, out, grid.shape[2]))
+        for i in range(out):
+            for j in range(out):
+                pooled[i, j] = grid[i * b : (i + 1) * b, j * b : (j + 1) * b].mean(axis=(0, 1))
+        return pooled
+
+    @pytest.mark.parametrize("side", [32, 64, 96])
+    def test_bit_equal_to_the_block_loop(self, side):
+        grid = np.random.default_rng(side).normal(size=(side, side, 40)) * 10
+        np.testing.assert_array_equal(pool_embeddings(grid), self._block_loop(grid, 16))
+
+    @pytest.mark.parametrize("side", [32, 64, 96])
+    def test_one_channel_within_1e_14_of_the_block_loop(self, side):
+        # with a single channel numpy sums a block's cells in another order, so the
+        # means may differ in their last bits: within 1e-14 for cells of scale 10
+        grid = np.random.default_rng(side).normal(size=(side, side, 1)) * 10
+        np.testing.assert_allclose(
+            pool_embeddings(grid), self._block_loop(grid, 16), rtol=0, atol=1e-14)
+
     def test_preserves_global_mean(self):
         rng = np.random.default_rng(5)
         grid = rng.normal(size=(48, 48, 2))

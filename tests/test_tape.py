@@ -64,7 +64,9 @@ def old_x1(t, gain, eps):
 def recomputing_backward(params, cfg, tape, dlogits):
     """backward_full as it was before the tape kept divisors and tanh: every
     norm's divisor and the GELU are recomputed from the tape's inputs, and the
-    pre-attention and pre-MLP norm outputs are the forward's rms_norm."""
+    pre-attention and pre-MLP norm outputs are the forward's rms_norm. The
+    q, k and v projections and the q and k gains are the column blocks of
+    wqkv and the rows of qk_gain; each block's gradient is its own product."""
     eps = cfg.rms_eps
     grads = {name: np.zeros_like(arr) for name, arr in params.items()}
     plans = {kind: plan(cfg.attn_for(kind), tape["positions"]) for kind in set(cfg.kinds())}
@@ -82,6 +84,11 @@ def recomputing_backward(params, cfg, tape, dlogits):
         p = lambda name: params[f"layer{i}.{name}"]
         g = lambda name: grads[f"layer{i}.{name}"]
         cos, sin, band = plans[t["kind"]]
+        n_q, q_end = att.num_query_heads, att.num_query_heads * att.head_dim
+        k_end = q_end + att.num_kv_heads * att.head_dim
+        blocks = (slice(0, q_end), slice(q_end, k_end), slice(k_end, None))
+        wq, wk, wv = (p("wqkv")[:, cols] for cols in blocks)
+        gq, gk, gv = (g("wqkv")[:, cols] for cols in blocks)  # views: += writes the grads
         x1 = old_x1(t, p("post_attn_norm"), eps)
         ln1 = rms_norm(t["x0"], p("pre_attn_norm"), eps)
         ln2 = rms_norm(x1, p("pre_mlp_norm"), eps)
@@ -109,17 +116,17 @@ def recomputing_backward(params, cfg, tape, dlogits):
         dqr, dkr, dv = attend_backward(t["qr"], t["kr"], t["v"], dattn, att, band)
         dqn = rope_rotate(dqr, cos, -sin)
         dkn = rope_rotate(dkr, cos, -sin)
-        dq, dgq = old_rms_norm_bwd(t["q"], p("q_gain")[:, None, :], eps, dqn)
-        dk, dgk = old_rms_norm_bwd(t["k"], p("k_gain")[:, None, :], eps, dkn)
-        g("q_gain")[...] += dgq.sum(axis=1)
-        g("k_gain")[...] += dgk.sum(axis=1)
+        dq, dgq = old_rms_norm_bwd(t["qk"][:n_q], p("qk_gain")[:n_q, None, :], eps, dqn)
+        dk, dgk = old_rms_norm_bwd(t["qk"][n_q:], p("qk_gain")[n_q:, None, :], eps, dkn)
+        g("qk_gain")[:n_q] += dgq.sum(axis=1)
+        g("qk_gain")[n_q:] += dgk.sum(axis=1)
         dq_flat = dq.transpose(1, 0, 2).reshape(T, -1)
         dk_flat = dk.transpose(1, 0, 2).reshape(T, -1)
         dv_flat = dv.transpose(1, 0, 2).reshape(T, -1)
-        dln1 = dq_flat @ p("wq").T + dk_flat @ p("wk").T + dv_flat @ p("wv").T
-        g("wq")[...] += ln1.T @ dq_flat
-        g("wk")[...] += ln1.T @ dk_flat
-        g("wv")[...] += ln1.T @ dv_flat
+        dln1 = dq_flat @ wq.T + dk_flat @ wk.T + dv_flat @ wv.T
+        gq += ln1.T @ dq_flat
+        gk += ln1.T @ dk_flat
+        gv += ln1.T @ dv_flat
         dx0_ln1, dg_pre_a = old_rms_norm_bwd(t["x0"], p("pre_attn_norm"), eps, dln1)
         g("pre_attn_norm")[...] += dg_pre_a.sum(axis=0)
         dh = dx1 + dx0_ln1
@@ -148,7 +155,7 @@ def test_taped_terms_equal_the_old_recompute_formulas(make, T):
     np.testing.assert_array_equal(tape["div_hf"], old_divisor(tape["h_last"], eps))
     for i, t in enumerate(tape["layers"]):
         inputs = {
-            "div_ln1": t["x0"], "div_qk": np.concatenate((t["q"], t["k"])),
+            "div_ln1": t["x0"], "div_qk": t["qk"],
             "div_attn": t["attn_out"], "div_mlp": t["mlp_out"],
             "div_ln2": old_x1(t, params[f"layer{i}.post_attn_norm"], eps),
         }

@@ -5,7 +5,7 @@ import pytest
 
 from gemma_mini.errors import ConfigError, MaskError, ShapeError
 from gemma_mini.tensor import (
-    NEG_INF, RopeParams, matmul, rms_divisor, rms_norm, rope_apply, rope_cos_sin, rope_rotate,
+    NEG_INF, RopeParams, _rms_norm, matmul, rms_norm, rope_apply, rope_cos_sin, rope_rotate,
     softmax_rows,
 )
 
@@ -132,14 +132,18 @@ class TestRmsNorm:
         np.testing.assert_array_equal(rms_norm(v, gain), want)
 
     def test_given_divisor_is_the_divisor_step(self):
+        """The layer path's body returns rms_norm's divisor and output, and
+        rms_norm given that divisor returns the same bits."""
         rng = np.random.default_rng(10)
         v = rng.normal(size=(3, 5, 16)) * 3.0
         gain = rng.normal(size=16)
-        div = rms_divisor(v, 1e-6)
+        div, out = _rms_norm(v, gain, 1e-6)
         assert div.shape == (3, 5, 1)
-        np.testing.assert_array_equal(rms_norm(v, gain, 1e-6, div), rms_norm(v, gain, 1e-6))
+        np.testing.assert_array_equal(div, np.sqrt(np.mean(v * v, axis=-1, keepdims=True) + 1e-6))
+        np.testing.assert_array_equal(out, rms_norm(v, gain, 1e-6))
+        np.testing.assert_array_equal(rms_norm(v, gain, 1e-6, div), out)
         with pytest.raises(ConfigError):
-            rms_divisor(v, 0.0)
+            rms_norm(v, gain, 0.0)
 
 
 ROPE = RopeParams(base_freq=10_000.0, scale=1.0, head_dim=8)
