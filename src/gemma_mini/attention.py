@@ -1,4 +1,4 @@
-"""Grouped-query attention with QK-norm and per-kind causal masking.
+"""Grouped-query attention and per-kind causal masking.
 
 Local layers attend inside a trailing window (the query position counts as
 part of the window); Global layers attend to the whole causal prefix. Both
@@ -35,7 +35,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import NEG_INF, RopeParams, rms_norm, rope_cos_sin, softmax_rows
+# rms_norm is bound here though attention does not call it: perfbench/test_tracer.py
+# pins this module among its import sites
+from .tensor import NEG_INF, RopeParams, rms_norm, rope_cos_sin, softmax_rows  # noqa: F401
 
 
 class LayerKind(Enum):
@@ -101,31 +103,6 @@ def build_mask(
     if kind is LayerKind.LOCAL:
         allowed &= k_row > q_col - window
     return np.where(allowed, 0.0, NEG_INF)
-
-
-def qk_norm(
-    q: np.ndarray,
-    k: np.ndarray,
-    q_gain: Optional[np.ndarray] = None,
-    k_gain: Optional[np.ndarray] = None,
-    eps: float = 1e-6,
-) -> tuple[np.ndarray, np.ndarray]:
-    """RMS-normalize query and key vectors per head, before rotary embedding.
-
-    q: (Hq, T, head_dim), k: (Hkv, T, head_dim). Gains are per head,
-    shape (H, head_dim), and default to ones.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
-    if q.shape[-1] != k.shape[-1]:
-        raise ShapeError(f"q head_dim {q.shape[-1]} != k head_dim {k.shape[-1]}")
-    q_gain = np.ones(q.shape[-1]) if q_gain is None else np.asarray(q_gain, dtype=np.float64)
-    k_gain = np.ones(k.shape[-1]) if k_gain is None else np.asarray(k_gain, dtype=np.float64)
-    if q_gain.ndim == 2:
-        q_gain = q_gain[:, None, :]  # broadcast over the sequence axis
-    if k_gain.ndim == 2:
-        k_gain = k_gain[:, None, :]
-    return rms_norm(q, q_gain, eps), rms_norm(k, k_gain, eps)
 
 
 _TILE = 64  # query rows per causal tile

@@ -8,7 +8,7 @@ is order-independent.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -111,17 +111,37 @@ def classify(generated: Sequence[int], true_suffix: Sequence[int]) -> Match:
     return Match.NONE
 
 
+_ROW_KEYS = {"source", "offset", "outcome", "flags"}
+_OUTCOMES = {m.value for m in Match}
+
+
 @dataclass
 class AuditReport:
-    """exact_rate counts Exact only; approx_rate is cumulative (Exact or
+    """One row per audited sample: its source, offset, outcome and flags.
+    Every count, rate and per-source figure is computed from the rows.
+    exact_rate counts Exact only; approx_rate is cumulative (Exact or
     Approximate), matching the usual total-memorization framing."""
 
-    n_samples: int
-    exact_count: int
-    approx_only_count: int
-    none_count: int
-    per_source: dict
-    samples: list = field(default_factory=list)  # per-sample outcome dicts
+    samples: list  # per-sample outcome dicts
+
+    @property
+    def n_samples(self) -> int:
+        return len(self.samples)
+
+    def _count(self, outcome: Match) -> int:
+        return sum(row["outcome"] == outcome.value for row in self.samples)
+
+    @property
+    def exact_count(self) -> int:
+        return self._count(Match.EXACT)
+
+    @property
+    def approx_only_count(self) -> int:
+        return self._count(Match.APPROXIMATE)
+
+    @property
+    def none_count(self) -> int:
+        return self._count(Match.NONE)
 
     @property
     def exact_rate(self) -> float:
@@ -131,6 +151,17 @@ class AuditReport:
     def approx_rate(self) -> float:
         return (self.exact_count + self.approx_only_count) / self.n_samples
 
+    @property
+    def per_source(self) -> dict:
+        """source -> its sample count and the count of each outcome."""
+        out: dict = {}
+        for row in self.samples:
+            src = out.setdefault(
+                row["source"], {"n_samples": 0, "exact": 0, "approximate": 0, "none": 0})
+            src["n_samples"] += 1
+            src[row["outcome"]] += 1
+        return out
+
     def to_dict(self) -> dict:
         return {
             "n_samples": self.n_samples,
@@ -139,7 +170,7 @@ class AuditReport:
             "none_count": self.none_count,
             "exact_rate": self.exact_rate,
             "approx_rate": self.approx_rate,
-            "per_source": {k: dict(v) for k, v in sorted(self.per_source.items())},
+            "per_source": dict(sorted(self.per_source.items())),
             "samples": list(self.samples),
         }
 
@@ -148,14 +179,22 @@ class AuditReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AuditReport":
-        return cls(
-            n_samples=d["n_samples"],
-            exact_count=d["exact_count"],
-            approx_only_count=d["approx_only_count"],
-            none_count=d["none_count"],
-            per_source={k: dict(v) for k, v in d["per_source"].items()},
-            samples=list(d["samples"]),
-        )
+        """The report of a to_dict. A malformed row, no rows, or a count, rate
+        or per-source figure that disagrees with the rows is one ValueError."""
+        try:
+            rows = [dict(row) for row in d["samples"]]
+            for row in rows:
+                if (set(row) != _ROW_KEYS or not isinstance(row["source"], str)
+                        or type(row["offset"]) is not int or row["offset"] < 0
+                        or row["outcome"] not in _OUTCOMES or not isinstance(row["flags"], list)):
+                    raise ValueError(f"malformed sample row {row!r:.80}")
+            if not rows:
+                raise ValueError("no sample rows")
+            if cls(rows).to_dict() != d:
+                raise ValueError("counts, rates or per-source figures disagree with the rows")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"not an audit report: {exc}") from None
+        return cls(rows)
 
 
 def run_audit(
@@ -169,8 +208,6 @@ def run_audit(
     """
     if not samples:
         raise ValueError("no samples to audit")
-    counts = {Match.EXACT: 0, Match.APPROXIMATE: 0, Match.NONE: 0}
-    per_source: dict = {}
     rows = []
     for idx, sample in enumerate(samples):
         try:
@@ -178,25 +215,12 @@ def run_audit(
         except Exception as exc:
             raise RuntimeError(f"generation failed for sample {idx} ({sample.source})") from exc
         outcome = classify(continuation, sample.true_suffix)
-        counts[outcome] += 1
-        src = per_source.setdefault(
-            sample.source, {"n_samples": 0, "exact": 0, "approximate": 0, "none": 0}
-        )
-        src["n_samples"] += 1
-        src[outcome.value] += 1
         # flags is a hook for external per-sample classifiers (left empty here)
         rows.append(
             {"source": sample.source, "offset": sample.offset,
              "outcome": outcome.value, "flags": []}
         )
-    return AuditReport(
-        n_samples=len(samples),
-        exact_count=counts[Match.EXACT],
-        approx_only_count=counts[Match.APPROXIMATE],
-        none_count=counts[Match.NONE],
-        per_source=per_source,
-        samples=rows,
-    )
+    return AuditReport(rows)
 
 
 def model_generator(params: dict, cfg) -> Callable[[Sequence[int], int], list[int]]:

@@ -1,7 +1,9 @@
 """Per-layer key/value storage plus cache-size accounting.
 
 Each layer holds its rows oldest first, one array for keys and one
-for values: a Local layer its last `window` entries, a Global layer
+for values, heads first as (num_kv_heads, rows, head_dim): the layout the
+layer's projections produce and attention reads, so neither side
+transposes. A Local layer keeps its last `window` entries, a Global layer
 everything up to max_context. Positions are appended in order, so a layer's
 next position and its row count fix which absolute positions it holds; none
 are stored. The arrays own exactly the rows they hold, so a layer's bytes
@@ -50,7 +52,7 @@ class KvCache:
         self.max_context = max_context
         self.num_kv_heads = num_kv_heads
         self.head_dim = head_dim
-        none = np.empty((0, num_kv_heads, head_dim))
+        none = np.empty((num_kv_heads, 0, head_dim))
         self._keys = [none] * len(self.layer_kinds)  # never written in place
         self._values = [none] * len(self.layer_kinds)
         self._next_pos = [0] * len(self.layer_kinds)
@@ -68,30 +70,31 @@ class KvCache:
         """Store K/V for a layer at positions pos, pos + 1, ...; pos must be the
         layer's next position.
 
-        k, v: a block (T, num_kv_heads, head_dim) or one row (num_kv_heads,
-        head_dim). Returns (keys, values): the held rows the block can see,
-        oldest first, followed by the block's, one copy per array. A Local
-        layer then keeps the last `window` of them. Every check runs before
-        the store changes.
+        k, v: a block (num_kv_heads, T, head_dim) or one row (num_kv_heads,
+        head_dim). Returns (keys, values), each (num_kv_heads, rows,
+        head_dim): the held rows the block can see, oldest first, followed by
+        the block's, one copy per array. A Local layer then keeps the last
+        `window` of them. Every check runs before the store changes.
         """
         if k.ndim == 2:  # one row
-            k, v = k[None], v[None]
+            k, v = k[:, None], v[:, None]
         if pos != self._next_pos[layer]:
             raise OrderingError(
                 f"layer {layer} expected position {self._next_pos[layer]}, got {pos}"
             )
-        if v.shape != k.shape or k.shape[1:] != (self.num_kv_heads, self.head_dim):
-            raise ShapeError(f"keys {k.shape} and values {v.shape} are not both rows of "
-                             f"({self.num_kv_heads}, {self.head_dim})")
-        end = pos + k.shape[0]
+        if (v.shape != k.shape or k.ndim != 3
+                or k.shape[::2] != (self.num_kv_heads, self.head_dim)):
+            raise ShapeError(f"keys {k.shape} and values {v.shape} are not both blocks of "
+                             f"({self.num_kv_heads}, rows, {self.head_dim})")
+        end = pos + k.shape[1]
         if self.layer_kinds[layer] is LayerKind.GLOBAL and end > self.max_context:
             raise CapacityError(f"global layer {layer} is full at {self.max_context} entries")
-        first = max(0, self._keys[layer].shape[0] - self._visible[layer])  # oldest one seen
-        keys = np.concatenate((self._keys[layer][first:], k))
-        values = np.concatenate((self._values[layer][first:], v))
-        if self.layer_kinds[layer] is LayerKind.LOCAL and keys.shape[0] > self.window:
-            self._keys[layer] = keys[-self.window:].copy()
-            self._values[layer] = values[-self.window:].copy()
+        first = max(0, self._keys[layer].shape[1] - self._visible[layer])  # oldest one seen
+        keys = np.concatenate((self._keys[layer][:, first:], k), axis=1)
+        values = np.concatenate((self._values[layer][:, first:], v), axis=1)
+        if self.layer_kinds[layer] is LayerKind.LOCAL and keys.shape[1] > self.window:
+            self._keys[layer] = keys[:, -self.window:].copy()
+            self._values[layer] = values[:, -self.window:].copy()
         else:
             self._keys[layer], self._values[layer] = keys, values
         self._next_pos[layer] = end
@@ -100,10 +103,10 @@ class KvCache:
     def view(self, layer: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Copies of all stored (keys, values, positions) in increasing position order.
 
-        keys/values: (n, num_kv_heads, head_dim), positions: (n,).
+        keys/values: (num_kv_heads, n, head_dim), positions: (n,).
         """
         n, keys = self._next_pos[layer], self._keys[layer]
-        return keys.copy(), self._values[layer].copy(), np.arange(n - keys.shape[0], n)
+        return keys.copy(), self._values[layer].copy(), np.arange(n - keys.shape[1], n)
 
 
 def kv_bytes(

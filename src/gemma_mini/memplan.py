@@ -7,7 +7,7 @@ but excluded.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConfigError
@@ -61,7 +61,11 @@ class MemoryReport:
     kv_bits: int
     kv_gb: float
     weights_gb: dict  # scheme name -> GB
-    totals_gb: dict  # scheme name -> weights + kv, GB
+
+    @property
+    def totals_gb(self) -> dict:
+        """scheme name -> weights + kv, GB"""
+        return {name: w + self.kv_gb for name, w in self.weights_gb.items()}
 
     def to_dict(self) -> dict:
         return {
@@ -70,7 +74,7 @@ class MemoryReport:
             "kv_bits": self.kv_bits,
             "kv_gb": self.kv_gb,
             "weights_gb": dict(self.weights_gb),
-            "totals_gb": dict(self.totals_gb),
+            "totals_gb": self.totals_gb,
         }
 
     def to_json(self) -> str:
@@ -78,14 +82,20 @@ class MemoryReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MemoryReport":
-        return cls(
-            model=d["model"],
-            context=d["context"],
-            kv_bits=d["kv_bits"],
-            kv_gb=d["kv_gb"],
-            weights_gb=dict(d["weights_gb"]),
-            totals_gb=dict(d["totals_gb"]),
-        )
+        """The report of a to_dict. A missing, unknown or mistyped entry, or
+        totals that are not weights + KV, is one ValueError."""
+        try:
+            rep = cls(d["model"], d["context"], d["kv_bits"], d["kv_gb"], dict(d["weights_gb"]))
+            counts, sizes = (rep.context, rep.kv_bits), (rep.kv_gb, *rep.weights_gb.values())
+            if not (isinstance(rep.model, str) and all(isinstance(k, str) for k in rep.weights_gb)
+                    and all(type(n) is int and n >= 0 for n in counts)
+                    and all(type(x) is float and 0 <= x < float("inf") for x in sizes)):
+                raise ValueError("an entry has the wrong type or a negative value")
+            if rep.to_dict() != d:
+                raise ValueError("totals_gb is not weights_gb + kv_gb, or an entry is unknown")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"not a memory report: {exc}") from None
+        return rep
 
     def format_table(self, schemes: Optional[list[str]] = None) -> str:
         names = schemes or list(self.weights_gb)
@@ -116,7 +126,6 @@ class ModelPreset:
     head_dim: int
     local_per_global: int
     window: int
-    arch: dict = field(default_factory=dict)  # the raw config key/values
 
     def __post_init__(self):
         for name, least in (("embedding_params", 0), ("non_embedding_params", 0),
@@ -145,12 +154,6 @@ def report(preset: ModelPreset, context: int, kv_bits: int = 8) -> MemoryReport:
         name: weight_bytes(preset.embedding_params, preset.non_embedding_params, scheme) / GB
         for name, scheme in SCHEMES.items()
     }
-    totals = {name: w + kv / GB for name, w in weights.items()}
     return MemoryReport(
-        model=preset.name,
-        context=context,
-        kv_bits=kv_bits,
-        kv_gb=kv / GB,
-        weights_gb=weights,
-        totals_gb=totals,
+        model=preset.name, context=context, kv_bits=kv_bits, kv_gb=kv / GB, weights_gb=weights,
     )

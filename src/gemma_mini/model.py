@@ -23,6 +23,7 @@ Weights are immutable after load and can be shared across threads; each
 generation stream owns its private KvCache.
 """
 
+import math
 import zipfile
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
@@ -213,17 +214,14 @@ def init_params(cfg: ModelConfig, seed: int = 0, scale: float = 0.02) -> dict:
 
 
 def count_params(cfg: ModelConfig) -> dict:
-    """Closed-form parameter counts, split like a spec sheet.
+    """Parameter counts of param_shapes(cfg), split like a spec sheet.
 
     embedding covers the token table; everything else (projections, gains,
     norms, untied head if any) is non_embedding.
     """
-    embedding = cfg.vocab_size * cfg.d_model
-    per_layer = sum(int(np.prod(s)) for s in _layer_param_shapes(cfg).values())
-    non_embedding = cfg.n_layers * per_layer + cfg.d_model
-    if not cfg.tie_embeddings:
-        non_embedding += cfg.d_model * cfg.vocab_size
-    return {"embedding": embedding, "non_embedding": non_embedding}
+    sizes = {name: math.prod(shape) for name, shape in param_shapes(cfg).items()}
+    embedding = sizes.pop("embed")
+    return {"embedding": embedding, "non_embedding": sum(sizes.values())}
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +294,7 @@ def _layer(params, cfg, i, kind, h, positions, kind_plan, cache=None, tape=None)
     qr, kr = qkr[:n_q], qkr[n_q:]
     keys, values = kr, v
     if cache is not None:  # the retained rows the chunk can see, oldest first, then its own
-        keys, values = cache.append(
-            i, kr.transpose(1, 0, 2), v.transpose(1, 0, 2), int(positions[0]))
-        keys, values = keys.transpose(1, 0, 2), values.transpose(1, 0, 2)
+        keys, values = cache.append(i, kr, v, int(positions[0]))
     merged = _merge_heads(attend(qr, keys, values, att, band))
     attn_out = merged @ params[w["wo"]]
     div_attn, attn_normed = _rms_norm(attn_out, params[w["post_attn_norm"]], eps)

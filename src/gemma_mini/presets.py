@@ -89,7 +89,6 @@ def load_preset(name: str) -> ModelPreset:
             head_dim=values["head_dim"],
             local_per_global=values.get("local_per_global", 5),
             window=values.get("window", 1024),
-            arch=values,
         )
     except KeyError as exc:
         raise KeyError(f"preset {name!r} is missing required key {exc}") from exc

@@ -1,7 +1,8 @@
-"""Dense float64 kernels: matmul, row softmax, RMS norm, rotary embedding.
+"""Dense float64 kernels: row softmax, RMS norm, rotary embedding.
 
-Everything here is pure and reentrant; all math is 64-bit. These four
-kernels are the only numeric primitives the rest of the package builds on.
+Everything here is pure and reentrant; all math is 64-bit. Besides numpy's
+own products, these three kernels are the numeric primitives the rest of
+the package builds on.
 """
 
 from dataclasses import dataclass
@@ -48,17 +49,6 @@ class RopeParams:
         theta = self.base_freq ** (-2.0 * i / self.head_dim)
         theta.flags.writeable = False
         return theta
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """2-D matrix product; raises ShapeError on inner-dimension mismatch."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D inputs, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:

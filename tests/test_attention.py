@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gemma_mini import attention
-from gemma_mini.attention import AttentionConfig, LayerKind, build_mask, gqa_attend, qk_norm
+from gemma_mini.attention import AttentionConfig, LayerKind, build_mask, gqa_attend
 from gemma_mini.errors import ConfigError, MaskError
 from gemma_mini.tensor import NEG_INF, RopeParams, softmax_rows
 
@@ -64,34 +64,6 @@ class TestBuildMask:
             assert np.all(np.isneginf(cur) | (prev == 0))
             assert not np.any(np.isneginf(prev) & (cur == 0))
             prev = cur
-
-
-class TestQkNorm:
-    def test_all_ones_unchanged(self):
-        q = np.ones((2, 3, 8))
-        k = np.ones((1, 3, 8))
-        qn, kn = qk_norm(q, k)
-        np.testing.assert_allclose(qn, q, atol=1e-6)
-        np.testing.assert_allclose(kn, k, atol=1e-6)
-
-    def test_scale_invariance(self):
-        # eps only matters for vanishing vectors; keep RMS comfortably above it
-        rng = np.random.default_rng(1)
-        q = rng.normal(size=(2, 4, 8)) * 3.0
-        k = rng.normal(size=(2, 4, 8))
-        qn, _ = qk_norm(q, k)
-        qn_scaled, _ = qk_norm(q * 100.0, k)
-        np.testing.assert_allclose(qn_scaled, qn, atol=1e-6)
-
-    def test_logits_bounded_by_sqrt_head_dim(self):
-        # unit-RMS vectors have norm sqrt(d), so |q.k|/sqrt(d) <= sqrt(d)
-        rng = np.random.default_rng(2)
-        d = 16
-        q = rng.normal(size=(1, 10, d)) * 37
-        k = rng.normal(size=(1, 10, d)) * 0.03
-        qn, kn = qk_norm(q, k)
-        logits = qn[0] @ kn[0].T / np.sqrt(d)
-        assert np.abs(logits).max() <= np.sqrt(d) + 1e-9
 
 
 class TestGqaAttend:

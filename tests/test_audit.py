@@ -215,6 +215,37 @@ class TestRunAudit:
         parsed = AuditReport.from_dict(json.loads(report.to_json()))
         assert parsed.to_dict() == report.to_dict()
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.update(n_samples=3),
+        lambda d: d.update(exact_count=d["exact_count"] + 1),
+        lambda d: d.update(none_count=0),
+        lambda d: d.update(approx_rate=0.5),
+        lambda d: d["per_source"]["doc"].update(exact=0),
+        lambda d: d["per_source"].update(other={"n_samples": 0, "exact": 0, "approximate": 0,
+                                                "none": 0}),
+        lambda d: d.update(extra=1),
+        lambda d: d.pop("none_count"),
+        lambda d: d["samples"][0].update(outcome="partial"),
+        lambda d: d["samples"][0].update(offset=-1),
+        lambda d: d["samples"][0].update(offset=True),
+        lambda d: d["samples"][0].pop("flags"),
+        lambda d: d["samples"].append("row"),
+        lambda d: d.update(samples=[]),
+        lambda d: d.update(samples=None),
+    ])
+    def test_from_dict_refuses_a_report_its_rows_do_not_make(self, edit):
+        def replay_early_offsets(prefix, n):  # the true suffix of offsets 0 and 50 only
+            return [prefix[-1] + 1 + i for i in range(n)] if prefix[0] < 100 else [0] * n
+
+        samples = make_samples([("doc", list(range(300)))], stride=50)
+        report = run_audit(replay_early_offsets, samples)
+        assert (report.exact_count, report.none_count) == (2, 3)
+        d = json.loads(report.to_json())
+        assert AuditReport.from_dict(json.loads(report.to_json())).to_json() == report.to_json()
+        edit(d)
+        with pytest.raises(ValueError, match="not an audit report"):
+            AuditReport.from_dict(d)
+
     def test_generation_failure_carries_sample_id(self):
         doc = list(range(100))
         samples = make_samples([("doc", doc)])

@@ -22,7 +22,7 @@ from gemma_mini.train import train_byte_lm
 
 cfg = ModelConfig.from_dict(preset_values("toy"))
 data = np.random.default_rng(0).integers(0, 256, size=2000)
-params = train_byte_lm(cfg, data, steps=20, seed=0, batch_len=512).params
+params = train_byte_lm(cfg, data, steps=3, seed=0, batch_len=512).params
 sample = generate(params, cfg, list(data[:40]), 30, sampler="temperature", seed=3)
 corpus = [("a", list(data[:300])), ("b", list(data[300:600]))]
 report = run_audit(model_generator(params, cfg), make_samples(corpus, stride=100))

@@ -73,8 +73,9 @@ class TestCache:
             cache.append(0, vec, -vec, pos)
         keys, values, positions = cache.view(0)
         np.testing.assert_array_equal(positions, [2, 3, 4])
-        np.testing.assert_array_equal(keys[0], vecs[2])
-        np.testing.assert_array_equal(values[-1], -vecs[4])
+        assert keys.shape == values.shape == (2, 3, 4)  # heads first
+        np.testing.assert_array_equal(keys[:, 0], vecs[2])
+        np.testing.assert_array_equal(values[:, -1], -vecs[4])
 
     def test_views_are_copies_across_a_ring_wrap(self):
         # views taken part-full, exactly full and wrapped, then every slot of
@@ -94,9 +95,10 @@ class TestCache:
 
 
 def rows(first, n):
-    """K/V blocks (n, 2, 4) whose row for position p holds p (keys) and -p (values)."""
+    """K/V blocks (2, n, 4), heads first, whose row for position p holds p (keys)
+    and -p (values)."""
     k = np.repeat(np.arange(first, first + n, dtype=float), 8).reshape(n, 2, 4)
-    return k, -k
+    return k.transpose(1, 0, 2).copy(), -k.transpose(1, 0, 2)
 
 
 class TestBlockAppend:
@@ -106,8 +108,8 @@ class TestBlockAppend:
         cache.append(0, *rows(3, 3), 3)  # positions 3, 4, 5 go to slots 3, 0, 1
         keys, values, positions = cache.view(0)
         np.testing.assert_array_equal(positions, [2, 3, 4, 5])
-        np.testing.assert_array_equal(keys[1:], rows(3, 3)[0])
-        np.testing.assert_array_equal(values[1:], rows(3, 3)[1])
+        np.testing.assert_array_equal(keys[:, 1:], rows(3, 3)[0])
+        np.testing.assert_array_equal(values[:, 1:], rows(3, 3)[1])
         assert cache.next_pos == 6
 
     def test_block_longer_than_the_ring_keeps_its_last_rows(self):
@@ -126,10 +128,10 @@ class TestBlockAppend:
             for n in range(1, 17 - prefix):
                 block, single = small_cache([kind]), small_cache([kind])
                 for pos in range(prefix):
-                    block.append(0, *(a[0] for a in rows(pos, 1)), pos)
+                    block.append(0, *(a[:, 0] for a in rows(pos, 1)), pos)
                 block.append(0, *rows(prefix, n), prefix)
                 for pos in range(prefix + n):
-                    single.append(0, *(a[0] for a in rows(pos, 1)), pos)
+                    single.append(0, *(a[:, 0] for a in rows(pos, 1)), pos)
                 for got, want in zip(block.view(0), single.view(0)):
                     np.testing.assert_array_equal(got, want)
 
@@ -149,16 +151,17 @@ class TestBlockAppend:
             cache.append(0, rows(0, 3)[0], rows(0, 2)[1], 0)
         assert cache.next_pos == 0
         keys, values, positions = cache.view(0)
-        assert keys.shape == values.shape == (0, 2, 4) and positions.size == 0
+        assert keys.shape == values.shape == (2, 0, 4) and positions.size == 0
 
-    @pytest.mark.parametrize("shape", [(3, 2, 5), (3, 1, 4), (3, 8), (2, 4, 1)])
+    # wrong head_dim, wrong head count, a row of another width, and rows-first blocks
+    @pytest.mark.parametrize("shape", [(2, 3, 5), (1, 3, 4), (3, 8), (4, 2, 1), (3, 2, 4)])
     def test_rows_of_another_shape_rejected_before_any_write(self, shape):
         cache = small_cache([L, G])
         for layer in (0, 1):
             cache.append(layer, *rows(0, 2), 0)
         before = [cache.view(layer) for layer in (0, 1)]
         for layer in (0, 1):
-            with pytest.raises(ShapeError, match=r"\(2, 4\)"):
+            with pytest.raises(ShapeError, match=r"\(2, rows, 4\)"):
                 cache.append(layer, np.zeros(shape), np.zeros(shape), 2)
         assert cache.next_pos == 2
         for layer in (0, 1):
@@ -204,13 +207,13 @@ class TestAppendReturns:
                 # the held rows returned are the ones view placed at positions [seen, n)
                 returned = held_pos >= seen
                 np.testing.assert_array_equal(held_pos[returned], np.arange(seen, n))
-                np.testing.assert_array_equal(keys[:-2], held_k[returned])
-                np.testing.assert_array_equal(values[:-2], held_v[returned])
+                np.testing.assert_array_equal(keys[:, :-2], held_k[:, returned])
+                np.testing.assert_array_equal(values[:, :-2], held_v[:, returned])
                 # one row returns the same way, in the one array per side that the
                 # layer then holds; the rows returned before are copies, which
                 # the next append leaves as they were
                 seen = n + 2 - min(n + 2, window - 1) if kind is L else 0
-                step = cache.append(0, *(a[0] for a in rows(n + 2, 1)), n + 2)
+                step = cache.append(0, *(a[:, 0] for a in rows(n + 2, 1)), n + 2)
                 for got, want in zip(step, rows(seen, n + 3 - seen)):
                     np.testing.assert_array_equal(got, want)
                 assert step[0] is cache._keys[0] and step[1] is cache._values[0]
@@ -238,6 +241,8 @@ class TestHeldBytesMatchThePlanner:
                     held = (cache._keys[layer], cache._values[layer])
                     assert sum(a.nbytes for a in held) == nbytes, (prefill, context, layer)
                     assert all(a.base is None for a in held), (prefill, context, layer)
+                    assert all(a.shape[::2] == (cfg.num_kv_heads, cfg.head_dim)
+                               for a in held), (prefill, context, layer)  # heads first
 
 
 class TestKvBytes:

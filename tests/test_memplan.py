@@ -96,6 +96,28 @@ class TestReport:
         parsed = MemoryReport.from_dict(json.loads(rep.to_json()))
         assert parsed == rep
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["totals_gb"].update(bf16=d["totals_gb"]["bf16"] + 1e-9),
+        lambda d: d["totals_gb"].pop("int4"),
+        lambda d: d["totals_gb"].update(fp2=1.0),
+        lambda d: d.update(kv_gb=d["kv_gb"] * 2),
+        lambda d: d["weights_gb"].update(bf16="8.0"),
+        lambda d: d["weights_gb"].update(bf16=-1.0),
+        lambda d: d.update(kv_gb=float("nan")),
+        lambda d: d.update(context=-1),
+        lambda d: d.update(context=32768.0),
+        lambda d: d.update(kv_bits=True),
+        lambda d: d.update(model=None),
+        lambda d: d.update(extra=1),
+        lambda d: d.pop("kv_bits"),
+        lambda d: d.update(weights_gb=[1.0]),
+    ])
+    def test_from_dict_refuses_a_report_its_parts_do_not_make(self, edit):
+        d = json.loads(report(load_preset("gemma3-4b"), context=32768).to_json())
+        edit(d)
+        with pytest.raises(ValueError, match="not a memory report"):
+            MemoryReport.from_dict(d)
+
     def test_table_mentions_every_scheme(self):
         rep = report(load_preset("gemma3-27b"), context=32768)
         table = rep.format_table()

@@ -7,8 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from gemma_mini import attention, model, train
-from gemma_mini.attention import LayerKind, qk_norm
+from gemma_mini import attention, cli, model, train
+from gemma_mini.attention import LayerKind
 from gemma_mini.errors import CapacityError, ConfigError
 from gemma_mini.kvcache import kv_bytes
 from gemma_mini.model import (
@@ -25,8 +25,8 @@ from gemma_mini.model import (
     param_shapes,
     save_weights,
 )
-from gemma_mini.presets import model_config_from_file, preset_values
-from gemma_mini.tensor import rope_apply
+from gemma_mini.presets import list_presets, model_config_from_file, preset_values
+from gemma_mini.tensor import _rms_norm, rope_apply
 from gemma_mini.train import loss_and_grads
 
 L, G = LayerKind.LOCAL, LayerKind.GLOBAL
@@ -39,6 +39,36 @@ def toy_config(**overrides):
     )
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def layer_qk_norm(qk, qk_gain, eps=1e-6):
+    """The layer path's qk-norm, as _layer runs it: every query and key head
+    of qk (heads, T, head_dim) at once, under per-head gains (heads, head_dim).
+    test_tape_rotation_equals_the_public_kernels ties it to the tape bit for bit."""
+    return _rms_norm(qk, qk_gain[:, None], eps)[1]
+
+
+class TestQkNorm:
+    def test_all_ones_unchanged(self):
+        qk = np.ones((3, 3, 8))  # two query heads, then one key head
+        np.testing.assert_allclose(layer_qk_norm(qk, np.ones((3, 8))), qk, atol=1e-6)
+
+    def test_scale_invariance(self):
+        # eps only matters for vanishing vectors; keep RMS comfortably above it
+        rng = np.random.default_rng(1)
+        qk = rng.normal(size=(4, 4, 8)) * 3.0
+        gains = np.ones((4, 8))
+        np.testing.assert_allclose(
+            layer_qk_norm(qk * 100.0, gains), layer_qk_norm(qk, gains), atol=1e-6)
+
+    def test_logits_bounded_by_sqrt_head_dim(self):
+        # unit-RMS vectors have norm sqrt(d), so |q.k|/sqrt(d) <= sqrt(d)
+        rng = np.random.default_rng(2)
+        d = 16
+        qk = np.concatenate([rng.normal(size=(1, 10, d)) * 37, rng.normal(size=(1, 10, d)) * 0.03])
+        qn, kn = layer_qk_norm(qk, np.ones((2, d)))
+        logits = qn @ kn.T / np.sqrt(d)
+        assert np.abs(logits).max() <= np.sqrt(d) + 1e-9
 
 
 class TestLayerKinds:
@@ -501,10 +531,10 @@ class TestPerKindWork:
         n_q = cfg.num_query_heads
         for i, (kind, t) in enumerate(zip(cfg.kinds(), tape["layers"])):
             gains = params[f"layer{i}.qk_gain"]  # the query heads' rows, then the key heads'
-            qn, kn = qk_norm(t["qk"][:n_q], t["qk"][n_q:], gains[:n_q], gains[n_q:], cfg.rms_eps)
+            qkn = layer_qk_norm(t["qk"], gains, cfg.rms_eps)
             rope = cfg.attn_for(kind).rope
-            assert np.array_equal(t["qr"], rope_apply(qn, positions, rope))
-            assert np.array_equal(t["kr"], rope_apply(kn, positions, rope))
+            assert np.array_equal(t["qr"], rope_apply(qkn[:n_q], positions, rope))
+            assert np.array_equal(t["kr"], rope_apply(qkn[n_q:], positions, rope))
 
     @pytest.mark.parametrize("T", [5, 20, 200])  # tiled; banded; banded and 4 tiles
     def test_tape_plans_keep_no_mask(self, T, monkeypatch):
@@ -689,6 +719,21 @@ class TestCountParams:
         assert counted["non_embedding"] == sum(
             size for name, size in walked.items() if name != "embed"
         )
+
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_equals_the_closed_form_for_every_shipped_config(self, tied):
+        configs = [toy_config(), cli._toy_student_config(), cli._toy_teacher_config()]
+        configs += [ModelConfig.from_dict(preset_values(name)) for name in list_presets()]
+        for cfg in configs:
+            cfg = dataclasses.replace(cfg, tie_embeddings=tied)
+            d, v, hd = cfg.d_model, cfg.vocab_size, cfg.head_dim
+            hq, hkv, f = cfg.num_query_heads, cfg.num_kv_heads, cfg.hidden_dim
+            # wqkv, wo, qk_gain, four norms, gate/up/down
+            per_layer = d * (hq + 2 * hkv) * hd + hq * hd * d + (hq + hkv) * hd + 4 * d + 3 * d * f
+            head = 0 if tied else d * v
+            want = {"embedding": v * d, "non_embedding": cfg.n_layers * per_layer + d + head}
+            got = count_params(cfg)
+            assert got == want and all(type(n) is int for n in got.values()), cfg
 
     def test_published_1b_embedding_width(self):
         cfg = toy_config(vocab_size=262144, d_model=1152)

@@ -5,47 +5,8 @@ import pytest
 
 from gemma_mini.errors import ConfigError, MaskError, ShapeError
 from gemma_mini.tensor import (
-    NEG_INF, RopeParams, _rms_norm, matmul, rms_norm, rope_apply, rope_cos_sin, rope_rotate,
-    softmax_rows,
+    NEG_INF, RopeParams, _rms_norm, rms_norm, rope_apply, rope_cos_sin, rope_rotate, softmax_rows,
 )
-
-
-def matmul_oracle(a, b):
-    # entry-by-entry triple loop, independent of the library path
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            for k in range(a.shape[1]):
-                out[i, j] += a[i, k] * b[k, j]
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.arange(9.0).reshape(3, 3)
-        np.testing.assert_array_equal(matmul(np.eye(3), m), m)
-
-    def test_hand_case(self):
-        out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[0.0], [1.0]]))
-        np.testing.assert_array_equal(out, [[2.0], [4.0]])
-
-    def test_matches_triple_loop(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(5, 7))
-        b = rng.normal(size=(7, 3))
-        np.testing.assert_allclose(matmul(a, b), matmul_oracle(a, b), rtol=1e-12)
-
-    def test_shape_error(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_associativity(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            a, b, c = (rng.normal(size=(4, 4)) for _ in range(3))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            np.testing.assert_allclose(left, right, rtol=1e-9)
 
 
 class TestSoftmaxRows:
