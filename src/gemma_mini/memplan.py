@@ -12,7 +12,7 @@ from typing import Optional
 
 from .errors import ConfigError
 from .kvcache import kv_bytes
-from .model import layer_kinds
+from .model import ModelConfig
 
 GB = 1e9
 
@@ -110,31 +110,25 @@ class MemoryReport:
 
 @dataclass(frozen=True)
 class ModelPreset:
-    """Parameter-count metadata plus enough architecture to size a KV cache.
+    """A preset's published parameter counts plus the ModelConfig its file
+    makes, which sizes the KV cache as make_cache(config) holds it.
 
-    Depth/width/head fields of the shipped presets are representative
-    placeholders, not verified against any released checkpoint; the
-    parameter counts are what the planner trusts.
+    The counts are what the planner trusts for weights. The shipped Gemma
+    configs' depth/width/head fields are representative placeholders, not
+    verified against any released checkpoint.
     """
 
     name: str
     embedding_params: int
     non_embedding_params: int
     vision_encoder_params: int
-    n_layers: int
-    num_kv_heads: int
-    head_dim: int
-    local_per_global: int
-    window: int
+    config: ModelConfig
 
     def __post_init__(self):
-        for name, least in (("embedding_params", 0), ("non_embedding_params", 0),
-                            ("vision_encoder_params", 0), ("n_layers", 1), ("num_kv_heads", 1),
-                            ("head_dim", 1), ("local_per_global", 0), ("window", 1)):
+        for name in ("embedding_params", "non_embedding_params", "vision_encoder_params"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                raise ConfigError(
-                    f"preset {self.name!r}: {name} must be an int >= {least}, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ConfigError(f"{name} must be an int >= 0, got {value!r}")
 
 
 def report(preset: ModelPreset, context: int, kv_bits: int = 8) -> MemoryReport:
@@ -142,14 +136,9 @@ def report(preset: ModelPreset, context: int, kv_bits: int = 8) -> MemoryReport:
     context 0 means weights only."""
     if context < 0:
         raise ValueError(f"context must be >= 0, got {context}")
-    if context > 0:
-        pattern = layer_kinds(preset.n_layers, preset.local_per_global)
-        kv = kv_bytes(
-            pattern, context, preset.num_kv_heads, preset.head_dim,
-            kv_bits / 8, preset.window,
-        )["total"]
-    else:
-        kv = 0.0
+    cfg = preset.config  # sized as make_cache(cfg) holds it
+    kv = kv_bytes(cfg.kinds(), context, cfg.num_kv_heads, cfg.head_dim, kv_bits / 8,
+                  cfg.window)["total"] if context else 0.0
     weights = {
         name: weight_bytes(preset.embedding_params, preset.non_embedding_params, scheme) / GB
         for name, scheme in SCHEMES.items()

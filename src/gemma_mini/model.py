@@ -408,8 +408,9 @@ def generate(
 
     The prompt, checked even when max_new < 1, enters the cache as one
     chunk; each new token but the last is fed back through one decode_step,
-    since the last one's logits would go unread. The stop token, when
-    produced, is kept in the returned sequence.
+    since the last one's logits would go unread. So the prompt's length plus
+    max_new - 1 positions must fit max_context, which is checked before the
+    prefill. The stop token, when produced, is kept in the returned sequence.
     Deterministic for a given seed; "greedy" ignores the seed entirely.
     """
     out = list(prompt)
@@ -422,6 +423,10 @@ def generate(
     tokens = _check_tokens(cfg, out)
     if max_new < 1:
         return out
+    need = len(out) + max_new - 1  # the last new token is never fed back
+    if need > cfg.max_context:
+        raise CapacityError(f"a {len(out)}-token prompt and {max_new} new tokens need {need} "
+                            f"positions, past max_context {cfg.max_context}")
     cache = make_cache(cfg)
     row = _run(params, cfg, tokens, cache)[-1]
     rng = np.random.default_rng(seed)

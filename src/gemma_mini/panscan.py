@@ -43,19 +43,38 @@ class CropPlan:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CropPlan":
-        return cls(
-            image_w=d["image_w"],
-            image_h=d["image_h"],
-            grid=tuple(d["grid"]),
-            crops=[tuple(c) for c in d["crops"]],
-            applied=d["applied"],
-        )
+        """The plan of a to_dict. A missing, unknown or mistyped entry, crops
+        other than the grid's cells as plan_crops cuts them, or an unapplied
+        plan of more than one crop, is one ValueError."""
+        try:
+            if set(d) != {"image_w", "image_h", "grid", "crops", "applied"}:
+                raise ValueError(f"keys {sorted(d)} are not a plan's")
+            plan = cls(d["image_w"], d["image_h"], tuple(d["grid"]),
+                       [tuple(c) for c in d["crops"]], d["applied"])
+            (w, h), (nx, ny) = (plan.image_w, plan.image_h), plan.grid
+            ints = (w, h, nx, ny, *(v for crop in plan.crops for v in crop))
+            if type(plan.applied) is not bool or any(type(v) is not int for v in ints):
+                raise ValueError("an entry has the wrong type")
+            if not (1 <= nx <= w and 1 <= ny <= h and len(plan.crops) == nx * ny
+                    and plan.crops == _cells(w, h, nx, ny)):
+                raise ValueError(f"crops are not a {nx}x{ny} grid's near-equal cells of a "
+                                 f"{w}x{h} image, row-major")
+            if not plan.applied and plan.grid != (1, 1):
+                raise ValueError("an unapplied plan is one full-image crop")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"not a crop plan: {exc}") from None
+        return plan
 
 
 def _partition(length: int, parts: int) -> list[tuple[int, int]]:
     """(offset, size) pieces covering [0, length); sizes differ by <= 1."""
     bounds = [(i * length) // parts for i in range(parts + 1)]
     return [(bounds[i], bounds[i + 1] - bounds[i]) for i in range(parts)]
+
+
+def _cells(w: int, h: int, nx: int, ny: int) -> list[tuple[int, int, int, int]]:
+    """The (x, y, w, h) crops of an nx x ny grid over a w x h image, row-major."""
+    return [(x, y, cw, ch) for (y, ch) in _partition(h, ny) for (x, cw) in _partition(w, nx)]
 
 
 def plan_crops(
@@ -88,12 +107,7 @@ def plan_crops(
             if ny > 1:
                 ny -= 1
             shrink_x = nx > 1
-    crops = [
-        (x, y, cw, ch)
-        for (y, ch) in _partition(h, ny)
-        for (x, cw) in _partition(w, nx)
-    ]
-    return CropPlan(w, h, (nx, ny), crops, applied=True)
+    return CropPlan(w, h, (nx, ny), _cells(w, h, nx, ny), applied=True)
 
 
 def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -147,6 +161,8 @@ def pool_embeddings(grid: np.ndarray, out: int = POOLED_GRID) -> np.ndarray:
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 3 or grid.shape[0] != grid.shape[1]:
         raise ShapeError(f"expected a square (g, g, d) grid, got {grid.shape}")
+    if out < 1:
+        raise ShapeError(f"out must be >= 1, got {out}")
     g = grid.shape[0]
     if g % out != 0:
         raise ShapeError(f"grid side {g} is not divisible by {out}")

@@ -2,13 +2,16 @@
 
 Config syntax: one `key = value` per line, `#` comments, values parsed as
 int, float, bool or string. GEMMA_MINI_PRESETS may point at a directory of
-extra .cfg files; its entries shadow the built-ins on name clashes.
+extra .cfg files; its entries shadow the built-ins on name clashes. A
+planning preset is a full model config plus embedding_params,
+non_embedding_params and optionally vision_encoder_params.
 """
 
 import os
 from importlib import resources
 from typing import Union
 
+from .errors import ConfigError
 from .memplan import ModelPreset
 from .model import ModelConfig
 
@@ -77,6 +80,7 @@ def preset_values(name: str) -> dict:
 
 
 def load_preset(name: str) -> ModelPreset:
+    """The planning preset of a preset file; a ConfigError names the preset."""
     values = preset_values(name)
     try:
         return ModelPreset(
@@ -84,11 +88,9 @@ def load_preset(name: str) -> ModelPreset:
             embedding_params=values["embedding_params"],
             non_embedding_params=values["non_embedding_params"],
             vision_encoder_params=values.get("vision_encoder_params", 0),
-            n_layers=values["n_layers"],
-            num_kv_heads=values["num_kv_heads"],
-            head_dim=values["head_dim"],
-            local_per_global=values.get("local_per_global", 5),
-            window=values.get("window", 1024),
+            config=ModelConfig.from_dict(values),
         )
     except KeyError as exc:
         raise KeyError(f"preset {name!r} is missing required key {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"preset {name!r}: {exc}") from None

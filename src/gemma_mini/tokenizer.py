@@ -7,7 +7,9 @@ appearing in text are mapped to their control ids, mirroring how reserved
 tokenizer symbols behave.
 """
 
+import re
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 from .errors import ChatFormatError
@@ -28,22 +30,19 @@ _CONTROL_STRINGS = {
     END_OF_TURN: END_OF_TURN_ID,
     EOS_TEXT: EOS_ID,
 }
+_CONTROL_TEXTS = {token_id: marker for marker, token_id in _CONTROL_STRINGS.items()}
+# split keeps each marker it splits at, at the odd indices
+_MARKERS = re.compile("(" + "|".join(map(re.escape, _CONTROL_STRINGS)) + ")")
 
 
 def encode(text: str, add_bos: bool = False) -> list[int]:
     """UTF-8 bytes plus control-token substitution; BOS only via the flag."""
     ids = [BOS_ID] if add_bos else []
-    i = 0
-    while i < len(text):
-        for marker, token_id in _CONTROL_STRINGS.items():
-            if text.startswith(marker, i):
-                ids.append(token_id)
-                i += len(marker)
-                break
+    for i, piece in enumerate(_MARKERS.split(text)):
+        if i % 2:
+            ids.append(_CONTROL_STRINGS[piece])
         else:
-            ch = text[i]
-            ids.extend(ch.encode("utf-8"))
-            i += 1
+            ids.extend(piece.encode("utf-8"))
     return ids
 
 
@@ -52,33 +51,18 @@ def tokenize_with_bos(text: str) -> list[int]:
 
 
 def decode(ids: Sequence[int], show_bos: bool = False) -> str:
-    """Inverse of encode; BOS renders as "[BOS]" when show_bos is set."""
+    """Inverse of encode; BOS renders as "[BOS]" when show_bos is set. Each run
+    of byte ids decodes on its own, with invalid UTF-8 replaced."""
+    texts = {**_CONTROL_TEXTS, BOS_ID: BOS_TEXT if show_bos else ""}
     parts: list[str] = []
-    byte_run = bytearray()
-
-    def flush():
-        nonlocal byte_run
-        if byte_run:
-            parts.append(byte_run.decode("utf-8", errors="replace"))
-            byte_run = bytearray()
-
-    for t in ids:
-        if 0 <= t <= 255:
-            byte_run.append(t)
+    for is_byte, run in groupby(ids, key=lambda t: 0 <= t <= 255):
+        if is_byte:
+            parts.append(bytes(run).decode("utf-8", errors="replace"))
             continue
-        flush()
-        if t == BOS_ID:
-            if show_bos:
-                parts.append(BOS_TEXT)
-        elif t == EOS_ID:
-            parts.append(EOS_TEXT)
-        elif t == START_OF_TURN_ID:
-            parts.append(START_OF_TURN)
-        elif t == END_OF_TURN_ID:
-            parts.append(END_OF_TURN)
-        else:
-            raise ValueError(f"unknown token id {t}")
-    flush()
+        for t in run:
+            if t not in texts:
+                raise ValueError(f"unknown token id {t}")
+            parts.append(texts[t])
     return "".join(parts)
 
 

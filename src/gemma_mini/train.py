@@ -40,7 +40,7 @@ def cross_entropy(logits: np.ndarray, targets: Sequence[int]):
     return loss, dlogits
 
 
-def _mlp_backward(p, g: dict, t: dict, eps: float, dh: np.ndarray) -> np.ndarray:
+def _mlp_backward(p, g: dict, t: dict, dh: np.ndarray) -> np.ndarray:
     """d(x1) of one layer's h = x1 + rms_norm(mlp(rms_norm(x1)), post_mlp_norm)
     given d(h), storing the MLP half's parameter gradients in g. x1 is
     rebuilt as the forward summed it. Its temporaries are freed on return,
@@ -59,8 +59,8 @@ def _mlp_backward(p, g: dict, t: dict, eps: float, dh: np.ndarray) -> np.ndarray
     dgate = np.multiply(dact * up, dgelu, out=dgelu)
     dup = np.multiply(dact, gelu_gate, out=dact)
     dln2 = dgate @ p("w_gate").T + dup @ p("w_up").T
-    x1 = t["x0"] + rms_norm(t["attn_out"], p("post_attn_norm"), eps, t["div_attn"])
-    ln2 = rms_norm(x1, p("pre_mlp_norm"), eps, t["div_ln2"])
+    x1 = t["x0"] + rms_norm(t["attn_out"], p("post_attn_norm"), div=t["div_attn"])
+    ln2 = rms_norm(x1, p("pre_mlp_norm"), div=t["div_ln2"])
     g["w_gate"] = ln2.T @ dgate
     g["w_up"] = ln2.T @ dup
     dx1_ln2, dg_pre = _rms_norm_bwd(x1, p("pre_mlp_norm"), t["div_ln2"], dln2)
@@ -68,8 +68,7 @@ def _mlp_backward(p, g: dict, t: dict, eps: float, dh: np.ndarray) -> np.ndarray
     return dh + dx1_ln2
 
 
-def _attention_backward(p, g: dict, t: dict, att, kind_plan: tuple, eps: float,
-                        dx1: np.ndarray) -> np.ndarray:
+def _attention_backward(p, g: dict, t: dict, att, kind_plan: tuple, dx1: np.ndarray) -> np.ndarray:
     """d(x0) of one layer's x1 = x0 + rms_norm(attn(rms_norm(x0)), post_attn_norm)
     given d(x1), storing the attention half's parameter gradients in g.
     kind_plan is attention.plan's for the layer kind, as the forward made it.
@@ -99,7 +98,7 @@ def _attention_backward(p, g: dict, t: dict, att, kind_plan: tuple, eps: float,
     k_end = q_end + att.num_kv_heads * att.head_dim
     dln1 = (dqkv[:, :q_end] @ wqkv[:, :q_end].T + dqkv[:, q_end:k_end] @ wqkv[:, q_end:k_end].T
             + dqkv[:, k_end:] @ wqkv[:, k_end:].T)
-    ln1 = rms_norm(t["x0"], p("pre_attn_norm"), eps, t["div_ln1"])
+    ln1 = rms_norm(t["x0"], p("pre_attn_norm"), div=t["div_ln1"])
     g["wqkv"] = ln1.T @ dqkv
 
     dx0_ln1, dg_pre_a = _rms_norm_bwd(t["x0"], p("pre_attn_norm"), t["div_ln1"], dln1)
@@ -119,7 +118,6 @@ def backward_full(params: dict, cfg: ModelConfig, tape: dict, dlogits: np.ndarra
     the backward reaches it, so its arrays are freed once read, and the list
     is empty on return. A layer's gradients are made when the backward reaches it.
     """
-    eps = cfg.rms_eps
     grads = {"embed": np.zeros_like(params["embed"])}
     plans = {kind: plan(cfg.attn_for(kind), tape["positions"]) for kind in set(cfg._kinds)}
     hf, h_last = tape["hf"], tape["h_last"]
@@ -142,8 +140,8 @@ def backward_full(params: dict, cfg: ModelConfig, tape: dict, dlogits: np.ndarra
         p = lambda name: params[names[name]]
         g = {}
         kind = t["kind"]
-        dx1 = _mlp_backward(p, g, t, eps, dh)
-        dh = _attention_backward(p, g, t, cfg.attn_for(kind), plans[kind], eps, dx1)
+        dx1 = _mlp_backward(p, g, t, dh)
+        dh = _attention_backward(p, g, t, cfg.attn_for(kind), plans[kind], dx1)
         grads.update((names[name], grad) for name, grad in g.items())
 
     np.add.at(grads["embed"], tape["tokens"], dh)

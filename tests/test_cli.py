@@ -153,12 +153,14 @@ class TestGenerateConfigFile:
 
 
 class TestPlanPresetFile:
+    # a planning preset is a full model config plus the parameter counts
     PRESET = ("embedding_params = 1000\nnon_embedding_params = 2000\nn_layers = 6\n"
-              "num_kv_heads = 1\nhead_dim = 16\nwindow = 16\n")
+              "d_model = 64\nhidden_dim = 128\nvocab_size = 260\nmax_context = 64\n"
+              "num_query_heads = 2\nnum_kv_heads = 1\nhead_dim = 16\nwindow = 16\n")
 
     @pytest.mark.parametrize("line, message", [
-        ("window = 0", "window must be an int >= 1, got 0"),
-        ("n_layers = six", "n_layers must be an int >= 1, got 'six'"),
+        ("window = 0", "window 0 must lie in [1, max_context=64]"),
+        ("n_layers = six", "n_layers must be int, got 'six'"),
     ], ids=["zero-window", "string-layers"])
     def test_bad_preset_field_is_one_line_error(self, capsys, tmp_path, monkeypatch,
                                                 line, message):

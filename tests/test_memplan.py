@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from gemma_mini.errors import ConfigError
 from gemma_mini.memplan import GB, SCHEMES, MemoryReport, PrecisionScheme, report, weight_bytes
-from gemma_mini.presets import list_presets, load_preset
+from gemma_mini.model import ModelConfig, make_cache
+from gemma_mini.presets import list_presets, load_preset, preset_values
 
 # Published reference points: (embedding, non-embedding) parameter counts
 # and the bf16 footprint in decimal GB.
@@ -14,6 +16,12 @@ PUBLISHED = {
     "gemma3-12b": (1012e6, 10759e6, 24.0),
     "gemma3-27b": (1416e6, 25600e6, 54.0),
 }
+
+# A planning preset file: the parameter counts, then a full toy-like model config
+COUNTS = "embedding_params = 1000\nnon_embedding_params = 2000\n"
+TOY_SHAPES = ("n_layers = 6\nd_model = 64\nhidden_dim = 128\nvocab_size = 260\n"
+              "num_query_heads = 4\nnum_kv_heads = 2\nhead_dim = 16\nwindow = 16\n"
+              "max_context = 64\n")
 
 
 class TestWeightBytes:
@@ -152,9 +160,52 @@ class TestPresets:
 
     def test_env_dir_shadows_builtin(self, tmp_path, monkeypatch):
         custom = tmp_path / "gemma3-1b.cfg"
-        custom.write_text(
-            "name = gemma3-1b\nembedding_params = 1\nnon_embedding_params = 2\n"
-            "n_layers = 6\nnum_kv_heads = 1\nhead_dim = 8\n"
-        )
+        custom.write_text("name = gemma3-1b\n" + COUNTS + TOY_SHAPES)
         monkeypatch.setenv("GEMMA_MINI_PRESETS", str(tmp_path))
-        assert load_preset("gemma3-1b").embedding_params == 1
+        assert load_preset("gemma3-1b").embedding_params == 1000
+        assert load_preset("gemma3-1b").config.head_dim == 16
+
+    def test_config_is_the_model_config_of_the_file(self):
+        for name in PUBLISHED:
+            assert load_preset(name).config == ModelConfig.from_dict(preset_values(name))
+
+
+class TestPresetIsAModelConfig:
+    def _load(self, tmp_path, monkeypatch, text):
+        (tmp_path / "mine.cfg").write_text(text)
+        monkeypatch.setenv("GEMMA_MINI_PRESETS", str(tmp_path))
+        return load_preset("mine")
+
+    @pytest.mark.parametrize("context", [1, 15, 16, 17, 40, 64])
+    def test_planned_kv_bytes_are_what_make_cache_holds(self, tmp_path, monkeypatch, context):
+        # below, at and past the window of 16: float64 keys and values, so 64-bit KV
+        preset = self._load(tmp_path, monkeypatch, COUNTS + TOY_SHAPES)
+        cfg = preset.config
+        cache = make_cache(cfg)
+        block = np.zeros((cfg.num_kv_heads, context, cfg.head_dim))
+        for layer in range(cfg.n_layers):
+            cache.append(layer, block, block, 0)
+        held = sum(a.nbytes for arrays in (cache._keys, cache._values) for a in arrays)
+        # as the planner divides its bytes: kv_gb * GB can miss held by an ulp (at 40)
+        assert report(preset, context=context, kv_bits=64).kv_gb == held / GB
+
+    def test_odd_head_dim_is_refused(self, tmp_path, monkeypatch):
+        # RoPE rotates pairs of dimensions: the model refuses an odd head_dim, so the planner does
+        text = COUNTS + TOY_SHAPES.replace("head_dim = 16", "head_dim = 15")
+        with pytest.raises(ConfigError, match="^preset 'mine': head_dim must be positive and even"):
+            self._load(tmp_path, monkeypatch, text)
+
+    def test_planner_only_fields_are_not_a_preset(self, tmp_path, monkeypatch):
+        text = COUNTS + "n_layers = 6\nnum_kv_heads = 1\nhead_dim = 16\nwindow = 16\n"
+        with pytest.raises(ConfigError, match="^preset 'mine': config is missing required keys: "
+                                              "d_model, hidden_dim, vocab_size, max_context"):
+            self._load(tmp_path, monkeypatch, text)
+
+    @pytest.mark.parametrize("line, message", [
+        ("embedding_params = -1", "embedding_params must be an int >= 0, got -1"),
+        ("vision_encoder_params = 2.5", "vision_encoder_params must be an int >= 0, got 2.5"),
+        ("non_embedding_params = true", "non_embedding_params must be an int >= 0, got True"),
+    ])
+    def test_bad_count_is_refused(self, tmp_path, monkeypatch, line, message):
+        with pytest.raises(ConfigError, match=f"^preset 'mine': {message}$"):
+            self._load(tmp_path, monkeypatch, COUNTS + TOY_SHAPES + line + "\n")

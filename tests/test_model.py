@@ -702,6 +702,20 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(init_params(cfg, seed=0), cfg, [], max_new=1)
 
+    def test_capacity_checked_before_the_prefill(self, monkeypatch):
+        cfg = toy_config(max_context=16, window=4)
+        params = init_params(cfg, seed=0)
+        prompt = list(range(10))
+        run = model._run
+        monkeypatch.setattr(model, "_run", lambda *a: pytest.fail("ran past capacity"))
+        with pytest.raises(CapacityError, match="need 59 positions, past max_context 16"):
+            generate(params, cfg, prompt, max_new=50)
+        with pytest.raises(CapacityError, match="need 17 positions"):
+            generate(params, cfg, prompt, max_new=8)
+        monkeypatch.setattr(model, "_run", run)
+        # the last new token is never fed back: 10 + 7 positions fit, with 17 tokens out
+        assert len(generate(params, cfg, prompt, max_new=7)) == 17
+
     @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan")])
     def test_nonpositive_temperature_rejected(self, temperature):
         cfg = toy_config()

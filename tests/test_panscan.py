@@ -84,6 +84,51 @@ class TestPlanCrops:
         parsed = CropPlan.from_dict(json.loads(plan.to_json()))
         assert parsed == plan
 
+    def test_every_plan_round_trips(self):
+        # applied or not, one crop or a full grid; (100, 300) is applied with one crop
+        for w, h in [(10, 10), (100, 300), (897, 5), (1792, 1792), (4000, 1000), (3, 9000)]:
+            for max_crops in (1, 2, 4, 9):
+                plan = plan_crops(w, h, max_crops=max_crops)
+                parsed = CropPlan.from_dict(json.loads(plan.to_json()))
+                assert parsed == plan and parsed.to_json() == plan.to_json()
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.update(image_w=-3, image_h="x", grid=[9, 9], crops=[[0, 0, 1, 1]],
+                           applied="yes"),
+        lambda d: d.update(image_w=-3),
+        lambda d: d.update(image_h="x"),
+        lambda d: d.update(image_w=1792.0),
+        lambda d: d.update(applied="yes"),
+        lambda d: d.update(applied=1),
+        lambda d: d["crops"][0].__setitem__(2, 896.0),
+        lambda d: d["crops"][0].pop(),
+        lambda d: d.update(grid=[2, 2, 1]),
+        lambda d: d.update(grid=[0, 0], crops=[]),
+        lambda d: d.update(extra=1),
+        lambda d: d.pop("applied"),
+        lambda d: d.update(crops=None),
+        lambda d: d["crops"].pop(),  # 3 crops on a 2x2 grid
+        lambda d: d.update(grid=[4, 1]),  # 4 crops, but a 2x2 grid's
+        lambda d: d["crops"].insert(1, d["crops"].pop(2)),  # column-major
+        lambda d: d["crops"][1].__setitem__(0, 895),  # overlapping columns
+        lambda d: d.update(image_w=1793),  # a column left uncovered
+        # a tiling, but not of near-equal cells as plan_crops cuts them
+        lambda d: d.update(crops=[[0, 0, 800, 896], [800, 0, 992, 896],
+                                  [0, 896, 800, 896], [800, 896, 992, 896]]),
+        lambda d: d.update(applied=False),  # an unapplied plan is one full-image crop
+    ])
+    def test_from_dict_refuses_a_plan_plan_crops_does_not_make(self, edit):
+        d = json.loads(plan_crops(1792, 1792, max_crops=4).to_json())
+        assert d["grid"] == [2, 2]
+        edit(d)
+        with pytest.raises(ValueError, match="^not a crop plan: "):
+            CropPlan.from_dict(d)
+
+    def test_from_dict_refuses_a_non_dict(self):
+        for d in (None, [], "plan"):
+            with pytest.raises(ValueError, match="^not a crop plan: "):
+                CropPlan.from_dict(d)
+
     def test_bad_geometry(self):
         with pytest.raises(ValueError):
             plan_crops(0, 5)
@@ -208,3 +253,8 @@ class TestPoolEmbeddings:
     def test_indivisible_grid_rejected(self):
         with pytest.raises(ShapeError):
             pool_embeddings(np.zeros((17, 17, 2)))
+
+    @pytest.mark.parametrize("out", [0, -1])
+    def test_no_output_cells_rejected(self, out):
+        with pytest.raises(ShapeError, match=f"out must be >= 1, got {out}"):
+            pool_embeddings(np.zeros((16, 16, 2)), out=out)

@@ -62,6 +62,19 @@ class TestEncode:
         assert decode([BOS_ID, 104, 105], show_bos=True) == "[BOS]hi"
         assert decode([BOS_ID, 104, 105]) == "hi"
 
+    def test_partial_and_nested_markers_stay_bytes(self):
+        # only a whole marker is a control id; "<eo" and the brackets around "<eos>" are bytes
+        assert encode("<eo<<eos>>é") == [*b"<eo<", EOS_ID, *b">", 0xC3, 0xA9]
+        assert encode("<end_of<start_of_turn>") == [*b"<end_of", START_OF_TURN_ID]
+        assert decode([*b"<eo<", EOS_ID, *b">", 0xC3, 0xA9]) == "<eo<<eos>>é"
+
+    def test_decode_splits_byte_runs_at_every_control_id(self):
+        # each run of bytes decodes on its own, even across a hidden BOS
+        assert decode([0xC3, BOS_ID, 0xA9]) == "\ufffd\ufffd"
+        assert decode([0xC3, 0xA9, END_OF_TURN_ID]) == "é<end_of_turn>"
+        with pytest.raises(ValueError, match="unknown token id 260"):
+            decode([104, VOCAB_SIZE])
+
 
 class TestFormatChat:
     def test_canonical_conversation(self):
