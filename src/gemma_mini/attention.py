@@ -20,8 +20,9 @@ they read. A chunk runs one of two ways:
   earlier rows or a decode step, runs in query tiles of up to 64 rows. Tile
   [b, e) scores keys [lo, R + e) of the R earlier keys followed by the
   chunk's: lo is 0 for GLOBAL and the first key row b sees for LOCAL. Each
-  tile builds its own mask as it runs. No T x (R + T) array is built. A
-  decode step, one row after earlier keys, is one unmasked block.
+  tile builds its own mask as it runs, a GLOBAL tile over its diagonal
+  block only. No T x (R + T) array is built. A decode step, one row after
+  earlier keys, is one unmasked block.
 
 attend returns no probabilities: attend_backward recomputes them block by
 block through the forward's own helper, so they match it bit for bit.
@@ -37,7 +38,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 # rms_norm is bound here though attention does not call it: perfbench/test_tracer.py
 # pins this module among its import sites
-from .tensor import NEG_INF, RopeParams, rms_norm, rope_cos_sin, softmax_rows  # noqa: F401
+from .tensor import NEG_INF, RopeParams, _softmax_rows, rms_norm, rope_cos_sin  # noqa: F401
 
 
 class LayerKind(Enum):
@@ -181,21 +182,28 @@ def _tile(cfg: AttentionConfig, n_earlier: int, b: int, n_rows: int):
     rows after n_earlier keys: its rows [b, e) read key rows [lo,
     n_earlier + e), from the first one row b sees (0 for GLOBAL) to row
     e - 1 itself, skipping the fully masked blocks (as FlashAttention does).
-    mask is build_mask's over those rows, by position relative to the first
-    key."""
+    mask is build_mask's over the last keys it covers, by position relative
+    to its first one: for LOCAL every key the tile reads, for GLOBAL only
+    the tile's own rows, the (e - b, e - b) diagonal block, since every
+    earlier key is seen by every row."""
     R, e = n_earlier, min(b + _TILE, n_rows)
-    lo = 0 if cfg.kind is LayerKind.GLOBAL else max(0, R + b - cfg.window + 1)
-    return e, lo, build_mask(cfg.kind, np.arange(R + b, R + e), np.arange(lo, R + e), cfg.window)
+    rows = np.arange(R + b, R + e)
+    if cfg.kind is LayerKind.GLOBAL:
+        return e, 0, build_mask(cfg.kind, rows, rows)
+    lo = max(0, R + b - cfg.window + 1)
+    return e, lo, build_mask(cfg.kind, rows, np.arange(lo, R + e), cfg.window)
 
 
 def _probs(qb: np.ndarray, kb: np.ndarray, cfg: AttentionConfig, mask) -> np.ndarray:
     """Softmax over keys of qb's scaled logits against kb plus the mask, if
-    any; one helper for attend and attend_backward, so both get the same bits."""
+    any, added to the last keys it covers; one helper for attend and
+    attend_backward, so both get the same bits. The scores are normalised
+    in place."""
     scores = qb @ kb.swapaxes(-1, -2)
     scores /= cfg._sqrt_head_dim
     if mask is not None:
-        scores += mask
-    return softmax_rows(scores)
+        scores[..., scores.shape[-1] - mask.shape[-1]:] += mask
+    return _softmax_rows(scores)
 
 
 def _dense(q: np.ndarray, k: np.ndarray, v: np.ndarray, cfg: AttentionConfig, mask):

@@ -308,7 +308,9 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (KeyError, ValueError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a KeyError's str() is its argument's repr, quotes included: print the message
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) and exc.args else exc}",
+              file=sys.stderr)
         return 1
 
 

@@ -40,10 +40,18 @@ GELU_C = float(np.sqrt(2.0 / np.pi))
 GELU_A = 0.044715
 
 
-def gelu(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """tanh-approximated GELU, the gate nonlinearity of the MLP, given its
-    tanh term t = tanh(GELU_C * (x + GELU_A * x^3)), which the tape keeps."""
-    return 0.5 * x * (1.0 + t)
+def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(t, out) of the tanh-approximated GELU, the gate nonlinearity of the
+    MLP: its tanh term t = tanh(GELU_C * (x + GELU_A * x^3)), built in one
+    buffer, which the backward's derivative reads, and 0.5 * x * (1 + t).
+    The forward runs this body and so does the backward's rebuild."""
+    t = np.multiply(GELU_A, x)
+    t *= x
+    t *= x
+    t += x
+    t *= GELU_C
+    np.tanh(t, out=t)
+    return t, 0.5 * x * (1.0 + t)
 
 
 def layer_kinds(n_layers: int, local_per_global: int = 5) -> list[LayerKind]:
@@ -273,11 +281,13 @@ def _layer(params, cfg, i, kind, h, positions, kind_plan, cache=None, tape=None)
     rows are a chunk that continues it: the chunk's keys and values are
     appended to layer i's, and the rows attend over what append returns,
     the retained rows the chunk can see followed by its own. A given tape
-    gets in tape["layers"] what backward_full reads: each norm's input and
-    divisor (div_*), not its output (the query and key heads' input is one
-    qk), and the GELU's tanh term, not its output; neither the attention
-    probabilities nor x1, which the backward rebuilds from qr and kr and
-    from x0 and attn_out.
+    gets in tape["layers"] only what backward_full cannot rebuild: the
+    kind, the block's input x0, the query and key heads' input qk, the
+    value heads v, the merged attention output and the five norms'
+    divisors (div_*). The backward rebuilds everything else with these
+    same operations in this order: the rotated heads and the attention
+    probabilities, attn_out, x1, the pre-MLP norm's output, gate, up, the
+    GELU and mlp_out.
     """
     w, att, eps = cfg._layer_keys[i], cfg._attn_configs[kind], cfg.rms_eps
     n_q, n_qk = att.num_query_heads, att.num_query_heads + att.num_kv_heads
@@ -303,14 +313,12 @@ def _layer(params, cfg, i, kind, h, positions, kind_plan, cache=None, tape=None)
     div_ln2, ln2 = _rms_norm(x1, params[w["pre_mlp_norm"]], eps)
     gate = ln2 @ params[w["w_gate"]]
     up = ln2 @ params[w["w_up"]]
-    tanh = np.tanh(GELU_C * (gate + GELU_A * gate * gate * gate))  # gelu's tanh term
-    mlp_out = (gelu(gate, tanh) * up) @ params[w["w_down"]]
+    mlp_out = (_gelu(gate)[1] * up) @ params[w["w_down"]]
     div_mlp, mlp_normed = _rms_norm(mlp_out, params[w["post_mlp_norm"]], eps)
     if tape is not None:
         tape["layers"].append(dict(
-            kind=kind, x0=h, div_ln1=div_ln1, qk=qk, div_qk=div_qk, v=v, qr=qr, kr=kr,
-            merged=merged, attn_out=attn_out, div_attn=div_attn, div_ln2=div_ln2, gate=gate,
-            up=up, tanh=tanh, mlp_out=mlp_out, div_mlp=div_mlp))
+            kind=kind, x0=h, qk=qk, v=v, merged=merged, div_ln1=div_ln1, div_qk=div_qk,
+            div_attn=div_attn, div_ln2=div_ln2, div_mlp=div_mlp))
     return x1 + mlp_normed
 
 

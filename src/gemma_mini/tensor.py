@@ -51,13 +51,9 @@ class RopeParams:
         return theta
 
 
-def softmax_rows(m: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis with max-subtraction.
-
-    -inf entries are mask sentinels and map to exactly 0. A row that is
-    entirely -inf has no legal attention target and raises MaskError.
-    """
-    m = np.asarray(m, dtype=np.float64)
+def _softmax_rows(m: np.ndarray) -> np.ndarray:
+    """softmax_rows's body, in place on a float64 array m, which it returns;
+    attention normalises its own score blocks with it."""
     row_max = np.maximum.reduce(m, axis=-1, keepdims=True)  # np.max without its wrapper
     # a NaN anywhere in a row makes its max NaN, a +inf makes it +inf and a
     # fully masked row makes it -inf; one check catches all three
@@ -65,20 +61,34 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
         if np.isnan(row_max).any() or (row_max == np.inf).any():
             raise ValueError("softmax input must be finite or -inf")
         raise MaskError("fully masked row: every entry is -inf")
-    e = m - row_max
-    np.exp(e, out=e)  # exp(-inf) == 0, no nan because row_max is finite
-    e /= np.add.reduce(e, axis=-1, keepdims=True)
-    return e
+    m -= row_max
+    np.exp(m, out=m)  # exp(-inf) == 0, no nan because row_max is finite
+    m /= np.add.reduce(m, axis=-1, keepdims=True)
+    return m
 
 
-def _rms_norm(v: np.ndarray, gain: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+def softmax_rows(m: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis with max-subtraction, into a new array.
+
+    -inf entries are mask sentinels and map to exactly 0. A row that is
+    entirely -inf has no legal attention target and raises MaskError.
+    """
+    return _softmax_rows(np.array(m, dtype=np.float64))
+
+
+def _rms_norm(
+    v: np.ndarray, gain: np.ndarray, eps: float, div: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """(div, out) of rms_norm on a float64 array v, without its checks: the
     divisor sqrt(mean(v^2) + eps) along the last axis, kept with length 1,
-    which the training tape keeps, and gain * v / div. Every norm on the
-    layer path runs this body."""
-    # np.mean's own sum and divide, without its Python wrapper
-    div = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True) / v.shape[-1] + eps)
-    return div, gain * v / div
+    which the training tape keeps, and gain * v / div, divided in place. A
+    given div is used as is. Every norm on the layer path, and every output
+    the backward rebuilds from a taped divisor, runs this body."""
+    if div is None:  # np.mean's own sum and divide, without its Python wrapper
+        div = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True) / v.shape[-1] + eps)
+    out = np.multiply(gain, v)
+    out /= div
+    return div, out
 
 
 def rms_norm(
@@ -92,11 +102,9 @@ def rms_norm(
     gain = np.asarray(gain, dtype=np.float64)
     if gain.shape[-1] != v.shape[-1]:
         raise ShapeError(f"gain length {gain.shape[-1]} != vector length {v.shape[-1]}")
-    if div is not None:
-        return gain * v / div
-    if eps <= 0:
+    if div is None and eps <= 0:
         raise ConfigError(f"eps must be > 0, got {eps}")
-    return _rms_norm(v, gain, eps)[1]
+    return _rms_norm(v, gain, eps, div)[1]
 
 
 def rope_cos_sin(positions: np.ndarray, p: RopeParams) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .attention import attend_backward, plan
 from .model import (
-    GELU_A, GELU_C, ModelConfig, _merge_heads, _split_heads, _vocab_ids, forward_full, gelu,
+    GELU_A, GELU_C, ModelConfig, _gelu, _merge_heads, _split_heads, _vocab_ids, forward_full,
     init_params,
 )
 from .tensor import rms_norm, rope_rotate, softmax_rows
@@ -20,13 +20,19 @@ from .tensor import rms_norm, rope_rotate, softmax_rows
 
 def _rms_norm_bwd(v, gain, div, dy):
     """(dv, dgain elementwise) of rms_norm(v, gain) given its taped divisor;
-    the caller reduces dgain to the gain shape."""
+    the caller reduces dgain to the gain shape. Two full-size buffers hold
+    every term."""
     r = 1.0 / div
-    dv = gain * dy
-    mean = np.add.reduce(dv * v, axis=-1, keepdims=True) / v.shape[-1]  # np.mean, unwrapped
+    dv = np.multiply(gain, dy)
+    tmp = np.multiply(dv, v)
+    mean = np.add.reduce(tmp, axis=-1, keepdims=True) / v.shape[-1]  # np.mean, unwrapped
     dv *= r
-    dv -= v * r**3 * mean
-    return dv, dy * v * r
+    np.multiply(v, r**3, out=tmp)
+    tmp *= mean
+    dv -= tmp
+    np.multiply(dy, v, out=tmp)
+    tmp *= r
+    return dv, tmp
 
 
 def cross_entropy(logits: np.ndarray, targets: Sequence[int]):
@@ -40,27 +46,41 @@ def cross_entropy(logits: np.ndarray, targets: Sequence[int]):
     return loss, dlogits
 
 
-def _mlp_backward(p, g: dict, t: dict, dh: np.ndarray) -> np.ndarray:
+def _mlp_backward(p, g: dict, t: dict, attn_out: np.ndarray, dh: np.ndarray) -> np.ndarray:
     """d(x1) of one layer's h = x1 + rms_norm(mlp(rms_norm(x1)), post_mlp_norm)
-    given d(h), storing the MLP half's parameter gradients in g. x1 is
-    rebuilt as the forward summed it. Its temporaries are freed on return,
-    before the attention half runs."""
-    dmlp_out, dg_post = _rms_norm_bwd(t["mlp_out"], p("post_mlp_norm"), t["div_mlp"], dh)
-    g["post_mlp_norm"] = dg_post.sum(axis=0)
-    gate, up, th = t["gate"], t["up"], t["tanh"]
-    gelu_gate = gelu(gate, th)
-    dact = dmlp_out @ p("w_down").T
-    g["w_down"] = (gelu_gate * up).T @ dmlp_out
-    dgelu = 1.0 - th * th  # d gelu / d gate from the taped tanh, built in place
-    dgelu *= 0.5 * gate
-    dgelu *= GELU_C
-    dgelu *= 1.0 + 3.0 * GELU_A * gate * gate
-    dgelu += 0.5 * (1.0 + th)
-    dgate = np.multiply(dact * up, dgelu, out=dgelu)
-    dup = np.multiply(dact, gelu_gate, out=dact)
-    dln2 = dgate @ p("w_gate").T + dup @ p("w_up").T
-    x1 = t["x0"] + rms_norm(t["attn_out"], p("post_attn_norm"), div=t["div_attn"])
+    given d(h) and the layer's rebuilt attn_out, storing the MLP half's
+    parameter gradients in g. x1, the pre-MLP norm's output, gate, up, the
+    GELU and mlp_out are rebuilt with the forward's own operations. Its
+    temporaries are freed on return, before the attention half runs."""
+    x1 = t["x0"] + rms_norm(attn_out, p("post_attn_norm"), div=t["div_attn"])
     ln2 = rms_norm(x1, p("pre_mlp_norm"), div=t["div_ln2"])
+    gate = ln2 @ p("w_gate")
+    up = ln2 @ p("w_up")
+    th, gelu_gate = _gelu(gate)
+    act = gelu_gate * up
+    dmlp_out, dg_post = _rms_norm_bwd(act @ p("w_down"), p("post_mlp_norm"), t["div_mlp"], dh)
+    g["post_mlp_norm"] = dg_post.sum(axis=0)
+    dact = dmlp_out @ p("w_down").T
+    g["w_down"] = act.T @ dmlp_out
+    del act, dmlp_out, dg_post  # each del here lowers the T=512 step's heap peak
+    # d gelu / d gate, term by term in two buffers:
+    # 0.5 * (1 + th) + 0.5 * gate * (1 - th^2) * GELU_C * (1 + 3 * GELU_A * gate^2)
+    dgelu = np.multiply(th, th)
+    np.subtract(1.0, dgelu, out=dgelu)
+    tmp = np.multiply(0.5, gate)
+    dgelu *= tmp
+    dgelu *= GELU_C
+    np.multiply(3.0 * GELU_A, gate, out=tmp)
+    tmp *= gate
+    tmp += 1.0
+    dgelu *= tmp
+    th += 1.0  # th is read: 0.5 * (1 + th) in its buffer
+    th *= 0.5
+    dgelu += th
+    dgate = np.multiply(np.multiply(dact, up, out=tmp), dgelu, out=dgelu)
+    dup = np.multiply(dact, gelu_gate, out=dact)
+    del th, tmp, gelu_gate
+    dln2 = dgate @ p("w_gate").T + dup @ p("w_up").T
     g["w_gate"] = ln2.T @ dgate
     g["w_up"] = ln2.T @ dup
     dx1_ln2, dg_pre = _rms_norm_bwd(x1, p("pre_mlp_norm"), t["div_ln2"], dln2)
@@ -68,22 +88,28 @@ def _mlp_backward(p, g: dict, t: dict, dh: np.ndarray) -> np.ndarray:
     return dh + dx1_ln2
 
 
-def _attention_backward(p, g: dict, t: dict, att, kind_plan: tuple, dx1: np.ndarray) -> np.ndarray:
+def _attention_backward(p, g: dict, t: dict, attn_out: np.ndarray, att, kind_plan: tuple,
+                        dx1: np.ndarray) -> np.ndarray:
     """d(x0) of one layer's x1 = x0 + rms_norm(attn(rms_norm(x0)), post_attn_norm)
-    given d(x1), storing the attention half's parameter gradients in g.
-    kind_plan is attention.plan's for the layer kind, as the forward made it.
-    The query and key heads go through the inverse rotation and the qk-norm
-    backward at once, as the forward ran them; wqkv's gradient is one
-    product over the q, k and v heads' columns, and d(ln1) sums one product
-    per column block, as three separate projections summed it."""
+    given d(x1) and the layer's rebuilt attn_out, storing the attention
+    half's parameter gradients in g. kind_plan is attention.plan's for the
+    layer kind, as the forward made it. The rotated query and key heads are
+    rebuilt from the taped qk as the forward made them; they go through the
+    inverse rotation and the qk-norm backward at once, as the forward ran
+    them. wqkv's gradient is one product over the q, k and v heads'
+    columns, and d(ln1) sums one product per column block, as three
+    separate projections summed it."""
     cos, sin, band = kind_plan
-    dattn_out, dg_post_a = _rms_norm_bwd(t["attn_out"], p("post_attn_norm"), t["div_attn"], dx1)
+    dattn_out, dg_post_a = _rms_norm_bwd(attn_out, p("post_attn_norm"), t["div_attn"], dx1)
     g["post_attn_norm"] = dg_post_a.sum(axis=0)
     dmerged = dattn_out @ p("wo").T
     g["wo"] = t["merged"].T @ dattn_out
+    del dattn_out, dg_post_a
 
     dattn = _split_heads(dmerged, att.num_query_heads, att.head_dim)
-    dqr, dkr, dv = attend_backward(t["qr"], t["kr"], t["v"], dattn, att, band)
+    qkr = rope_rotate(rms_norm(t["qk"], p("qk_gain")[:, None], div=t["div_qk"]), cos, sin)
+    n_q = att.num_query_heads
+    dqr, dkr, dv = attend_backward(qkr[:n_q], qkr[n_q:], t["v"], dattn, att, band)
 
     # rope is an orthogonal map: its backward is the inverse rotation, by (cos, -sin)
     dqkn = rope_rotate(np.concatenate((dqr, dkr)), cos, -sin)
@@ -109,10 +135,12 @@ def _attention_backward(p, g: dict, t: dict, att, kind_plan: tuple, dx1: np.ndar
 def backward_full(params: dict, cfg: ModelConfig, tape: dict, dlogits: np.ndarray) -> dict:
     """Gradients for every parameter given d(loss)/d(logits).
 
-    Each norm's divisor and the GELU's tanh term are read from the tape. The
-    pre-attention and pre-MLP norm outputs, x1 and the GELU's output are
-    rebuilt with the forward's own arithmetic, and so are the attention
-    probabilities, under plans made again from the tape's positions.
+    Each norm's divisor is read from the tape. Every other activation the
+    backward reads and the tape does not keep is rebuilt from the tape with
+    the forward's own operations in the forward's order, so bit for bit:
+    attn_out once per layer for both halves, the norm outputs, x1, gate,
+    up, the GELU, mlp_out, the rotated query and key heads and, under plans
+    made again from the tape's positions, the attention probabilities.
 
     The tape is spent: each layer's entry is popped from tape["layers"] as
     the backward reaches it, so its arrays are freed once read, and the list
@@ -140,8 +168,9 @@ def backward_full(params: dict, cfg: ModelConfig, tape: dict, dlogits: np.ndarra
         p = lambda name: params[names[name]]
         g = {}
         kind = t["kind"]
-        dx1 = _mlp_backward(p, g, t, dh)
-        dh = _attention_backward(p, g, t, cfg.attn_for(kind), plans[kind], dx1)
+        attn_out = t["merged"] @ p("wo")
+        dx1 = _mlp_backward(p, g, t, attn_out, dh)
+        dh = _attention_backward(p, g, t, attn_out, cfg.attn_for(kind), plans[kind], dx1)
         grads.update((names[name], grad) for name, grad in g.items())
 
     np.add.at(grads["embed"], tape["tokens"], dh)

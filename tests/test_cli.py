@@ -59,6 +59,17 @@ class TestPlan:
         assert code == 1
         assert "nope" in err
 
+    @pytest.mark.parametrize("preset, message", [
+        ("toy", "preset 'toy' is missing required key 'embedding_params'\n"),
+        ("nope", "unknown preset 'nope'; available: "),
+    ], ids=["no-counts", "unknown"])
+    def test_preset_key_error_is_one_unquoted_line(self, capsys, preset, message):
+        """A KeyError prints its message, not its repr in double quotes."""
+        code, out, err = run_cli(capsys, "plan", "--preset", preset)
+        assert code == 1 and out == ""
+        assert err.startswith("error: " + message), err
+        assert err.count("\n") == 1 and '"' not in err
+
 
 class TestKvCurve:
     def test_rows_match_kv_bytes(self, capsys):

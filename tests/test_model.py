@@ -518,7 +518,9 @@ class TestPerKindWork:
 
     @pytest.mark.parametrize("T", [5, 20])  # local layers tiled, then banded (window 4)
     @pytest.mark.parametrize("tied", [True, False])
-    def test_tape_rotation_equals_the_public_kernels(self, T, tied):
+    def test_tape_rotation_equals_the_public_kernels(self, T, tied, monkeypatch):
+        """The rotated query and key heads the forward passes to attend are
+        rope_apply of the qk-normed taped qk, bit for bit."""
         cfg = toy_config(window=4, tie_embeddings=tied, rope_scale_global=8.0)
         params = init_params(cfg, seed=31)
         rng = np.random.default_rng(T)
@@ -526,15 +528,24 @@ class TestPerKindWork:
             if name.endswith("_gain"):  # per-head gains other than ones
                 params[name] = rng.uniform(0.5, 1.5, size=params[name].shape)
         tokens = rng.integers(0, cfg.vocab_size, size=T)
+        attended = []
+
+        def recording_attend(q, k, *args):
+            attended.append((q, k))
+            return real_attend(q, k, *args)
+
+        real_attend = model.attend
+        monkeypatch.setattr(model, "attend", recording_attend)
         _, tape = forward_full(params, cfg, tokens, keep_tape=True)
+        assert len(attended) == cfg.n_layers
         positions = np.arange(T)
         n_q = cfg.num_query_heads
-        for i, (kind, t) in enumerate(zip(cfg.kinds(), tape["layers"])):
+        for i, (kind, t, (q, k)) in enumerate(zip(cfg.kinds(), tape["layers"], attended)):
             gains = params[f"layer{i}.qk_gain"]  # the query heads' rows, then the key heads'
             qkn = layer_qk_norm(t["qk"], gains, cfg.rms_eps)
             rope = cfg.attn_for(kind).rope
-            assert np.array_equal(t["qr"], rope_apply(qkn[:n_q], positions, rope))
-            assert np.array_equal(t["kr"], rope_apply(qkn[n_q:], positions, rope))
+            assert np.array_equal(q, rope_apply(qkn[:n_q], positions, rope))
+            assert np.array_equal(k, rope_apply(qkn[n_q:], positions, rope))
 
     @pytest.mark.parametrize("T", [5, 20, 200])  # tiled; banded; banded and 4 tiles
     def test_tape_plans_keep_no_mask(self, T, monkeypatch):

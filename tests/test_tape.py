@@ -1,12 +1,15 @@
-"""The training tape holds what the backward pass once recomputed.
+"""The training tape holds only what the backward pass cannot rebuild.
 
-Each RMS norm's divisor and the GELU's tanh term are computed once in the
-forward pass and read back by backward_full. The formulas the backward used
-to recompute them, and the backward that used them, are kept here as the
-reference: taped values must equal them bit for bit, and so must every
-gradient. The tape keeps neither the attention probabilities nor each
-layer's x1: the reference, like backward_full, recomputes the probabilities
-through attend_backward and rebuilds x1 from x0 and the post-attention norm.
+Each RMS norm's divisor is computed once in the forward pass and read back
+by backward_full; of the activations, a layer's entry keeps x0, qk, v and
+merged, and the backward rebuilds the rest. The formulas the backward used
+to recompute the divisors, and the backward that used them, are kept here as
+the reference: taped divisors must equal them bit for bit, and so must every
+gradient. The reference rebuilds the activations the tape no longer keeps
+(the rotated query and key heads, attn_out, x1, gate, up and mlp_out) with
+its own formulas, those the forward taped them with, and, like
+backward_full, recomputes the attention probabilities through
+attend_backward.
 """
 
 import numpy as np
@@ -15,7 +18,7 @@ import pytest
 from gemma_mini import presets
 from gemma_mini.attention import attend_backward, plan
 from gemma_mini.model import GELU_A, GELU_C, ModelConfig, forward_full, init_params
-from gemma_mini.tensor import rms_norm, rope_rotate
+from gemma_mini.tensor import rms_norm, rope_apply, rope_rotate
 from gemma_mini.train import cross_entropy, loss_and_grads
 
 
@@ -56,17 +59,33 @@ def old_gelu_grad(x):
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * GELU_C * (1.0 + 3.0 * GELU_A * x * x)
 
 
-def old_x1(t, gain, eps):
-    """A layer's x1 = x0 + rms_norm(attn_out, post_attn_norm), divisor recomputed."""
-    return t["x0"] + gain * t["attn_out"] / old_divisor(t["attn_out"], eps)
+def rebuilt(params, cfg, i, t, positions):
+    """Layer i's activations that the tape once kept and no longer does, by
+    the forward's formulas of then: attn_out = merged @ wo, x1 = x0 +
+    rms_norm(attn_out, post_attn_norm) with the divisor recomputed, the
+    pre-MLP norm's output and its gate and up products, the GELU, mlp_out
+    and the qk-normed query and key heads rotated by rope_apply."""
+    eps, att = cfg.rms_eps, cfg.attn_for(t["kind"])
+    p = lambda name: params[f"layer{i}.{name}"]
+    attn_out = t["merged"] @ p("wo")
+    x1 = t["x0"] + p("post_attn_norm") * attn_out / old_divisor(attn_out, eps)
+    ln2 = rms_norm(x1, p("pre_mlp_norm"), eps)
+    gate, up = ln2 @ p("w_gate"), ln2 @ p("w_up")
+    act = old_gelu(gate) * up
+    qkn = p("qk_gain")[:, None] * t["qk"] / old_divisor(t["qk"], eps)
+    n_q = att.num_query_heads
+    return dict(attn_out=attn_out, x1=x1, ln2=ln2, gate=gate, up=up, act=act,
+                mlp_out=act @ p("w_down"), qr=rope_apply(qkn[:n_q], positions, att.rope),
+                kr=rope_apply(qkn[n_q:], positions, att.rope))
 
 
 def recomputing_backward(params, cfg, tape, dlogits):
     """backward_full as it was before the tape kept divisors and tanh: every
-    norm's divisor and the GELU are recomputed from the tape's inputs, and the
-    pre-attention and pre-MLP norm outputs are the forward's rms_norm. The
-    q, k and v projections and the q and k gains are the column blocks of
-    wqkv and the rows of qk_gain; each block's gradient is its own product."""
+    norm's divisor and the GELU are recomputed from the tape's inputs and
+    the activations `rebuilt` makes, and the pre-attention and pre-MLP norm
+    outputs are the forward's rms_norm. The q, k and v projections and the
+    q and k gains are the column blocks of wqkv and the rows of qk_gain;
+    each block's gradient is its own product."""
     eps = cfg.rms_eps
     grads = {name: np.zeros_like(arr) for name, arr in params.items()}
     plans = {kind: plan(cfg.attn_for(kind), tape["positions"]) for kind in set(cfg.kinds())}
@@ -80,6 +99,7 @@ def recomputing_backward(params, cfg, tape, dlogits):
     grads["final_norm"] += dg.sum(axis=0)
     for i in reversed(range(cfg.n_layers)):
         t = tape["layers"][i]
+        t = {**t, **rebuilt(params, cfg, i, t, tape["positions"])}
         att = cfg.attn_for(t["kind"])
         p = lambda name: params[f"layer{i}.{name}"]
         g = lambda name: grads[f"layer{i}.{name}"]
@@ -89,10 +109,8 @@ def recomputing_backward(params, cfg, tape, dlogits):
         blocks = (slice(0, q_end), slice(q_end, k_end), slice(k_end, None))
         wq, wk, wv = (p("wqkv")[:, cols] for cols in blocks)
         gq, gk, gv = (g("wqkv")[:, cols] for cols in blocks)  # views: += writes the grads
-        x1 = old_x1(t, p("post_attn_norm"), eps)
+        x1, ln2, act = t["x1"], t["ln2"], t["act"]
         ln1 = rms_norm(t["x0"], p("pre_attn_norm"), eps)
-        ln2 = rms_norm(x1, p("pre_mlp_norm"), eps)
-        act = old_gelu(t["gate"]) * t["up"]
 
         dmlp_out, dg_post = old_rms_norm_bwd(t["mlp_out"], p("post_mlp_norm"), eps, dh)
         g("post_mlp_norm")[...] += dg_post.sum(axis=0)
@@ -154,14 +172,21 @@ def test_taped_terms_equal_the_old_recompute_formulas(make, T):
     eps = cfg.rms_eps
     np.testing.assert_array_equal(tape["div_hf"], old_divisor(tape["h_last"], eps))
     for i, t in enumerate(tape["layers"]):
+        acts = rebuilt(params, cfg, i, t, tape["positions"])
         inputs = {
             "div_ln1": t["x0"], "div_qk": t["qk"],
-            "div_attn": t["attn_out"], "div_mlp": t["mlp_out"],
-            "div_ln2": old_x1(t, params[f"layer{i}.post_attn_norm"], eps),
+            "div_attn": acts["attn_out"], "div_mlp": acts["mlp_out"], "div_ln2": acts["x1"],
         }
         for key, v in inputs.items():
             np.testing.assert_array_equal(t[key], old_divisor(v, eps), err_msg=key)
-        np.testing.assert_array_equal(t["tanh"], old_tanh(t["gate"]))
+
+
+@pytest.mark.parametrize("make, T", CASES, ids=IDS)
+def test_a_layer_entry_keeps_only_what_the_backward_cannot_rebuild(make, T):
+    _, _, _, _, tape = taped_pass(make, T)
+    for t in tape["layers"]:
+        assert set(t) == {"kind", "x0", "qk", "v", "merged",
+                          "div_ln1", "div_qk", "div_attn", "div_ln2", "div_mlp"}
 
 
 @pytest.mark.parametrize("make, T", CASES, ids=IDS)
