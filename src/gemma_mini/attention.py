@@ -242,18 +242,28 @@ def attend(
 
 def _block_grads(qb, kb, vb, dout_b, cfg: AttentionConfig, mask):
     """(dq, dk, dv) of blocks qb over kb, vb given d(out) dout_b; dk and dv
-    are summed over the group axis, the query heads that read a kv head."""
+    are summed over the group axis, the query heads that read a kv head.
+    Two block-sized buffers are live, probs and dprobs (which becomes
+    dscores in place), besides one head's share of their product; probs is
+    freed after its last read."""
     probs = _probs(qb, kb, cfg, mask)
+    dv = (probs.swapaxes(-1, -2) @ dout_b).sum(axis=1)
     dprobs = dout_b @ vb.swapaxes(-1, -2)
-    dscores = dprobs  # probs * (dprobs - rowsum(dprobs * probs)), in place
-    dscores -= np.add.reduce(dprobs * probs, axis=-1, keepdims=True)
+    # rowsum(dprobs * probs) one (kv head, query head) at a time: each row sums
+    # alone, so the bits are those of the whole block's product
+    rowsum = np.empty(probs.shape[:-1] + (1,))
+    for h in np.ndindex(probs.shape[:2]):
+        rowsum[h] = np.add.reduce(dprobs[h] * probs[h], axis=-1, keepdims=True)
+    dscores = dprobs  # probs * (dprobs - rowsum), in place
+    dscores -= rowsum
     dscores *= probs
+    del probs
     scale = 1.0 / cfg._sqrt_head_dim
     dq = dscores @ kb
     dq *= scale
     dk = dscores.swapaxes(-1, -2) @ qb
     dk *= scale
-    return dq, dk.sum(axis=1), (probs.swapaxes(-1, -2) @ dout_b).sum(axis=1)
+    return dq, dk.sum(axis=1), dv
 
 
 def attend_backward(

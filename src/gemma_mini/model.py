@@ -240,13 +240,19 @@ def _vocab_ids(cfg: ModelConfig, tokens) -> np.ndarray:
     """tokens as 1-D int64 ids in the vocabulary; refuses a non-empty input of
     floats (65.0 too), strings or bools."""
     ids = np.asarray(tokens)  # ints and bools make ints: only the items tell
-    if ids.size and (ids.dtype.kind not in "iu" or ids.ndim == 1 and not isinstance(
-            tokens, np.ndarray) and not {bool, np.bool_}.isdisjoint(map(type, tokens))):
+    if ids.size and ids.dtype.kind not in "iu":
         raise ValueError(f"token ids must be integers, got {tokens!r:.60}")
     if ids.ndim != 1:
         raise ShapeError(f"tokens must be 1-D, got shape {ids.shape}")
-    if ids.size and (np.minimum.reduce(ids) < 0 or np.maximum.reduce(ids) >= cfg.vocab_size):
-        raise ValueError(f"token ids must lie in [0, {cfg.vocab_size})")
+    if ids.size:
+        lo = np.minimum.reduce(ids)
+        # a bool item became 0 or 1, so only a sequence whose smallest id is at most 1
+        # can hold one: the per-item scan runs only then
+        if lo <= 1 and not isinstance(tokens, np.ndarray) and not {bool, np.bool_}.isdisjoint(
+                map(type, tokens)):
+            raise ValueError(f"token ids must be integers, got {tokens!r:.60}")
+        if lo < 0 or np.maximum.reduce(ids) >= cfg.vocab_size:
+            raise ValueError(f"token ids must lie in [0, {cfg.vocab_size})")
     return ids.astype(np.int64, copy=False)
 
 
@@ -281,20 +287,21 @@ def _layer(params, cfg, i, kind, h, positions, kind_plan, cache=None, tape=None)
     rows are a chunk that continues it: the chunk's keys and values are
     appended to layer i's, and the rows attend over what append returns,
     the retained rows the chunk can see followed by its own. A given tape
-    gets in tape["layers"] only what backward_full cannot rebuild: the
-    kind, the block's input x0, the query and key heads' input qk, the
-    value heads v, the merged attention output and the five norms'
-    divisors (div_*). The backward rebuilds everything else with these
-    same operations in this order: the rotated heads and the attention
-    probabilities, attn_out, x1, the pre-MLP norm's output, gate, up, the
-    GELU and mlp_out.
+    gets in tape["layers"] only what backward_full cannot rebuild cheaply:
+    the kind, the block's input x0, the merged attention output and the
+    five norms' divisors (div_*). The backward rebuilds everything else
+    with these same operations in this order: the pre-attention norm's
+    output and from it every head (one product, as here), the rotated
+    heads and the attention probabilities, attn_out, x1, the pre-MLP
+    norm's output, gate, up, the GELU and mlp_out.
     """
     w, att, eps = cfg._layer_keys[i], cfg._attn_configs[kind], cfg.rms_eps
     n_q, n_qk = att.num_query_heads, att.num_query_heads + att.num_kv_heads
     cos, sin, band = kind_plan
     div_ln1, ln1 = _rms_norm(h, params[w["pre_attn_norm"]], eps)
     # every head from one product, copied into contiguous (heads, T, head_dim): a long
-    # pass's qk-norm, rotation and attention then run on compact arrays
+    # pass's qk-norm, rotation and attention then run on compact arrays.
+    # train._attention_backward rebuilds the heads with this same expression
     qkv = np.ascontiguousarray(
         (ln1 @ params[w["wqkv"]]).reshape(h.shape[0], -1, att.head_dim).transpose(1, 0, 2))
     qk, v = qkv[:n_qk], qkv[n_qk:]
@@ -317,7 +324,7 @@ def _layer(params, cfg, i, kind, h, positions, kind_plan, cache=None, tape=None)
     div_mlp, mlp_normed = _rms_norm(mlp_out, params[w["post_mlp_norm"]], eps)
     if tape is not None:
         tape["layers"].append(dict(
-            kind=kind, x0=h, qk=qk, v=v, merged=merged, div_ln1=div_ln1, div_qk=div_qk,
+            kind=kind, x0=h, merged=merged, div_ln1=div_ln1, div_qk=div_qk,
             div_attn=div_attn, div_ln2=div_ln2, div_mlp=div_mlp))
     return x1 + mlp_normed
 
@@ -398,8 +405,11 @@ def forward(
     """
     if cache is None:
         return forward_full(params, cfg, tokens)[0]
-    rows = [decode_step(params, cfg, cache, int(t)) for t in _check_tokens(cfg, tokens, cache)]
-    return np.stack(rows) if rows else np.zeros((0, cfg.vocab_size))
+    tokens = _check_tokens(cfg, tokens, cache)
+    logits = np.empty((tokens.shape[0], cfg.vocab_size))
+    for j, t in enumerate(tokens):
+        logits[j] = decode_step(params, cfg, cache, int(t))
+    return logits
 
 
 def generate(

@@ -46,13 +46,13 @@ def cross_entropy(logits: np.ndarray, targets: Sequence[int]):
     return loss, dlogits
 
 
-def _mlp_backward(p, g: dict, t: dict, attn_out: np.ndarray, dh: np.ndarray) -> np.ndarray:
+def _mlp_backward(p, g: dict, t: dict, dh: np.ndarray) -> np.ndarray:
     """d(x1) of one layer's h = x1 + rms_norm(mlp(rms_norm(x1)), post_mlp_norm)
-    given d(h) and the layer's rebuilt attn_out, storing the MLP half's
+    given d(h) and the layer's rebuilt t["attn_out"], storing the MLP half's
     parameter gradients in g. x1, the pre-MLP norm's output, gate, up, the
     GELU and mlp_out are rebuilt with the forward's own operations. Its
     temporaries are freed on return, before the attention half runs."""
-    x1 = t["x0"] + rms_norm(attn_out, p("post_attn_norm"), div=t["div_attn"])
+    x1 = t["x0"] + rms_norm(t["attn_out"], p("post_attn_norm"), div=t["div_attn"])
     ln2 = rms_norm(x1, p("pre_mlp_norm"), div=t["div_ln2"])
     gate = ln2 @ p("w_gate")
     up = ln2 @ p("w_up")
@@ -88,34 +88,42 @@ def _mlp_backward(p, g: dict, t: dict, attn_out: np.ndarray, dh: np.ndarray) -> 
     return dh + dx1_ln2
 
 
-def _attention_backward(p, g: dict, t: dict, attn_out: np.ndarray, att, kind_plan: tuple,
+def _attention_backward(p, g: dict, t: dict, att, kind_plan: tuple,
                         dx1: np.ndarray) -> np.ndarray:
     """d(x0) of one layer's x1 = x0 + rms_norm(attn(rms_norm(x0)), post_attn_norm)
-    given d(x1) and the layer's rebuilt attn_out, storing the attention
-    half's parameter gradients in g. kind_plan is attention.plan's for the
-    layer kind, as the forward made it. The rotated query and key heads are
-    rebuilt from the taped qk as the forward made them; they go through the
-    inverse rotation and the qk-norm backward at once, as the forward ran
-    them. wqkv's gradient is one product over the q, k and v heads'
-    columns, and d(ln1) sums one product per column block, as three
-    separate projections summed it."""
+    given d(x1), storing the attention half's parameter gradients in g.
+    t["attn_out"], the layer's rebuilt attn_out, is popped and freed after
+    the post-attention norm's backward. kind_plan is attention.plan's for
+    the layer kind, as the forward made it. Every head is rebuilt from the
+    pre-attention norm's output with model._layer's own expression, and the
+    rotated query and key heads from them as the forward made them; they
+    go through the inverse rotation and the qk-norm backward at once, as
+    the forward ran them. wqkv's gradient is one product over the q, k and
+    v heads' columns, and d(ln1) sums one product per column block, as
+    three separate projections summed it."""
     cos, sin, band = kind_plan
-    dattn_out, dg_post_a = _rms_norm_bwd(attn_out, p("post_attn_norm"), t["div_attn"], dx1)
+    dattn_out, dg_post_a = _rms_norm_bwd(
+        t.pop("attn_out"), p("post_attn_norm"), t["div_attn"], dx1)
     g["post_attn_norm"] = dg_post_a.sum(axis=0)
     dmerged = dattn_out @ p("wo").T
     g["wo"] = t["merged"].T @ dattn_out
     del dattn_out, dg_post_a
 
-    dattn = _split_heads(dmerged, att.num_query_heads, att.head_dim)
-    qkr = rope_rotate(rms_norm(t["qk"], p("qk_gain")[:, None], div=t["div_qk"]), cos, sin)
-    n_q = att.num_query_heads
-    dqr, dkr, dv = attend_backward(qkr[:n_q], qkr[n_q:], t["v"], dattn, att, band)
+    n_q, n_qk = att.num_query_heads, att.num_query_heads + att.num_kv_heads
+    ln1 = rms_norm(t["x0"], p("pre_attn_norm"), div=t["div_ln1"])
+    qkv = np.ascontiguousarray(
+        (ln1 @ p("wqkv")).reshape(ln1.shape[0], -1, att.head_dim).transpose(1, 0, 2))
+    qk, v = qkv[:n_qk], qkv[n_qk:]
+    dattn = _split_heads(dmerged, n_q, att.head_dim)
+    qkr = rope_rotate(rms_norm(qk, p("qk_gain")[:, None], div=t["div_qk"]), cos, sin)
+    dqr, dkr, dv = attend_backward(qkr[:n_q], qkr[n_q:], v, dattn, att, band)
+    del qkr, dattn, dmerged
 
     # rope is an orthogonal map: its backward is the inverse rotation, by (cos, -sin)
     dqkn = rope_rotate(np.concatenate((dqr, dkr)), cos, -sin)
 
     # qk-norm: per-head rms norm with per-head gains (n_q + n_kv, hd)
-    dqk, dg_qk = _rms_norm_bwd(t["qk"], p("qk_gain")[:, None, :], t["div_qk"], dqkn)
+    dqk, dg_qk = _rms_norm_bwd(qk, p("qk_gain")[:, None, :], t["div_qk"], dqkn)
     g["qk_gain"] = dg_qk.sum(axis=1)
 
     # the columns of ln1 @ wqkv: d(ln1) sums the q, k and v blocks' products in that order
@@ -124,7 +132,6 @@ def _attention_backward(p, g: dict, t: dict, attn_out: np.ndarray, att, kind_pla
     k_end = q_end + att.num_kv_heads * att.head_dim
     dln1 = (dqkv[:, :q_end] @ wqkv[:, :q_end].T + dqkv[:, q_end:k_end] @ wqkv[:, q_end:k_end].T
             + dqkv[:, k_end:] @ wqkv[:, k_end:].T)
-    ln1 = rms_norm(t["x0"], p("pre_attn_norm"), div=t["div_ln1"])
     g["wqkv"] = ln1.T @ dqkv
 
     dx0_ln1, dg_pre_a = _rms_norm_bwd(t["x0"], p("pre_attn_norm"), t["div_ln1"], dln1)
@@ -139,16 +146,19 @@ def backward_full(params: dict, cfg: ModelConfig, tape: dict, dlogits: np.ndarra
     backward reads and the tape does not keep is rebuilt from the tape with
     the forward's own operations in the forward's order, so bit for bit:
     attn_out once per layer for both halves, the norm outputs, x1, gate,
-    up, the GELU, mlp_out, the rotated query and key heads and, under plans
-    made again from the tape's positions, the attention probabilities.
+    up, the GELU, mlp_out, every head, the rotated query and key heads and,
+    under plans made again from the tape's positions, the attention
+    probabilities.
 
-    The tape is spent: each layer's entry is popped from tape["layers"] as
-    the backward reaches it, so its arrays are freed once read, and the list
-    is empty on return. A layer's gradients are made when the backward reaches it.
+    The tape is spent: hf and h_last are popped from it and freed after the
+    final norm's backward, and each layer's entry is popped from
+    tape["layers"] as the backward reaches it, so its arrays are freed once
+    read, and the list is empty on return. A layer's gradients are made
+    when the backward reaches it.
     """
     grads = {"embed": np.zeros_like(params["embed"])}
     plans = {kind: plan(cfg.attn_for(kind), tape["positions"]) for kind in set(cfg._kinds)}
-    hf, h_last = tape["hf"], tape["h_last"]
+    hf = tape.pop("hf")
 
     if cfg.tie_embeddings:
         dhf = dlogits @ params["embed"]
@@ -156,10 +166,11 @@ def backward_full(params: dict, cfg: ModelConfig, tape: dict, dlogits: np.ndarra
     else:
         dhf = dlogits @ params["lm_head"].T
         grads["lm_head"] = hf.T @ dlogits
-    del dlogits  # freed here if the caller passed its only reference, as loss_and_grads does
+    del dlogits, hf  # dlogits is freed here if the caller passed its only reference
 
-    dh, dg = _rms_norm_bwd(h_last, params["final_norm"], tape["div_hf"], dhf)
+    dh, dg = _rms_norm_bwd(tape.pop("h_last"), params["final_norm"], tape["div_hf"], dhf)
     grads["final_norm"] = dg.sum(axis=0)
+    del dhf, dg
 
     layers = tape["layers"]
     for i in reversed(range(cfg.n_layers)):
@@ -168,9 +179,10 @@ def backward_full(params: dict, cfg: ModelConfig, tape: dict, dlogits: np.ndarra
         p = lambda name: params[names[name]]
         g = {}
         kind = t["kind"]
-        attn_out = t["merged"] @ p("wo")
-        dx1 = _mlp_backward(p, g, t, attn_out, dh)
-        dh = _attention_backward(p, g, t, attn_out, cfg.attn_for(kind), plans[kind], dx1)
+        t["attn_out"] = t["merged"] @ p("wo")  # read by both halves, dropped by the second
+        # dh is rebound to each half's result, so no earlier gradient outlives its half
+        dh = _mlp_backward(p, g, t, dh)
+        dh = _attention_backward(p, g, t, cfg.attn_for(kind), plans[kind], dh)
         grads.update((names[name], grad) for name, grad in g.items())
 
     np.add.at(grads["embed"], tape["tokens"], dh)
@@ -264,6 +276,8 @@ def train_byte_lm(
     checkpoint_steps snapshots parameters *before* the numbered step, so 0
     captures the initialization. grad_fn_for(window_tokens) may supply a
     custom per-window loss (used by distillation); default is hard-label CE.
+    A step's gradients are freed once Adam has applied them, so the next
+    step's forward and backward never run beside them.
     """
     data = _vocab_ids(cfg, data)
     if batch_len is not None and batch_len < 1:
@@ -292,6 +306,7 @@ def train_byte_lm(
         loss, grads = loss_and_grads(params, cfg, window, grad_fn)
         opt.lr = lr * (0.1 + 0.45 * (1.0 + math.cos(math.pi * step / steps)))
         opt.step(params, grads)
+        del grads  # applied: not held through the next step's forward and backward
         result.losses.append(loss)
     if steps in wanted:
         result.checkpoints[steps] = {k: v.copy() for k, v in params.items()}

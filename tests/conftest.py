@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,3 +50,13 @@ def overfit_run():
 
 def rand_matrix(rng, rows, cols, scale=1.0):
     return rng.normal(0.0, scale, size=(rows, cols))
+
+
+def heap_peak(run) -> int:
+    """tracemalloc's peak in bytes, numpy's buffers included, over run()."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -6,6 +6,8 @@ from gemma_mini.attention import AttentionConfig, LayerKind, build_mask, gqa_att
 from gemma_mini.errors import ConfigError, MaskError
 from gemma_mini.tensor import NEG_INF, RopeParams, softmax_rows
 
+from conftest import heap_peak
+
 
 def cfg_for(num_q, num_kv, head_dim=8, kind=LayerKind.GLOBAL, window=None, base=10_000.0):
     rope = RopeParams(base_freq=base, scale=1.0, head_dim=head_dim)
@@ -158,3 +160,41 @@ class TestDecodeStep:
         np.testing.assert_array_equal(
             got, attention._dense(q, k[:, seen], v[:, seen], cfg, mask[:, seen]))
         np.testing.assert_allclose(got, attention._dense(q, k, v, cfg, mask), rtol=0, atol=1e-15)
+
+
+class TestBlockGrads:
+    """attention._block_grads, the block backward of a band and of a causal tile."""
+
+    @staticmethod
+    def tile(kind, n_keys):
+        # the last 64-row causal tile of a pass over n_keys rows (4 query heads, 2 kv heads)
+        cfg = cfg_for(4, 2, head_dim=16, kind=kind,
+                      window=16 if kind is LayerKind.LOCAL else None)
+        rng = np.random.default_rng(n_keys)
+        qb, dout = rng.normal(size=(2, 2, 2, 1, 64, 16))
+        kb, vb = rng.normal(size=(2, 2, 1, 1, n_keys, 16))
+        mask = build_mask(kind, np.arange(n_keys - 64, n_keys), np.arange(n_keys), cfg.window)
+        return cfg, qb, kb, vb, dout, mask
+
+    @pytest.mark.parametrize("kind, n_keys", [
+        (LayerKind.GLOBAL, 64), (LayerKind.GLOBAL, 512), (LayerKind.LOCAL, 130)])
+    def test_equals_the_whole_block_formula(self, kind, n_keys):
+        # the row sums run one head at a time; each row sums alone, so every
+        # gradient is the whole block's formula bit for bit
+        cfg, qb, kb, vb, dout, mask = self.tile(kind, n_keys)
+        probs = attention._probs(qb, kb, cfg, mask)
+        dprobs = dout @ vb.swapaxes(-1, -2)
+        dscores = (dprobs - np.add.reduce(dprobs * probs, axis=-1, keepdims=True)) * probs
+        scale = 1.0 / np.sqrt(16)
+        want = (dscores @ kb * scale, (dscores.swapaxes(-1, -2) @ qb * scale).sum(axis=1),
+                (probs.swapaxes(-1, -2) @ dout).sum(axis=1))
+        for got, ref in zip(attention._block_grads(qb, kb, vb, dout, cfg, mask), want):
+            assert np.array_equal(got, ref)
+
+    def test_holds_two_block_sized_buffers(self):
+        # probs and dprobs, not their product too: the heap rises about 2.4
+        # blocks (3.0 while the product took a third buffer)
+        cfg, qb, kb, vb, dout, mask = self.tile(LayerKind.GLOBAL, 512)
+        block = 2 * 2 * 64 * 512 * 8
+        rise = heap_peak(lambda: attention._block_grads(qb, kb, vb, dout, cfg, mask))
+        assert rise < 2.5 * block, f"{rise / block:.2f} blocks"

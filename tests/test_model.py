@@ -297,6 +297,18 @@ class TestForward:
             with pytest.raises(ValueError, match="at least 1 token"):
                 run()
 
+    def test_cached_rows_are_its_decode_steps(self):
+        # one preallocated (T, vocab) array, each row a decode_step's, bit for bit
+        cfg = toy_config()
+        params = init_params(cfg, seed=6)
+        tokens = np.random.default_rng(6).integers(0, cfg.vocab_size, size=12)
+        cache, steps = make_cache(cfg), make_cache(cfg)
+        logits = forward(params, cfg, tokens, cache)
+        assert logits.shape == (12, cfg.vocab_size) and logits.dtype == np.float64
+        for row, t in zip(logits, tokens):
+            assert np.array_equal(row, decode_step(params, cfg, steps, int(t)))
+        assert cache.next_pos == steps.next_pos == 12
+
     def test_cached_pass_of_zero_tokens_is_empty(self):
         cfg = toy_config()
         cache = make_cache(cfg)
@@ -337,6 +349,20 @@ class TestOneCheckedEntry:
         with pytest.raises(ValueError, match="token ids"):
             runs[entry]()
         assert cache.next_pos == 2
+
+    # a bool item refused whatever its neighbours; the integer error comes before
+    # the range error, so [-1, True] and [True, 300] name the bool
+    @pytest.mark.parametrize("bad", [[-1, True], [2, True], [np.bool_(False), 7], [True, 300]],
+                             ids=["minus-one", "two", "np-bool-zero", "past-vocab"])
+    def test_a_bool_among_ints_refused_as_not_an_integer(self, toy, bad):
+        params, cfg = toy
+        with pytest.raises(ValueError, match="token ids must be integers"):
+            forward_full(params, cfg, bad)
+
+    def test_ids_zero_and_one_taken_as_ints(self, toy):
+        params, cfg = toy
+        logits = forward_full(params, cfg, [0, 1, 2])[0]
+        assert np.array_equal(logits, forward_full(params, cfg, np.array([0, 1, 2]))[0])
 
     def test_decode_step_refuses_a_foreign_cache(self, toy):
         # a cache built for window 8 would otherwise decode with the wrong window
@@ -520,7 +546,9 @@ class TestPerKindWork:
     @pytest.mark.parametrize("tied", [True, False])
     def test_tape_rotation_equals_the_public_kernels(self, T, tied, monkeypatch):
         """The rotated query and key heads the forward passes to attend are
-        rope_apply of the qk-normed taped qk, bit for bit."""
+        rope_apply of the qk-normed query and key heads, which this test
+        rebuilds from the taped x0: its divisor by the mean formula, then
+        the head-major columns of ln1 @ wqkv. Bit for bit."""
         cfg = toy_config(window=4, tie_embeddings=tied, rope_scale_global=8.0)
         params = init_params(cfg, seed=31)
         rng = np.random.default_rng(T)
@@ -539,10 +567,15 @@ class TestPerKindWork:
         _, tape = forward_full(params, cfg, tokens, keep_tape=True)
         assert len(attended) == cfg.n_layers
         positions = np.arange(T)
-        n_q = cfg.num_query_heads
+        n_q, n_qk = cfg.num_query_heads, cfg.num_query_heads + cfg.num_kv_heads
         for i, (kind, t, (q, k)) in enumerate(zip(cfg.kinds(), tape["layers"], attended)):
+            x0 = t["x0"]
+            div = np.sqrt(np.mean(x0 * x0, axis=-1, keepdims=True) + cfg.rms_eps)
+            ln1 = params[f"layer{i}.pre_attn_norm"] * x0 / div
+            heads = (ln1 @ params[f"layer{i}.wqkv"]).reshape(T, -1, cfg.head_dim)
+            qk = heads.transpose(1, 0, 2)[:n_qk].copy()
             gains = params[f"layer{i}.qk_gain"]  # the query heads' rows, then the key heads'
-            qkn = layer_qk_norm(t["qk"], gains, cfg.rms_eps)
+            qkn = layer_qk_norm(qk, gains, cfg.rms_eps)
             rope = cfg.attn_for(kind).rope
             assert np.array_equal(q, rope_apply(qkn[:n_q], positions, rope))
             assert np.array_equal(k, rope_apply(qkn[n_q:], positions, rope))

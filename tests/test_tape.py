@@ -1,15 +1,15 @@
 """The training tape holds only what the backward pass cannot rebuild.
 
 Each RMS norm's divisor is computed once in the forward pass and read back
-by backward_full; of the activations, a layer's entry keeps x0, qk, v and
-merged, and the backward rebuilds the rest. The formulas the backward used
-to recompute the divisors, and the backward that used them, are kept here as
+by backward_full; of the activations, a layer's entry keeps x0 and merged,
+and the backward rebuilds the rest. The formulas the backward used to
+recompute the divisors, and the backward that used them, are kept here as
 the reference: taped divisors must equal them bit for bit, and so must every
 gradient. The reference rebuilds the activations the tape no longer keeps
-(the rotated query and key heads, attn_out, x1, gate, up and mlp_out) with
-its own formulas, those the forward taped them with, and, like
-backward_full, recomputes the attention probabilities through
-attend_backward.
+(the pre-attention norm's output, the query, key and value heads, the
+rotated query and key heads, attn_out, x1, gate, up and mlp_out) with its
+own formulas, those the forward taped them with, and, like backward_full,
+recomputes the attention probabilities through attend_backward.
 """
 
 import numpy as np
@@ -61,29 +61,34 @@ def old_gelu_grad(x):
 
 def rebuilt(params, cfg, i, t, positions):
     """Layer i's activations that the tape once kept and no longer does, by
-    the forward's formulas of then: attn_out = merged @ wo, x1 = x0 +
-    rms_norm(attn_out, post_attn_norm) with the divisor recomputed, the
+    the forward's formulas of then: ln1 = rms_norm(x0, pre_attn_norm) with
+    the divisor recomputed, the query and key heads qk and the value heads
+    v as the head-major columns of ln1 @ wqkv, attn_out = merged @ wo, x1 =
+    x0 + rms_norm(attn_out, post_attn_norm) with the divisor recomputed, the
     pre-MLP norm's output and its gate and up products, the GELU, mlp_out
     and the qk-normed query and key heads rotated by rope_apply."""
     eps, att = cfg.rms_eps, cfg.attn_for(t["kind"])
     p = lambda name: params[f"layer{i}.{name}"]
+    ln1 = p("pre_attn_norm") * t["x0"] / old_divisor(t["x0"], eps)
+    T, n_q, n_kv = ln1.shape[0], att.num_query_heads, att.num_kv_heads
+    heads = (ln1 @ p("wqkv")).reshape(T, n_q + 2 * n_kv, att.head_dim).transpose(1, 0, 2).copy()
+    qk, v = heads[:n_q + n_kv], heads[n_q + n_kv:]
     attn_out = t["merged"] @ p("wo")
     x1 = t["x0"] + p("post_attn_norm") * attn_out / old_divisor(attn_out, eps)
     ln2 = rms_norm(x1, p("pre_mlp_norm"), eps)
     gate, up = ln2 @ p("w_gate"), ln2 @ p("w_up")
     act = old_gelu(gate) * up
-    qkn = p("qk_gain")[:, None] * t["qk"] / old_divisor(t["qk"], eps)
-    n_q = att.num_query_heads
-    return dict(attn_out=attn_out, x1=x1, ln2=ln2, gate=gate, up=up, act=act,
-                mlp_out=act @ p("w_down"), qr=rope_apply(qkn[:n_q], positions, att.rope),
+    qkn = p("qk_gain")[:, None] * qk / old_divisor(qk, eps)
+    return dict(ln1=ln1, qk=qk, v=v, attn_out=attn_out, x1=x1, ln2=ln2, gate=gate, up=up,
+                act=act, mlp_out=act @ p("w_down"), qr=rope_apply(qkn[:n_q], positions, att.rope),
                 kr=rope_apply(qkn[n_q:], positions, att.rope))
 
 
 def recomputing_backward(params, cfg, tape, dlogits):
     """backward_full as it was before the tape kept divisors and tanh: every
     norm's divisor and the GELU are recomputed from the tape's inputs and
-    the activations `rebuilt` makes, and the pre-attention and pre-MLP norm
-    outputs are the forward's rms_norm. The q, k and v projections and the
+    the activations `rebuilt` makes, and the pre-MLP norm's output is the
+    forward's rms_norm. The q, k and v projections and the
     q and k gains are the column blocks of wqkv and the rows of qk_gain;
     each block's gradient is its own product."""
     eps = cfg.rms_eps
@@ -109,8 +114,7 @@ def recomputing_backward(params, cfg, tape, dlogits):
         blocks = (slice(0, q_end), slice(q_end, k_end), slice(k_end, None))
         wq, wk, wv = (p("wqkv")[:, cols] for cols in blocks)
         gq, gk, gv = (g("wqkv")[:, cols] for cols in blocks)  # views: += writes the grads
-        x1, ln2, act = t["x1"], t["ln2"], t["act"]
-        ln1 = rms_norm(t["x0"], p("pre_attn_norm"), eps)
+        ln1, x1, ln2, act = t["ln1"], t["x1"], t["ln2"], t["act"]
 
         dmlp_out, dg_post = old_rms_norm_bwd(t["mlp_out"], p("post_mlp_norm"), eps, dh)
         g("post_mlp_norm")[...] += dg_post.sum(axis=0)
@@ -174,7 +178,7 @@ def test_taped_terms_equal_the_old_recompute_formulas(make, T):
     for i, t in enumerate(tape["layers"]):
         acts = rebuilt(params, cfg, i, t, tape["positions"])
         inputs = {
-            "div_ln1": t["x0"], "div_qk": t["qk"],
+            "div_ln1": t["x0"], "div_qk": acts["qk"],
             "div_attn": acts["attn_out"], "div_mlp": acts["mlp_out"], "div_ln2": acts["x1"],
         }
         for key, v in inputs.items():
@@ -185,7 +189,7 @@ def test_taped_terms_equal_the_old_recompute_formulas(make, T):
 def test_a_layer_entry_keeps_only_what_the_backward_cannot_rebuild(make, T):
     _, _, _, _, tape = taped_pass(make, T)
     for t in tape["layers"]:
-        assert set(t) == {"kind", "x0", "qk", "v", "merged",
+        assert set(t) == {"kind", "x0", "merged",
                           "div_ln1", "div_qk", "div_attn", "div_ln2", "div_mlp"}
 
 
