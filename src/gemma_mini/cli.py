@@ -154,11 +154,6 @@ def _cmd_generate(args) -> int:
         text = args.prompt
         stop_ids = (tokenizer.EOS_ID,)
     prompt_ids = tokenizer.tokenize_with_bos(text)
-    if len(prompt_ids) + args.max_new > cfg.max_context:
-        raise ValueError(
-            f"a {len(prompt_ids)}-token prompt plus --max-new {args.max_new} exceeds "
-            f"max_context {cfg.max_context}"
-        )
     out = generate(
         params, cfg, prompt_ids, max_new=args.max_new, sampler=args.sampler,
         temperature=args.temperature, seed=args.seed, stop_ids=stop_ids,
@@ -167,16 +162,16 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _toy_student_config(vocab: int = tokenizer.VOCAB_SIZE) -> ModelConfig:
+def _toy_student_config() -> ModelConfig:
     return ModelConfig(
-        n_layers=2, d_model=48, hidden_dim=96, vocab_size=vocab, max_context=512,
+        n_layers=2, d_model=48, hidden_dim=96, vocab_size=tokenizer.VOCAB_SIZE, max_context=512,
         num_query_heads=4, num_kv_heads=2, head_dim=12, window=64,
     )
 
 
-def _toy_teacher_config(vocab: int = tokenizer.VOCAB_SIZE) -> ModelConfig:
+def _toy_teacher_config() -> ModelConfig:
     return ModelConfig(
-        n_layers=4, d_model=96, hidden_dim=192, vocab_size=vocab, max_context=512,
+        n_layers=4, d_model=96, hidden_dim=192, vocab_size=tokenizer.VOCAB_SIZE, max_context=512,
         num_query_heads=4, num_kv_heads=2, head_dim=24, window=64,
     )
 

@@ -9,14 +9,14 @@ next position and its row count fix which absolute positions it holds; none
 are stored. The arrays own exactly the rows they hold, so a layer's bytes
 are what kv_bytes counts for it.
 
-Entries arrive in blocks of consecutive positions: one row per decode step,
-or a whole prompt in one prefill chunk. `append` returns the held rows the
-block can see, then the block, in one copy per array: all of a Global
-layer's, a Local layer's newest `window - 1`, since the one at `pos -
-window` is outside every row's window. The layer keeps the last `window` of
-them (a Global layer all), which after one row is what it returned. The
-cache takes no part in planning attention: a chunk's plan follows from its
-positions alone.
+Entries arrive only in blocks (num_kv_heads, T, head_dim) of consecutive
+positions: a decode step's block of T = 1, or a whole prompt in one prefill
+chunk. `append` returns the held rows the block can see, then the block, in
+one copy per array: all of a Global layer's, a Local layer's newest
+`window - 1`, since the one at `pos - window` is outside every row's window.
+The layer keeps the last `window` of them (a Global layer all), which after
+one row is what it returned. The cache takes no part in planning attention:
+a chunk's plan follows from its positions alone.
 
 A cache instance has a single owner and is not thread-safe; separate
 generation streams each get their own cache.
@@ -70,14 +70,12 @@ class KvCache:
         """Store K/V for a layer at positions pos, pos + 1, ...; pos must be the
         layer's next position.
 
-        k, v: a block (num_kv_heads, T, head_dim) or one row (num_kv_heads,
-        head_dim). Returns (keys, values), each (num_kv_heads, rows,
-        head_dim): the held rows the block can see, oldest first, followed by
-        the block's, one copy per array. A Local layer then keeps the last
-        `window` of them. Every check runs before the store changes.
+        k, v: a block (num_kv_heads, T, head_dim), one row a block of T = 1.
+        Returns (keys, values), each (num_kv_heads, rows, head_dim): the held
+        rows the block can see, oldest first, followed by the block's, one
+        copy per array. A Local layer then keeps the last `window` of them.
+        Every check runs before the store changes.
         """
-        if k.ndim == 2:  # one row
-            k, v = k[:, None], v[:, None]
         if pos != self._next_pos[layer]:
             raise OrderingError(
                 f"layer {layer} expected position {self._next_pos[layer]}, got {pos}"

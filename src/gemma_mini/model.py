@@ -13,8 +13,7 @@ norm on the layer path runs tensor's private (divisor, output) body. A pass
 computes one attention.plan per layer kind from the chunk's positions alone
 (the rotation and the band, if it runs banded) and shares it with every
 layer of that kind; backward_full plans again from the training tape's
-positions. Logits read out through the tied embedding by
-default.
+positions. Logits read out through the input embedding (weight tying).
 Every pass enters the layers through _run, which first refuses ids outside
 the vocabulary, a cache built for another config and a chunk past
 max_context; forward(tokens, cache) checks its whole chunk once before its
@@ -34,7 +33,7 @@ import numpy as np
 from .attention import AttentionConfig, LayerKind, attend, plan
 from .errors import CapacityError, ConfigError, ShapeError
 from .kvcache import KvCache
-from .tensor import RopeParams, _rms_norm, rms_norm, rope_rotate, softmax_rows
+from .tensor import RMS_EPS, RopeParams, _rms_norm, rms_norm, rope_rotate, softmax_rows
 
 GELU_C = float(np.sqrt(2.0 / np.pi))
 GELU_A = 0.044715
@@ -71,7 +70,10 @@ def layer_kinds(n_layers: int, local_per_global: int = 5) -> list[LayerKind]:
     ]
 
 
-_TAKES = {int: int, float: (int, float), bool: bool}  # field type -> what from_dict takes
+_TAKES = {int: int, float: (int, float)}  # field type -> what from_dict takes
+# former fields, now fixed (a tied readout, unscaled local positions, tensor.RMS_EPS):
+# from_dict refuses them rather than ignore a setting the model would not honour
+RETIRED_KEYS = ("tie_embeddings", "rope_scale_local", "rms_eps")
 
 
 @dataclass(frozen=True)
@@ -88,10 +90,7 @@ class ModelConfig:
     window: int = 1024
     rope_local_base: float = 10_000.0
     rope_global_base: float = 1_000_000.0
-    rope_scale_local: float = 1.0
     rope_scale_global: float = 1.0
-    tie_embeddings: bool = True
-    rms_eps: float = 1e-6
 
     def __post_init__(self):
         """Every bad field fails here, with one ConfigError, before any pass."""
@@ -103,8 +102,6 @@ class ModelConfig:
             raise ConfigError(
                 f"window {self.window} must lie in [1, max_context={self.max_context}]"
             )
-        if not 0 < self.rms_eps < np.inf:
-            raise ConfigError(f"rms_eps must be finite and > 0, got {self.rms_eps}")
         # built now, so that layer_kinds, AttentionConfig and RopeParams check
         # local_per_global, the heads, head_dim and the rotary fields at construction
         self._kinds, self._attn_configs
@@ -117,17 +114,18 @@ class ModelConfig:
         # built by __post_init__ and kept in the instance __dict__, outside the
         # fields that equality, hashing and weight files read
         heads = (self.num_query_heads, self.num_kv_heads, self.head_dim)
-        local = self._rope("rope_local_base", "rope_scale_local")
+        local = self._rope("rope_local_base")
         glob = self._rope("rope_global_base", "rope_scale_global")
         return {
             LayerKind.LOCAL: AttentionConfig(*heads, LayerKind.LOCAL, local, self.window),
             LayerKind.GLOBAL: AttentionConfig(*heads, LayerKind.GLOBAL, glob),
         }
 
-    def _rope(self, base: str, scale: str) -> RopeParams:
-        # RopeParams of the two named fields; its error for one of them names the field
+    def _rope(self, base: str, scale: Optional[str] = None) -> RopeParams:
+        # RopeParams of the named fields (scale 1 without one); its error names the field
         try:
-            return RopeParams(getattr(self, base), getattr(self, scale), self.head_dim)
+            return RopeParams(getattr(self, base), getattr(self, scale) if scale else 1.0,
+                              self.head_dim)
         except ConfigError as exc:
             field = {"base_freq": base, "scale": scale}.get(str(exc).split()[0])
             if field is None:  # head_dim's own error already names its field
@@ -157,16 +155,19 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         """The config of a config file's or a weight archive's values; keys that
-        are no field are ignored. An int field takes an int (not a bool), a
-        float field an int or a float, a bool field a bool."""
+        are no field are ignored, but a RETIRED_KEYS one is refused. An int
+        field takes an int, a float field an int or a float, neither a bool."""
         names = cls.__dataclass_fields__
+        for key in RETIRED_KEYS:
+            if key in d:
+                raise ConfigError(f"{key} is no longer a config key: remove it")
         missing = [n for n, f in names.items() if f.default is MISSING and n not in d]
         if missing:
             raise ConfigError(f"config is missing required keys: {', '.join(missing)}")
         values = {k: v for k, v in d.items() if k in names}
         for name, value in values.items():
             want = names[name].type
-            if isinstance(value, bool) != (want is bool) or not isinstance(value, _TAKES[want]):
+            if isinstance(value, bool) or not isinstance(value, _TAKES[want]):
                 raise ConfigError(f"{name} must be {want.__name__}, got {value!r}")
         return cls(**values)
 
@@ -198,8 +199,6 @@ def param_shapes(cfg: ModelConfig) -> dict:
         for name, key in keys.items():
             shapes[key] = per_layer[name]
     shapes["final_norm"] = (cfg.d_model,)
-    if not cfg.tie_embeddings:
-        shapes["lm_head"] = (cfg.d_model, cfg.vocab_size)
     return shapes
 
 
@@ -224,8 +223,8 @@ def init_params(cfg: ModelConfig, seed: int = 0, scale: float = 0.02) -> dict:
 def count_params(cfg: ModelConfig) -> dict:
     """Parameter counts of param_shapes(cfg), split like a spec sheet.
 
-    embedding covers the token table; everything else (projections, gains,
-    norms, untied head if any) is non_embedding.
+    embedding covers the token table, which is also the readout; everything
+    else (projections, gains, norms) is non_embedding.
     """
     sizes = {name: math.prod(shape) for name, shape in param_shapes(cfg).items()}
     embedding = sizes.pop("embed")
@@ -295,10 +294,10 @@ def _layer(params, cfg, i, kind, h, positions, kind_plan, cache=None, tape=None)
     heads and the attention probabilities, attn_out, x1, the pre-MLP
     norm's output, gate, up, the GELU and mlp_out.
     """
-    w, att, eps = cfg._layer_keys[i], cfg._attn_configs[kind], cfg.rms_eps
+    w, att = cfg._layer_keys[i], cfg._attn_configs[kind]
     n_q, n_qk = att.num_query_heads, att.num_query_heads + att.num_kv_heads
     cos, sin, band = kind_plan
-    div_ln1, ln1 = _rms_norm(h, params[w["pre_attn_norm"]], eps)
+    div_ln1, ln1 = _rms_norm(h, params[w["pre_attn_norm"]], RMS_EPS)
     # every head from one product, copied into contiguous (heads, T, head_dim): a long
     # pass's qk-norm, rotation and attention then run on compact arrays.
     # train._attention_backward rebuilds the heads with this same expression
@@ -306,7 +305,7 @@ def _layer(params, cfg, i, kind, h, positions, kind_plan, cache=None, tape=None)
         (ln1 @ params[w["wqkv"]]).reshape(h.shape[0], -1, att.head_dim).transpose(1, 0, 2))
     qk, v = qkv[:n_qk], qkv[n_qk:]
     # qk-norm and rotation of every query and key head at once
-    div_qk, qkn = _rms_norm(qk, params[w["qk_gain"]][:, None], eps)
+    div_qk, qkn = _rms_norm(qk, params[w["qk_gain"]][:, None], RMS_EPS)
     qkr = rope_rotate(qkn, cos, sin)
     qr, kr = qkr[:n_q], qkr[n_q:]
     keys, values = kr, v
@@ -314,14 +313,14 @@ def _layer(params, cfg, i, kind, h, positions, kind_plan, cache=None, tape=None)
         keys, values = cache.append(i, kr, v, int(positions[0]))
     merged = _merge_heads(attend(qr, keys, values, att, band))
     attn_out = merged @ params[w["wo"]]
-    div_attn, attn_normed = _rms_norm(attn_out, params[w["post_attn_norm"]], eps)
+    div_attn, attn_normed = _rms_norm(attn_out, params[w["post_attn_norm"]], RMS_EPS)
     x1 = h + attn_normed
 
-    div_ln2, ln2 = _rms_norm(x1, params[w["pre_mlp_norm"]], eps)
+    div_ln2, ln2 = _rms_norm(x1, params[w["pre_mlp_norm"]], RMS_EPS)
     gate = ln2 @ params[w["w_gate"]]
     up = ln2 @ params[w["w_up"]]
     mlp_out = (_gelu(gate)[1] * up) @ params[w["w_down"]]
-    div_mlp, mlp_normed = _rms_norm(mlp_out, params[w["post_mlp_norm"]], eps)
+    div_mlp, mlp_normed = _rms_norm(mlp_out, params[w["post_mlp_norm"]], RMS_EPS)
     if tape is not None:
         tape["layers"].append(dict(
             kind=kind, x0=h, merged=merged, div_ln1=div_ln1, div_qk=div_qk,
@@ -353,13 +352,13 @@ def _run(params, cfg, tokens, cache=None, tape=None):
     for i, kind in enumerate(cfg._kinds):
         h = _layer(params, cfg, i, kind, h, positions, plans[kind], cache, tape)
     if tape is None:
-        hf = rms_norm(h, params["final_norm"], cfg.rms_eps)
+        hf = rms_norm(h, params["final_norm"], RMS_EPS)
     else:  # the backward reads the divisor too
-        div_hf, hf = _rms_norm(h, params["final_norm"], cfg.rms_eps)
+        div_hf, hf = _rms_norm(h, params["final_norm"], RMS_EPS)
         tape["h_last"], tape["hf"], tape["div_hf"] = h, hf, div_hf
     # (vocab, d) @ (d, T), then transposed: OpenBLAS gives these logits the same bits at
     # one and two threads, which hf @ embed.T does not (tests/test_blas_threads.py)
-    return ((params["embed"] if cfg.tie_embeddings else params["lm_head"].T) @ hf.T).T
+    return (params["embed"] @ hf.T).T
 
 
 def forward_full(
@@ -467,7 +466,7 @@ def generate(
 # Weight files: one np.savez archive of the tensors, the config and a format
 # ---------------------------------------------------------------------------
 
-WEIGHTS_FORMAT = 2
+WEIGHTS_FORMAT = 3
 
 
 def save_weights(params: dict, cfg: ModelConfig, path: str) -> None:

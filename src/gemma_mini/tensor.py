@@ -14,6 +14,7 @@ import numpy as np
 from .errors import ConfigError, MaskError, ShapeError
 
 NEG_INF = float("-inf")
+RMS_EPS = 1e-6  # the epsilon of every norm in the model
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ def _rms_norm(
 
 
 def rms_norm(
-    v: np.ndarray, gain: np.ndarray, eps: float = 1e-6, div: Optional[np.ndarray] = None,
+    v: np.ndarray, gain: np.ndarray, eps: float = RMS_EPS, div: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """out[i] = gain[i] * v[i] / sqrt(mean(v^2) + eps), along the last axis.
 

@@ -156,16 +156,12 @@ def backward_full(params: dict, cfg: ModelConfig, tape: dict, dlogits: np.ndarra
     read, and the list is empty on return. A layer's gradients are made
     when the backward reaches it.
     """
-    grads = {"embed": np.zeros_like(params["embed"])}
     plans = {kind: plan(cfg.attn_for(kind), tape["positions"]) for kind in set(cfg._kinds)}
     hf = tape.pop("hf")
 
-    if cfg.tie_embeddings:
-        dhf = dlogits @ params["embed"]
-        grads["embed"] += dlogits.T @ hf
-    else:
-        dhf = dlogits @ params["lm_head"].T
-        grads["lm_head"] = hf.T @ dlogits
+    # the readout is the embedding: its gradient starts here, and the tokens' rows add to it
+    dhf = dlogits @ params["embed"]
+    grads = {"embed": dlogits.T @ hf}
     del dlogits, hf  # dlogits is freed here if the caller passed its only reference
 
     dh, dg = _rms_norm_bwd(tape.pop("h_last"), params["final_norm"], tape["div_hf"], dhf)

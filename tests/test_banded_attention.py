@@ -50,12 +50,12 @@ def dense_attend_backward(q, k, v, dout, cfg, band):
     return dscores @ k_rep * scale, dk, dv
 
 
-def small_config(window, group, tie):
+def small_config(window, group, rope_scale_global=1.0):
     """One LOCAL layer, then one GLOBAL."""
     return ModelConfig(
         n_layers=2, d_model=16, hidden_dim=24, vocab_size=40, max_context=512,
         num_query_heads=2 * group, num_kv_heads=2, head_dim=4, window=window,
-        local_per_global=1, tie_embeddings=tie,
+        local_per_global=1, rope_scale_global=rope_scale_global,
     )
 
 
@@ -71,19 +71,19 @@ def logits_and_grads(params, cfg, tokens):
 
 
 CASES = [
-    (T, window, group, tie)
+    (T, window, group, scale)
     for window in (1, 2, 16)
     # band edges, then the tile edges: one tile up to 64 rows, more above
     for T in sorted({2 * window, 2 * window + 1, 3 * window, 3 * window + 5,
                      64, 65, 128, 129, 192, 197, 512})
     for group in (1, 2)
-    for tie in (True, False)
+    for scale in (1.0, 8.0)  # the global layer's positions as given, then interpolated
 ]
 
 
-@pytest.mark.parametrize("T, window, group, tie", CASES)
-def test_matches_dense_oracle(monkeypatch, T, window, group, tie):
-    cfg = small_config(window, group, tie)
+@pytest.mark.parametrize("T, window, group, scale", CASES)
+def test_matches_dense_oracle(monkeypatch, T, window, group, scale):
+    cfg = small_config(window, group, scale)
     params = init_params(cfg, seed=T + window, scale=0.3)
     tokens = np.random.default_rng(T).integers(0, cfg.vocab_size, size=T + 1)
     logits, grads = logits_and_grads(params, cfg, tokens)
@@ -107,7 +107,7 @@ def test_long_local_layers_run_banded(T, local_shape):
     (n_blocks, window, 2 * window) above T = 2 * window. Every other pass,
     and any chunk after position 0, runs causal tiles with no band: each
     tile builds its own mask."""
-    cfg = small_config(4, 2, True)
+    cfg = small_config(4, 2)
     plans = [plan(cfg.attn_for(kind), np.arange(T)) for kind in cfg.kinds()]
     assert [None if band is None else band.shape for _, _, band in plans] == [local_shape, None]
     local_att = cfg.attn_for(LayerKind.LOCAL)
@@ -119,7 +119,7 @@ def test_a_window_1_chunk_after_position_0_runs_tiles():
     cache returns no earlier row (window - 1 = 0): a long LOCAL chunk is
     banded from position 0 and tiled from any later one. Every row sees
     only itself, so the tiles give exactly the chunk's values."""
-    att, T = small_config(1, 2, True).attn_for(LayerKind.LOCAL), 7
+    att, T = small_config(1, 2).attn_for(LayerKind.LOCAL), 7
     assert plan(att, np.arange(T))[2].shape == (T, 1, 2)
     for start in (1, 40):
         assert plan(att, np.arange(start, start + T))[2] is None
@@ -138,7 +138,7 @@ def test_tiled_probs_are_zero_outside_each_rows_keys(kind, window, T, monkeypatc
     above its diagonal and, for LOCAL, left of its window. The tiles cover
     the rows in order, tile [b, e) over keys [lo, e), lo the first key row
     b sees (0 for GLOBAL)."""
-    cfg = small_config(window, 2, True)
+    cfg = small_config(window, 2)
     assert plan(cfg.attn_for(kind), np.arange(T))[2] is None
     tiles = []
     for b in range(0, T, 64):
@@ -169,7 +169,7 @@ def test_tiled_probs_are_zero_outside_each_rows_keys(kind, window, T, monkeypatc
 
 def test_banded_gradient_matches_central_differences():
     """Every parameter tensor through the band (T=13 > 2 * window) to 1e-6."""
-    cfg = small_config(3, 2, False)
+    cfg = small_config(3, 2)
     rng = np.random.default_rng(11)
     params = init_params(cfg, seed=5, scale=0.3)
     tokens = rng.integers(0, cfg.vocab_size, size=14)

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from gemma_mini import cli
+from gemma_mini import cli, model
 from gemma_mini import distill as distill_mod
 from gemma_mini.kvcache import kv_bytes
 from gemma_mini.model import ModelConfig, init_params, layer_kinds, save_weights
@@ -116,17 +116,24 @@ class TestDeterminism:
 
 
 class TestGenerateCapacity:
-    def test_prompt_plus_max_new_beyond_max_context_fails_before_decoding(
-            self, capsys, monkeypatch):
-        def no_decoding(*args, **kwargs):
-            raise AssertionError("generate ran before --max-new was checked")
+    """The one capacity rule is model.generate's: a P-token prompt and N new
+    tokens need P + N - 1 positions, since the last new token is never fed
+    back. toy's max_context is 512; "hi" with BOS is 3 tokens."""
 
-        monkeypatch.setattr(cli, "generate", no_decoding)
-        # toy's max_context is 512; "hi" with BOS is 3 tokens
-        code, out, err = run_cli(capsys, "generate", "--prompt", "hi", "--max-new", "510")
+    def test_one_position_too_many_fails_before_decoding(self, capsys, monkeypatch):
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a pass ran before the capacity was checked")
+
+        monkeypatch.setattr(model, "make_cache", no_pass)
+        monkeypatch.setattr(model, "_run", no_pass)
+        code, out, err = run_cli(capsys, "generate", "--prompt", "hi", "--max-new", "511")
         assert code == 1 and out == ""
-        assert "error: a 3-token prompt plus --max-new 510 exceeds max_context 512\n" in err
+        assert err.endswith("error: a 3-token prompt and 511 new tokens need 513 positions, "
+                            "past max_context 512\n")
         assert "Traceback" not in err
+
+    def test_prompt_and_new_tokens_filling_max_context_run(self, capsys):
+        assert run_cli(capsys, "generate", "--prompt", "hi", "--max-new", "510")[0] == 0
 
 
 class TestGenerateConfigFile:
@@ -153,9 +160,12 @@ class TestGenerateConfigFile:
         ("d_model = 64.5", "d_model must be int, got 64.5"),
         ("n_layers = true", "n_layers must be int, got True"),
         ("d_model = 0", "d_model must be >= 1, got 0"),
-    ], ids=["string-window", "float-width", "bool-layers", "zero-width"])
-    def test_ill_typed_or_zero_width_field_is_one_line_error(self, capsys, tmp_path,
-                                                              line, message):
+        ("tie_embeddings = false", "tie_embeddings is no longer a config key: remove it"),
+        ("rope_scale_local = 1", "rope_scale_local is no longer a config key: remove it"),
+        ("rms_eps = 1e-6", "rms_eps is no longer a config key: remove it"),
+    ], ids=["string-window", "float-width", "bool-layers", "zero-width", "tie_embeddings",
+            "rope_scale_local", "rms_eps"])
+    def test_bad_field_is_one_line_error(self, capsys, tmp_path, line, message):
         # a later line overrides an earlier one of the same key
         text = self.TINY + "num_kv_heads = 1\n" + line + "\n"
         code, out, err = self._generate(capsys, tmp_path, text)
@@ -172,7 +182,10 @@ class TestPlanPresetFile:
     @pytest.mark.parametrize("line, message", [
         ("window = 0", "window 0 must lie in [1, max_context=64]"),
         ("n_layers = six", "n_layers must be int, got 'six'"),
-    ], ids=["zero-window", "string-layers"])
+        ("tie_embeddings = true", "tie_embeddings is no longer a config key: remove it"),
+        ("rope_scale_local = 1", "rope_scale_local is no longer a config key: remove it"),
+        ("rms_eps = 1e-6", "rms_eps is no longer a config key: remove it"),
+    ], ids=["zero-window", "string-layers", "tie_embeddings", "rope_scale_local", "rms_eps"])
     def test_bad_preset_field_is_one_line_error(self, capsys, tmp_path, monkeypatch,
                                                 line, message):
         monkeypatch.setenv("GEMMA_MINI_PRESETS", str(tmp_path))

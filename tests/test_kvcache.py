@@ -19,7 +19,7 @@ def append_steps(cache, n):
     rng = np.random.default_rng(0)
     for pos in range(n):
         for layer in range(len(cache.layer_kinds)):
-            cache.append(layer, rng.normal(size=(2, 4)), rng.normal(size=(2, 4)), pos)
+            cache.append(layer, rng.normal(size=(2, 1, 4)), rng.normal(size=(2, 1, 4)), pos)
 
 
 class TestCache:
@@ -42,7 +42,7 @@ class TestCache:
         history = np.arange(11)
         for t in history:
             for layer in range(1):
-                cache.append(layer, np.zeros((2, 4)), np.zeros((2, 4)), int(t))
+                cache.append(layer, np.zeros((2, 1, 4)), np.zeros((2, 1, 4)), int(t))
             _, _, stored = cache.view(0)
             mask = build_mask(LayerKind.LOCAL, np.asarray([t]), history[: t + 1], window)
             visible = history[: t + 1][mask[0] == 0]
@@ -52,17 +52,17 @@ class TestCache:
         cache = small_cache([L])
         append_steps(cache, 2)
         with pytest.raises(OrderingError):
-            cache.append(0, np.zeros((2, 4)), np.zeros((2, 4)), 5)
+            cache.append(0, np.zeros((2, 1, 4)), np.zeros((2, 1, 4)), 5)
 
     def test_global_overflow(self):
         cache = small_cache([G], max_context=3)
         append_steps(cache, 3)
         with pytest.raises(CapacityError):
-            cache.append(0, np.zeros((2, 4)), np.zeros((2, 4)), 3)
+            cache.append(0, np.zeros((2, 1, 4)), np.zeros((2, 1, 4)), 3)
 
     def test_layers_advance_in_lockstep(self):
         cache = small_cache([L, G])
-        cache.append(0, np.zeros((2, 4)), np.zeros((2, 4)), 0)
+        cache.append(0, np.zeros((2, 1, 4)), np.zeros((2, 1, 4)), 0)
         with pytest.raises(OrderingError):
             cache.next_pos
 
@@ -70,7 +70,7 @@ class TestCache:
         cache = small_cache([L], window=3)
         vecs = [np.full((2, 4), float(i)) for i in range(5)]
         for pos, vec in enumerate(vecs):
-            cache.append(0, vec, -vec, pos)
+            cache.append(0, vec[:, None], -vec[:, None], pos)
         keys, values, positions = cache.view(0)
         np.testing.assert_array_equal(positions, [2, 3, 4])
         assert keys.shape == values.shape == (2, 3, 4)  # heads first
@@ -84,7 +84,7 @@ class TestCache:
         rng = np.random.default_rng(3)
         views, snapshots = [], []
         for pos in range(10):
-            cache.append(0, rng.normal(size=(2, 4)), rng.normal(size=(2, 4)), pos)
+            cache.append(0, rng.normal(size=(2, 1, 4)), rng.normal(size=(2, 1, 4)), pos)
             if pos < 7:
                 views.append(cache.view(0))
                 snapshots.append([a.copy() for a in views[-1]])
@@ -123,15 +123,15 @@ class TestBlockAppend:
 
     @pytest.mark.parametrize("kind", [L, G])
     def test_block_matches_row_by_row(self, kind):
-        # every split of 0..15 into a prefix of single rows and one block
+        # every split of 0..15 into a prefix of one-row blocks and one block
         for prefix in range(8):
             for n in range(1, 17 - prefix):
                 block, single = small_cache([kind]), small_cache([kind])
                 for pos in range(prefix):
-                    block.append(0, *(a[:, 0] for a in rows(pos, 1)), pos)
+                    block.append(0, *rows(pos, 1), pos)
                 block.append(0, *rows(prefix, n), prefix)
                 for pos in range(prefix + n):
-                    single.append(0, *(a[:, 0] for a in rows(pos, 1)), pos)
+                    single.append(0, *rows(pos, 1), pos)
                 for got, want in zip(block.view(0), single.view(0)):
                     np.testing.assert_array_equal(got, want)
 
@@ -153,8 +153,10 @@ class TestBlockAppend:
         keys, values, positions = cache.view(0)
         assert keys.shape == values.shape == (2, 0, 4) and positions.size == 0
 
-    # wrong head_dim, wrong head count, a row of another width, and rows-first blocks
-    @pytest.mark.parametrize("shape", [(2, 3, 5), (1, 3, 4), (3, 8), (4, 2, 1), (3, 2, 4)])
+    # wrong head_dim, wrong head count, rows-first blocks and rows that are not blocks:
+    # a (num_kv_heads, head_dim) row is a block of one row, (num_kv_heads, 1, head_dim)
+    @pytest.mark.parametrize("shape", [(2, 3, 5), (1, 3, 4), (3, 8), (2, 4), (4, 2, 1),
+                                       (3, 2, 4)])
     def test_rows_of_another_shape_rejected_before_any_write(self, shape):
         cache = small_cache([L, G])
         for layer in (0, 1):
@@ -213,7 +215,7 @@ class TestAppendReturns:
                 # layer then holds; the rows returned before are copies, which
                 # the next append leaves as they were
                 seen = n + 2 - min(n + 2, window - 1) if kind is L else 0
-                step = cache.append(0, *(a[:, 0] for a in rows(n + 2, 1)), n + 2)
+                step = cache.append(0, *rows(n + 2, 1), n + 2)
                 for got, want in zip(step, rows(seen, n + 3 - seen)):
                     np.testing.assert_array_equal(got, want)
                 assert step[0] is cache._keys[0] and step[1] is cache._values[0]

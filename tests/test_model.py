@@ -26,7 +26,7 @@ from gemma_mini.model import (
     save_weights,
 )
 from gemma_mini.presets import list_presets, model_config_from_file, preset_values
-from gemma_mini.tensor import _rms_norm, rope_apply
+from gemma_mini.tensor import RMS_EPS, _rms_norm, rope_apply
 from gemma_mini.train import loss_and_grads
 
 L, G = LayerKind.LOCAL, LayerKind.GLOBAL
@@ -41,11 +41,11 @@ def toy_config(**overrides):
     return ModelConfig(**base)
 
 
-def layer_qk_norm(qk, qk_gain, eps=1e-6):
+def layer_qk_norm(qk, qk_gain):
     """The layer path's qk-norm, as _layer runs it: every query and key head
     of qk (heads, T, head_dim) at once, under per-head gains (heads, head_dim).
     test_tape_rotation_equals_the_public_kernels ties it to the tape bit for bit."""
-    return _rms_norm(qk, qk_gain[:, None], eps)[1]
+    return _rms_norm(qk, qk_gain[:, None], RMS_EPS)[1]
 
 
 class TestQkNorm:
@@ -103,7 +103,8 @@ class TestAttnFor:
         cfg = toy_config(rope_scale_global=8.0)
         local, glob = cfg.attn_for(L), cfg.attn_for(G)
         assert cfg.attn_for(L) is local and cfg.attn_for(G) is glob
-        assert (local.window, local.rope.base_freq) == (cfg.window, cfg.rope_local_base)
+        assert (local.window, local.rope.base_freq, local.rope.scale) == (
+            cfg.window, cfg.rope_local_base, 1.0)  # only global layers rescale positions
         assert (glob.window, glob.rope.scale) == (None, 8.0)
         fresh = toy_config(rope_scale_global=8.0)
         assert cfg == fresh and hash(cfg) == hash(fresh)
@@ -116,8 +117,6 @@ class TestConfigChecks:
     weight archive. None of these waits for a pass to fail."""
 
     BAD = [
-        ("rms_eps", float("nan"), "rms_eps must be finite and > 0"),
-        ("rms_eps", 0.0, "rms_eps must be finite and > 0"),
         ("rope_local_base", -5.0, "base_freq must be finite and > 0"),
         ("rope_global_base", float("inf"), "base_freq must be finite and > 0"),
         ("rope_scale_global", float("nan"), "scale must be finite and >= 1"),
@@ -129,8 +128,9 @@ class TestConfigChecks:
         # each rotary field's error names the field, not only RopeParams' own argument
         ("rope_local_base", 0.0, "^rope_local_base: base_freq must be finite and > 0, got 0.0"),
         ("rope_global_base", float("inf"), "^rope_global_base: base_freq must be finite"),
-        ("rope_scale_local", 0.5, "^rope_scale_local: scale must be finite and >= 1, got 0.5"),
         ("rope_scale_global", float("inf"), "^rope_scale_global: scale must be finite"),
+        ("rope_scale_global", 0.5, "^rope_scale_global: scale must be finite and >= 1, got 0.5"),
+        ("rope_local_base", float("nan"), "^rope_local_base: base_freq must be finite and > 0"),
     ]
     IDS = [f"{name}={value}" for name, value, _ in BAD]
 
@@ -165,6 +165,27 @@ class TestConfigChecks:
             load_weights(path)
         assert isinstance(info.value.__cause__, ConfigError)
         assert re.search(cause, str(info.value.__cause__))
+
+    def test_field_names_are_pinned(self):
+        """The paper's knobs only: the readout is always the tied embedding,
+        local layers never rescale positions and every norm's epsilon is
+        tensor.RMS_EPS, so none of the three is a field."""
+        assert [f.name for f in dataclasses.fields(ModelConfig)] == [
+            "n_layers", "d_model", "hidden_dim", "vocab_size", "max_context",
+            "num_query_heads", "num_kv_heads", "head_dim", "local_per_global", "window",
+            "rope_local_base", "rope_global_base", "rope_scale_global",
+        ]
+
+    @pytest.mark.parametrize("name, value", [
+        ("tie_embeddings", True), ("tie_embeddings", False), ("rope_scale_local", 1),
+        ("rms_eps", 1e-6),
+    ])
+    def test_retired_key_refused_by_from_dict(self, name, value):
+        """A retired key is not ignored like an unknown one: tie_embeddings =
+        false would otherwise build a tied model without a word."""
+        values = {**dataclasses.asdict(toy_config()), name: value}
+        with pytest.raises(ConfigError, match=f"^{name} is no longer a config key"):
+            ModelConfig.from_dict(values)
 
 
 class TestKinds:
@@ -210,16 +231,12 @@ class TestForward:
                 full = forward(params, cfg, tokens)
                 cached = forward(params, cfg, tokens, make_cache(cfg))
                 np.testing.assert_allclose(cached, full, atol=1e-9)
-        for extra in (
-            dict(tie_embeddings=False),
-            dict(rope_scale_local=8.0, rope_scale_global=8.0),
-        ):
-            cfg = toy_config(window=4, local_per_global=3, **extra)
-            params = init_params(cfg, seed=7)
-            tokens = rng.integers(0, cfg.vocab_size, size=24)
-            full = forward(params, cfg, tokens)
-            cached = forward(params, cfg, tokens, make_cache(cfg))
-            np.testing.assert_allclose(cached, full, atol=1e-9)
+        cfg = toy_config(window=4, local_per_global=3, rope_scale_global=8.0)
+        params = init_params(cfg, seed=7)
+        tokens = rng.integers(0, cfg.vocab_size, size=24)
+        full = forward(params, cfg, tokens)
+        cached = forward(params, cfg, tokens, make_cache(cfg))
+        np.testing.assert_allclose(cached, full, atol=1e-9)
 
     def test_cached_matches_full_across_lengths(self):
         rng = np.random.default_rng(12)
@@ -399,9 +416,9 @@ class TestChunk:
 
     @pytest.mark.parametrize("window", [1, 2, 4, 16])
     @pytest.mark.parametrize("ratio", [1, 5])
-    @pytest.mark.parametrize("tied", [True, False])
-    def test_chunk_continues_a_cache(self, window, ratio, tied):
-        cfg = toy_config(window=window, local_per_global=ratio, tie_embeddings=tied)
+    @pytest.mark.parametrize("scale", [1.0, 8.0])  # rope_scale_global
+    def test_chunk_continues_a_cache(self, window, ratio, scale):
+        cfg = toy_config(window=window, local_per_global=ratio, rope_scale_global=scale)
         params = init_params(cfg, seed=window + ratio)
         rng = np.random.default_rng(window * 10 + ratio)
         for prefix in (1, window - 1, window, 2 * window + 3):
@@ -417,13 +434,13 @@ class TestChunk:
 
     # window 80 is taller than a causal tile
     @pytest.mark.parametrize("window", [1, 4, 80])
-    @pytest.mark.parametrize("tied", [True, False])
-    def test_chunk_after_any_cache_matches_the_full_pass(self, window, tied):
+    @pytest.mark.parametrize("scale", [1.0, 8.0])  # rope_scale_global
+    def test_chunk_after_any_cache_matches_the_full_pass(self, window, scale):
         # the cache hands a local layer only the rows the chunk can see (none at
         # window 1), which the chunk reads in causal tiles of 64 rows (130 rows
         # are three), one row without a mask; after every chunk each layer
         # holds exactly its kv_bytes
-        cfg = toy_config(window=window, tie_embeddings=tied, max_context=512)
+        cfg = toy_config(window=window, max_context=512, rope_scale_global=scale)
         params = init_params(cfg, seed=23 + window)
         tokens = np.random.default_rng(window).integers(0, cfg.vocab_size, size=330)
         for prefix in (0, 1, window - 1, window, 200):
@@ -543,13 +560,13 @@ class TestPerKindWork:
         assert dict(layouts) == {LayerKind.LOCAL: True, LayerKind.GLOBAL: False}
 
     @pytest.mark.parametrize("T", [5, 20])  # local layers tiled, then banded (window 4)
-    @pytest.mark.parametrize("tied", [True, False])
-    def test_tape_rotation_equals_the_public_kernels(self, T, tied, monkeypatch):
+    @pytest.mark.parametrize("scale", [1.0, 8.0])  # rope_scale_global
+    def test_tape_rotation_equals_the_public_kernels(self, T, scale, monkeypatch):
         """The rotated query and key heads the forward passes to attend are
         rope_apply of the qk-normed query and key heads, which this test
         rebuilds from the taped x0: its divisor by the mean formula, then
         the head-major columns of ln1 @ wqkv. Bit for bit."""
-        cfg = toy_config(window=4, tie_embeddings=tied, rope_scale_global=8.0)
+        cfg = toy_config(window=4, rope_scale_global=scale)
         params = init_params(cfg, seed=31)
         rng = np.random.default_rng(T)
         for name in params:
@@ -570,12 +587,12 @@ class TestPerKindWork:
         n_q, n_qk = cfg.num_query_heads, cfg.num_query_heads + cfg.num_kv_heads
         for i, (kind, t, (q, k)) in enumerate(zip(cfg.kinds(), tape["layers"], attended)):
             x0 = t["x0"]
-            div = np.sqrt(np.mean(x0 * x0, axis=-1, keepdims=True) + cfg.rms_eps)
+            div = np.sqrt(np.mean(x0 * x0, axis=-1, keepdims=True) + RMS_EPS)
             ln1 = params[f"layer{i}.pre_attn_norm"] * x0 / div
             heads = (ln1 @ params[f"layer{i}.wqkv"]).reshape(T, -1, cfg.head_dim)
             qk = heads.transpose(1, 0, 2)[:n_qk].copy()
             gains = params[f"layer{i}.qk_gain"]  # the query heads' rows, then the key heads'
-            qkn = layer_qk_norm(qk, gains, cfg.rms_eps)
+            qkn = layer_qk_norm(qk, gains)
             rope = cfg.attn_for(kind).rope
             assert np.array_equal(q, rope_apply(qkn[:n_q], positions, rope))
             assert np.array_equal(k, rope_apply(qkn[n_q:], positions, rope))
@@ -601,9 +618,9 @@ class TestPerKindWork:
         assert layouts[train] == layouts[model] == {
             LayerKind.LOCAL: T > 2 * cfg.window, LayerKind.GLOBAL: False}
 
-    @pytest.mark.parametrize("tied", [True, False])
-    def test_chunks_across_a_ring_wrap_match_one_step_per_token(self, tied):
-        cfg = toy_config(window=4, tie_embeddings=tied, rope_scale_global=8.0)
+    @pytest.mark.parametrize("scale", [1.0, 8.0])  # rope_scale_global
+    def test_chunks_across_a_ring_wrap_match_one_step_per_token(self, scale):
+        cfg = toy_config(window=4, rope_scale_global=scale)
         params = init_params(cfg, seed=32)
         tokens = np.random.default_rng(32).integers(0, cfg.vocab_size, size=21)
         cache = make_cache(cfg)
@@ -778,20 +795,21 @@ class TestCountParams:
             size for name, size in walked.items() if name != "embed"
         )
 
-    @pytest.mark.parametrize("tied", [True, False])
-    def test_equals_the_closed_form_for_every_shipped_config(self, tied):
-        configs = [toy_config(), cli._toy_student_config(), cli._toy_teacher_config()]
-        configs += [ModelConfig.from_dict(preset_values(name)) for name in list_presets()]
-        for cfg in configs:
-            cfg = dataclasses.replace(cfg, tie_embeddings=tied)
-            d, v, hd = cfg.d_model, cfg.vocab_size, cfg.head_dim
-            hq, hkv, f = cfg.num_query_heads, cfg.num_kv_heads, cfg.hidden_dim
-            # wqkv, wo, qk_gain, four norms, gate/up/down
-            per_layer = d * (hq + 2 * hkv) * hd + hq * hd * d + (hq + hkv) * hd + 4 * d + 3 * d * f
-            head = 0 if tied else d * v
-            want = {"embedding": v * d, "non_embedding": cfg.n_layers * per_layer + d + head}
-            got = count_params(cfg)
-            assert got == want and all(type(n) is int for n in got.values()), cfg
+    SHIPPED = {"toy_config": toy_config, "student": cli._toy_student_config,
+               "teacher": cli._toy_teacher_config,
+               **{name: lambda name=name: ModelConfig.from_dict(preset_values(name))
+                  for name in list_presets()}}
+
+    @pytest.mark.parametrize("config", SHIPPED.values(), ids=SHIPPED.keys())
+    def test_equals_the_closed_form_for_every_shipped_config(self, config):
+        cfg = config()
+        d, v, hd = cfg.d_model, cfg.vocab_size, cfg.head_dim
+        hq, hkv, f = cfg.num_query_heads, cfg.num_kv_heads, cfg.hidden_dim
+        # wqkv, wo, qk_gain, four norms, gate/up/down
+        per_layer = d * (hq + 2 * hkv) * hd + hq * hd * d + (hq + hkv) * hd + 4 * d + 3 * d * f
+        want = {"embedding": v * d, "non_embedding": cfg.n_layers * per_layer + d}
+        got = count_params(cfg)
+        assert got == want and all(type(n) is int for n in got.values()), cfg
 
     def test_published_1b_embedding_width(self):
         cfg = toy_config(vocab_size=262144, d_model=1152)
@@ -802,23 +820,13 @@ class TestCountParams:
         cfg = toy_config(d_model=1)
         assert count_params(cfg)["embedding"] == cfg.vocab_size
 
-    def test_untied_head_counts_as_non_embedding(self):
-        tied = count_params(toy_config())
-        untied = count_params(toy_config(tie_embeddings=False))
-        cfg = toy_config()
-        assert untied["embedding"] == tied["embedding"]
-        assert untied["non_embedding"] == (
-            tied["non_embedding"] + cfg.d_model * cfg.vocab_size
-        )
-
 
 class TestInitParams:
-    @pytest.mark.parametrize("tied", [True, False])
-    def test_fused_blocks_hold_the_separate_draws(self, tied):
+    def test_fused_blocks_hold_the_separate_draws(self):
         """wqkv's column blocks hold what wq, wk and wv held when each was
         stored apart and drawn in turn: embed, then per layer wq, wk, wv, wo,
-        w_gate, w_up and w_down, then lm_head. qk_gain's rows are ones."""
-        cfg = toy_config(n_layers=2, tie_embeddings=tied)
+        w_gate, w_up and w_down. qk_gain's rows are ones."""
+        cfg = toy_config(n_layers=2)
         d, hd, hidden = cfg.d_model, cfg.head_dim, cfg.hidden_dim
         q_width, kv_width = cfg.num_query_heads * hd, cfg.num_kv_heads * hd
         params = init_params(cfg, seed=3, scale=0.5)
@@ -841,8 +849,6 @@ class TestInitParams:
             np.testing.assert_array_equal(layer["w_down"], drawn(hidden, d))
             heads = cfg.num_query_heads + cfg.num_kv_heads
             np.testing.assert_array_equal(layer["qk_gain"], np.ones((heads, hd)))
-        if not tied:
-            np.testing.assert_array_equal(params["lm_head"], drawn(d, cfg.vocab_size))
 
 
 class TestWeightsIO:
@@ -861,7 +867,18 @@ class TestWeightsIO:
                 entries[f"layer{i}.q_gain"] = gains[:cfg.num_query_heads]
                 entries[f"layer{i}.k_gain"] = gains[cfg.num_query_heads:]
 
-        self._rejects(self._saved(tmp_path, as_format_1), "^[^:]*: format entry 1 is not 2$")
+        self._rejects(self._saved(tmp_path, as_format_1), "^[^:]*: format entry 1 is not 3$")
+
+    def test_format_2_archive_refused(self, tmp_path):
+        """A format-2 archive also stored config.tie_embeddings,
+        config.rope_scale_local and config.rms_eps; its format entry alone
+        refuses it."""
+        def as_format_2(entries):
+            entries.update({"format": np.asarray(2), "config.tie_embeddings": np.asarray(True),
+                            "config.rope_scale_local": np.asarray(1.0),
+                            "config.rms_eps": np.asarray(1e-6)})
+
+        self._rejects(self._saved(tmp_path, as_format_2), "^[^:]*: format entry 2 is not 3$")
 
     def test_round_trip(self, tmp_path):
         cfg = toy_config(n_layers=2)
@@ -885,8 +902,8 @@ class TestWeightsIO:
 
     @pytest.mark.parametrize("overrides", [
         {},
-        {"tie_embeddings": False, "rope_scale_global": 8},
-        {"window": 4, "local_per_global": 1, "rope_local_base": 500.0, "rms_eps": 1e-5},
+        {"rope_scale_global": 8},
+        {"window": 4, "local_per_global": 1, "rope_local_base": 500.0},
     ])
     def test_file_carries_its_config(self, tmp_path, overrides):
         """One file at exactly the given path rebuilds an equal config and
@@ -946,13 +963,13 @@ class TestWeightsIO:
         (lambda e: e["embed"].__setitem__((3, 4), np.nan), "tensor embed is not finite"),
         (lambda e: e.update({"config.bogus": np.asarray(1)}), r"config field .*\['bogus'\]"),
         (lambda e: e.update({"config.window": np.asarray(8.0)}), "config.window is not a 0-d"),
-        (lambda e: e.update({"format": np.asarray(1)}), "format entry 1 is not 2"),
-        (lambda e: e.update({"format": np.asarray(3)}), "format entry 3 is not 2"),
-        (lambda e: e.pop("format"), "format entry None is not 2"),
+        (lambda e: e.update({"format": np.asarray(1)}), "format entry 1 is not 3"),
+        (lambda e: e.update({"format": np.asarray(4)}), "format entry 4 is not 3"),
+        (lambda e: e.pop("format"), "format entry None is not 3"),
         (lambda e: e.update({"config.num_kv_heads": np.asarray(0)}),
          "num_kv_heads must be >= 1, got 0"),
         (lambda e: e.update({"config.d_model": np.asarray(0)}), "d_model must be >= 1, got 0"),
     ], ids=["missing-tensor", "extra-tensor", "wrong-shape", "nan", "unknown-config-field",
-            "float-window", "format-1", "format-3", "no-format", "zero-kv-heads", "zero-width"])
+            "float-window", "format-1", "format-4", "no-format", "zero-kv-heads", "zero-width"])
     def test_malformed_archive_rejected(self, tmp_path, edit, cause):
         self._rejects(self._saved(tmp_path, edit), cause)

@@ -1,3 +1,6 @@
+import dataclasses
+from importlib import resources
+
 import pytest
 
 from gemma_mini.model import ModelConfig
@@ -67,3 +70,17 @@ class TestShippedPresets:
     def test_vision_params_excluded_from_planning_but_recorded(self):
         preset = load_preset("gemma3-27b")
         assert preset.vision_encoder_params == 417_000_000
+
+    def test_every_key_is_a_field_or_a_planning_key(self):
+        """Each shipped .cfg sets every ModelConfig field, so it reads as the
+        whole architecture, and besides them only the planning keys: name and
+        the *_params counts. A key no field reads would be ignored."""
+        fields = {f.name for f in dataclasses.fields(ModelConfig)}
+        shipped = [p for p in (resources.files("gemma_mini") / "presets").iterdir()
+                   if p.name.endswith(".cfg")]
+        assert len(shipped) == 5
+        for path in shipped:
+            keys = set(parse_config_text(path.read_text()))
+            assert fields <= keys, (path.name, sorted(fields - keys))
+            others = {k for k in keys - fields if k != "name" and not k.endswith("_params")}
+            assert not others, (path.name, sorted(others))

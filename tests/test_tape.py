@@ -18,7 +18,7 @@ import pytest
 from gemma_mini import presets
 from gemma_mini.attention import attend_backward, plan
 from gemma_mini.model import GELU_A, GELU_C, ModelConfig, forward_full, init_params
-from gemma_mini.tensor import rms_norm, rope_apply, rope_rotate
+from gemma_mini.tensor import RMS_EPS, rms_norm, rope_apply, rope_rotate
 from gemma_mini.train import cross_entropy, loss_and_grads
 
 
@@ -67,7 +67,7 @@ def rebuilt(params, cfg, i, t, positions):
     x0 + rms_norm(attn_out, post_attn_norm) with the divisor recomputed, the
     pre-MLP norm's output and its gate and up products, the GELU, mlp_out
     and the qk-normed query and key heads rotated by rope_apply."""
-    eps, att = cfg.rms_eps, cfg.attn_for(t["kind"])
+    eps, att = RMS_EPS, cfg.attn_for(t["kind"])
     p = lambda name: params[f"layer{i}.{name}"]
     ln1 = p("pre_attn_norm") * t["x0"] / old_divisor(t["x0"], eps)
     T, n_q, n_kv = ln1.shape[0], att.num_query_heads, att.num_kv_heads
@@ -91,15 +91,11 @@ def recomputing_backward(params, cfg, tape, dlogits):
     forward's rms_norm. The q, k and v projections and the
     q and k gains are the column blocks of wqkv and the rows of qk_gain;
     each block's gradient is its own product."""
-    eps = cfg.rms_eps
+    eps = RMS_EPS
     grads = {name: np.zeros_like(arr) for name, arr in params.items()}
     plans = {kind: plan(cfg.attn_for(kind), tape["positions"]) for kind in set(cfg.kinds())}
-    if cfg.tie_embeddings:
-        dhf = dlogits @ params["embed"]
-        grads["embed"] += dlogits.T @ tape["hf"]
-    else:
-        dhf = dlogits @ params["lm_head"].T
-        grads["lm_head"] += tape["hf"].T @ dlogits
+    dhf = dlogits @ params["embed"]
+    grads["embed"] += dlogits.T @ tape["hf"]
     dh, dg = old_rms_norm_bwd(tape["h_last"], params["final_norm"], eps, dhf)
     grads["final_norm"] += dg.sum(axis=0)
     for i in reversed(range(cfg.n_layers)):
@@ -173,7 +169,7 @@ def taped_pass(make, T):
 @pytest.mark.parametrize("make, T", CASES, ids=IDS)
 def test_taped_terms_equal_the_old_recompute_formulas(make, T):
     cfg, params, _, _, tape = taped_pass(make, T)
-    eps = cfg.rms_eps
+    eps = RMS_EPS
     np.testing.assert_array_equal(tape["div_hf"], old_divisor(tape["h_last"], eps))
     for i, t in enumerate(tape["layers"]):
         acts = rebuilt(params, cfg, i, t, tape["positions"])
