@@ -140,6 +140,10 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    if args.preset and "embedding_params" in presets.preset_values(args.preset):
+        # published sizes: init_params would allocate gigabytes before any other check
+        raise ValueError(f"preset {args.preset!r} carries published parameter counts: "
+                         "it is a planning preset for plan, not a model to generate with")
     if args.weights:
         params, cfg = load_weights(args.weights)
     else:

@@ -1,7 +1,8 @@
 """Reverse-mode gradients over the decoder stack and a byte-LM training loop.
 
 The backward pass exists for the toy training and distillation paths only;
-it walks the tape recorded by forward_full in reverse, layer by layer.
+it walks the tape recorded by forward_full in reverse, layer by layer, and
+hands each gradient to Adam as it is made (a fused update, as in LOMO).
 """
 
 import math
@@ -139,8 +140,12 @@ def _attention_backward(p, g: dict, t: dict, att, kind_plan: tuple,
     return dx1 + dx0_ln1
 
 
-def backward_full(params: dict, cfg: ModelConfig, tape: dict, dlogits: np.ndarray) -> dict:
-    """Gradients for every parameter given d(loss)/d(logits).
+def backward_full(params: dict, cfg: ModelConfig, tape: dict, dlogits: np.ndarray):
+    """Every parameter's gradient given d(loss)/d(logits), yielded as a
+    (name, grad) pair once made: the final norm's, then each layer's MLP
+    half's and attention half's from the last layer down, the embedding's
+    last. No parameter is read after its pair is yielded, so a consumer
+    such as Adam.step may update each one as it arrives, bit for bit.
 
     Each norm's divisor is read from the tape. Every other activation the
     backward reads and the tape does not keep is rebuilt from the tape with
@@ -153,20 +158,21 @@ def backward_full(params: dict, cfg: ModelConfig, tape: dict, dlogits: np.ndarra
     The tape is spent: hf and h_last are popped from it and freed after the
     final norm's backward, and each layer's entry is popped from
     tape["layers"] as the backward reaches it, so its arrays are freed once
-    read, and the list is empty on return. A layer's gradients are made
-    when the backward reaches it.
+    read, and the list is empty at the end. dlogits is freed after the
+    readout's backward if the caller passed its only reference.
     """
     plans = {kind: plan(cfg.attn_for(kind), tape["positions"]) for kind in set(cfg._kinds)}
     hf = tape.pop("hf")
 
     # the readout is the embedding: its gradient starts here, and the tokens' rows add to it
     dhf = dlogits @ params["embed"]
-    grads = {"embed": dlogits.T @ hf}
-    del dlogits, hf  # dlogits is freed here if the caller passed its only reference
+    dembed = dlogits.T @ hf
+    del dlogits, hf
 
     dh, dg = _rms_norm_bwd(tape.pop("h_last"), params["final_norm"], tape["div_hf"], dhf)
-    grads["final_norm"] = dg.sum(axis=0)
-    del dhf, dg
+    del dhf
+    dg = dg.sum(axis=0)
+    yield "final_norm", dg
 
     layers = tape["layers"]
     for i in reversed(range(cfg.n_layers)):
@@ -176,24 +182,20 @@ def backward_full(params: dict, cfg: ModelConfig, tape: dict, dlogits: np.ndarra
         g = {}
         kind = t["kind"]
         t["attn_out"] = t["merged"] @ p("wo")  # read by both halves, dropped by the second
-        # dh is rebound to each half's result, so no earlier gradient outlives its half
+        # dh is rebound to each half's result, so no earlier gradient outlives its half,
+        # and each half's parameter gradients leave g as they are handed over
         dh = _mlp_backward(p, g, t, dh)
+        yield from ((names[name], g.pop(name)) for name in list(g))
         dh = _attention_backward(p, g, t, cfg.attn_for(kind), plans[kind], dh)
-        grads.update((names[name], grad) for name, grad in g.items())
+        yield from ((names[name], g.pop(name)) for name in list(g))
 
-    np.add.at(grads["embed"], tape["tokens"], dh)
-    return {name: grads[name] for name in params}
+    np.add.at(dembed, tape["tokens"], dh)
+    yield "embed", dembed
 
 
-def loss_and_grads(
-    params: dict,
-    cfg: ModelConfig,
-    tokens: Sequence[int],
-    grad_fn: Optional[Callable] = None,
-):
-    """One forward/backward pass. grad_fn(logits) -> (loss, dlogits); the
-    default is next-token cross-entropy over the sequence. Every id, the last
-    target too, is checked before any work."""
+def _loss_and_grad_stream(params, cfg, tokens, grad_fn):
+    """loss_and_grads' checks, forward pass and loss, then (loss, its
+    backward_full), which has not started yet."""
     tokens = _vocab_ids(cfg, tokens)
     if len(tokens) < 2:
         raise ValueError(f"need at least 2 tokens to train on, got {len(tokens)}")
@@ -204,8 +206,23 @@ def loss_and_grads(
     return step[0], backward_full(params, cfg, tape, step.pop())
 
 
+def loss_and_grads(
+    params: dict,
+    cfg: ModelConfig,
+    tokens: Sequence[int],
+    grad_fn: Optional[Callable] = None,
+):
+    """One forward/backward pass: (loss, a dict of every gradient), which
+    train_byte_lm never collects. grad_fn(logits) -> (loss, dlogits); the
+    default is next-token cross-entropy over the sequence. Every id, the last
+    target too, is checked before any work."""
+    loss, grads = _loss_and_grad_stream(params, cfg, tokens, grad_fn)
+    return loss, dict(grads)
+
+
 class Adam:
-    """Plain Adam; state is keyed by parameter name."""
+    """Plain Adam; state is keyed by parameter name, and a parameter's update
+    reads only its own gradient and moments, so the order of gradients is free."""
 
     def __init__(self, lr=3e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
@@ -213,12 +230,13 @@ class Adam:
         self.v: dict = {}
         self.t = 0
 
-    def step(self, params: dict, grads: dict) -> None:
-        """params -= lr * m_hat / (sqrt(v_hat) + eps) in place, in that order of operations."""
+    def step(self, params: dict, grads) -> None:
+        """params -= lr * m_hat / (sqrt(v_hat) + eps) in place, in that order of operations;
+        grads is a dict or (name, grad) pairs, each applied as it arrives, then dropped."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1, c2 = 1 - b1**self.t, 1 - b2**self.t
-        for name, grad in grads.items():
+        for name, grad in grads.items() if isinstance(grads, dict) else grads:
             if name not in self.m:  # its first step
                 self.m[name], self.v[name] = np.zeros_like(grad), np.zeros_like(grad)
             m, v = self.m[name], self.v[name]
@@ -235,6 +253,7 @@ class Adam:
             tmp *= self.lr
             tmp /= denom
             params[name] -= tmp
+            del grad, tmp, denom
 
 
 @dataclass
@@ -272,8 +291,8 @@ def train_byte_lm(
     checkpoint_steps snapshots parameters *before* the numbered step, so 0
     captures the initialization. grad_fn_for(window_tokens) may supply a
     custom per-window loss (used by distillation); default is hard-label CE.
-    A step's gradients are freed once Adam has applied them, so the next
-    step's forward and backward never run beside them.
+    Each gradient goes to Adam as backward_full makes it, so no step holds
+    more than one layer half's gradients (bit for bit as if it did).
     """
     data = _vocab_ids(cfg, data)
     if batch_len is not None and batch_len < 1:
@@ -299,10 +318,9 @@ def train_byte_lm(
         else:
             window = data
         grad_fn = grad_fn_for(window) if grad_fn_for is not None else None
-        loss, grads = loss_and_grads(params, cfg, window, grad_fn)
         opt.lr = lr * (0.1 + 0.45 * (1.0 + math.cos(math.pi * step / steps)))
+        loss, grads = _loss_and_grad_stream(params, cfg, window, grad_fn)
         opt.step(params, grads)
-        del grads  # applied: not held through the next step's forward and backward
         result.losses.append(loss)
     if steps in wanted:
         result.checkpoints[steps] = {k: v.copy() for k, v in params.items()}

@@ -136,6 +136,38 @@ class TestGenerateCapacity:
         assert run_cli(capsys, "generate", "--prompt", "hi", "--max-new", "510")[0] == 0
 
 
+class TestGeneratePlanningPreset:
+    """A preset with published parameter counts is sized for plan: random
+    init of gemma3-1b would be 8 GB of float64, so generate refuses it
+    before init_params runs."""
+
+    MESSAGE = ("error: preset {!r} carries published parameter counts: "
+               "it is a planning preset for plan, not a model to generate with\n")
+
+    @pytest.fixture
+    def no_init(self, monkeypatch):
+        monkeypatch.setattr(cli, "init_params", lambda *a, **k: pytest.fail("init_params ran"))
+
+    @pytest.mark.parametrize("preset", ["gemma3-1b", "gemma3-27b"])
+    def test_shipped_planning_preset_refused_before_init(self, capsys, no_init, preset):
+        code, out, err = run_cli(capsys, "generate", "--preset", preset, "--prompt", "a")
+        assert code == 1 and out == ""
+        assert err == self.MESSAGE.format(preset)
+
+    def test_planning_preset_from_the_preset_directory_refused_before_init(
+            self, capsys, tmp_path, monkeypatch, no_init):
+        monkeypatch.setenv("GEMMA_MINI_PRESETS", str(tmp_path))
+        (tmp_path / "mine.cfg").write_text(TestPlanPresetFile.PRESET)
+        code, out, err = run_cli(capsys, "generate", "--preset", "mine", "--prompt", "a")
+        assert code == 1 and out == ""
+        assert err == self.MESSAGE.format("mine")
+
+    def test_toy_preset_still_runs(self, capsys):
+        code, _, err = run_cli(capsys, "generate", "--preset", "toy", "--prompt", "a",
+                               "--max-new", "2")
+        assert code == 0, err
+
+
 class TestGenerateConfigFile:
     TINY = ("n_layers = 2\nd_model = 16\nhidden_dim = 32\nvocab_size = 260\n"
             "max_context = 64\nnum_query_heads = 2\nhead_dim = 8\nwindow = 8\n")
