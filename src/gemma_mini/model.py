@@ -33,24 +33,10 @@ import numpy as np
 from .attention import AttentionConfig, LayerKind, attend, plan
 from .errors import CapacityError, ConfigError, ShapeError
 from .kvcache import KvCache
-from .tensor import RMS_EPS, RopeParams, _rms_norm, rms_norm, rope_rotate, softmax_rows
+from .tensor import RopeParams, _rms_norm, rms_norm, rope_rotate, softmax_rows
 
 GELU_C = float(np.sqrt(2.0 / np.pi))
 GELU_A = 0.044715
-
-
-def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(t, out) of the tanh-approximated GELU, the gate nonlinearity of the
-    MLP: its tanh term t = tanh(GELU_C * (x + GELU_A * x^3)), built in one
-    buffer, which the backward's derivative reads, and 0.5 * x * (1 + t).
-    The forward runs this body and so does the backward's rebuild."""
-    t = np.multiply(GELU_A, x)
-    t *= x
-    t *= x
-    t += x
-    t *= GELU_C
-    np.tanh(t, out=t)
-    return t, 0.5 * x * (1.0 + t)
 
 
 def layer_kinds(n_layers: int, local_per_global: int = 5) -> list[LayerKind]:
@@ -269,14 +255,42 @@ def _check_tokens(cfg: ModelConfig, tokens, cache: Optional[KvCache] = None) -> 
     return tokens
 
 
-def _split_heads(x: np.ndarray, n_heads: int, head_dim: int) -> np.ndarray:
-    # (T, n_heads*head_dim) -> (n_heads, T, head_dim)
-    return x.reshape(x.shape[0], n_heads, head_dim).transpose(1, 0, 2)
+def _heads(params, w, att, x0, cos, sin, div_ln1=None, div_qk=None):
+    """Block input x0 to its heads: (div_ln1, div_qk, qkr, v, ln1, qk), of
+    which _layer reads the first four and the backward's rebuild, given the
+    taped divisors, the last four. ln1 is the pre-attention norm; one product
+    ln1 @ wqkv makes every head, copied into compact (heads, T, head_dim):
+    the query and key heads qk, qk-normed and rotated into qkr, then v."""
+    n_qk = att.num_query_heads + att.num_kv_heads
+    div_ln1, ln1 = _rms_norm(x0, params[w["pre_attn_norm"]], div_ln1)
+    qkv = np.ascontiguousarray(
+        (ln1 @ params[w["wqkv"]]).reshape(x0.shape[0], -1, att.head_dim).transpose(1, 0, 2))
+    qk, v = qkv[:n_qk], qkv[n_qk:]
+    div_qk, qkn = _rms_norm(qk, params[w["qk_gain"]][:, None], div_qk)
+    return div_ln1, div_qk, rope_rotate(qkn, cos, sin), v, ln1, qk
 
 
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    # (n_heads, T, head_dim) -> (T, n_heads*head_dim)
-    return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+def _mlp(params, w, x0, merged, div_attn=None, div_ln2=None):
+    """Block input x0 and merged attention output to the MLP's output:
+    (div_attn, div_ln2, x1, mlp_out, attn_out, ln2, gate, up, t, gelu, act),
+    of which _layer reads the first four and the backward's rebuild, given
+    the taped divisors, the last nine. gelu = 0.5 * gate * (1 + t) is the
+    tanh-approximated GELU; the derivative reads its tanh term t, one buffer."""
+    attn_out = merged @ params[w["wo"]]
+    div_attn, attn_normed = _rms_norm(attn_out, params[w["post_attn_norm"]], div_attn)
+    x1 = x0 + attn_normed
+    div_ln2, ln2 = _rms_norm(x1, params[w["pre_mlp_norm"]], div_ln2)
+    gate = ln2 @ params[w["w_gate"]]
+    up = ln2 @ params[w["w_up"]]
+    t = np.multiply(GELU_A, gate)
+    t *= gate
+    t *= gate
+    t += gate
+    t *= GELU_C
+    np.tanh(t, out=t)
+    gelu = 0.5 * gate * (1.0 + t)
+    act = gelu * up
+    return div_attn, div_ln2, x1, act @ params[w["w_down"]], attn_out, ln2, gate, up, t, gelu, act
 
 
 def _layer(params, cfg, i, kind, h, positions, kind_plan, cache=None, tape=None):
@@ -288,39 +302,22 @@ def _layer(params, cfg, i, kind, h, positions, kind_plan, cache=None, tape=None)
     the retained rows the chunk can see followed by its own. A given tape
     gets in tape["layers"] only what backward_full cannot rebuild cheaply:
     the kind, the block's input x0, the merged attention output and the
-    five norms' divisors (div_*). The backward rebuilds everything else
-    with these same operations in this order: the pre-attention norm's
-    output and from it every head (one product, as here), the rotated
-    heads and the attention probabilities, attn_out, x1, the pre-MLP
-    norm's output, gate, up, the GELU and mlp_out.
+    five norms' divisors (div_*). The block runs _heads before attend and
+    _mlp after it; the backward rebuilds every other activation by calling
+    the same two with the taped divisors.
     """
     w, att = cfg._layer_keys[i], cfg._attn_configs[kind]
-    n_q, n_qk = att.num_query_heads, att.num_query_heads + att.num_kv_heads
+    n_q = att.num_query_heads
     cos, sin, band = kind_plan
-    div_ln1, ln1 = _rms_norm(h, params[w["pre_attn_norm"]], RMS_EPS)
-    # every head from one product, copied into contiguous (heads, T, head_dim): a long
-    # pass's qk-norm, rotation and attention then run on compact arrays.
-    # train._attention_backward rebuilds the heads with this same expression
-    qkv = np.ascontiguousarray(
-        (ln1 @ params[w["wqkv"]]).reshape(h.shape[0], -1, att.head_dim).transpose(1, 0, 2))
-    qk, v = qkv[:n_qk], qkv[n_qk:]
-    # qk-norm and rotation of every query and key head at once
-    div_qk, qkn = _rms_norm(qk, params[w["qk_gain"]][:, None], RMS_EPS)
-    qkr = rope_rotate(qkn, cos, sin)
+    div_ln1, div_qk, qkr, v = _heads(params, w, att, h, cos, sin)[:4]
     qr, kr = qkr[:n_q], qkr[n_q:]
     keys, values = kr, v
     if cache is not None:  # the retained rows the chunk can see, oldest first, then its own
         keys, values = cache.append(i, kr, v, int(positions[0]))
-    merged = _merge_heads(attend(qr, keys, values, att, band))
-    attn_out = merged @ params[w["wo"]]
-    div_attn, attn_normed = _rms_norm(attn_out, params[w["post_attn_norm"]], RMS_EPS)
-    x1 = h + attn_normed
-
-    div_ln2, ln2 = _rms_norm(x1, params[w["pre_mlp_norm"]], RMS_EPS)
-    gate = ln2 @ params[w["w_gate"]]
-    up = ln2 @ params[w["w_up"]]
-    mlp_out = (_gelu(gate)[1] * up) @ params[w["w_down"]]
-    div_mlp, mlp_normed = _rms_norm(mlp_out, params[w["post_mlp_norm"]], RMS_EPS)
+    # (heads, T, head_dim) -> (T, heads * head_dim)
+    merged = attend(qr, keys, values, att, band).transpose(1, 0, 2).reshape(h.shape[0], -1)
+    div_attn, div_ln2, x1, mlp_out = _mlp(params, w, h, merged)[:4]
+    div_mlp, mlp_normed = _rms_norm(mlp_out, params[w["post_mlp_norm"]])
     if tape is not None:
         tape["layers"].append(dict(
             kind=kind, x0=h, merged=merged, div_ln1=div_ln1, div_qk=div_qk,
@@ -352,9 +349,9 @@ def _run(params, cfg, tokens, cache=None, tape=None):
     for i, kind in enumerate(cfg._kinds):
         h = _layer(params, cfg, i, kind, h, positions, plans[kind], cache, tape)
     if tape is None:
-        hf = rms_norm(h, params["final_norm"], RMS_EPS)
+        hf = rms_norm(h, params["final_norm"])
     else:  # the backward reads the divisor too
-        div_hf, hf = _rms_norm(h, params["final_norm"], RMS_EPS)
+        div_hf, hf = _rms_norm(h, params["final_norm"])
         tape["h_last"], tape["hf"], tape["div_hf"] = h, hf, div_hf
     # (vocab, d) @ (d, T), then transposed: OpenBLAS gives these logits the same bits at
     # one and two threads, which hf @ embed.T does not (tests/test_blas_threads.py)

@@ -1,10 +1,11 @@
 """Flat key/value config files and the shipped model presets.
 
-Config syntax: one `key = value` per line, `#` comments, values parsed as
-int, float, bool or string. GEMMA_MINI_PRESETS may point at a directory of
-extra .cfg files; its entries shadow the built-ins on name clashes. A
-planning preset is a full model config plus embedding_params,
-non_embedding_params and optionally vision_encoder_params.
+Config syntax: one `key = value` per line, each key once, `#` comments,
+values parsed as int, float, bool or string. GEMMA_MINI_PRESETS may point
+at a directory of extra .cfg files; its entries shadow the built-ins on
+name clashes. A planning preset is a full model config plus
+embedding_params, non_embedding_params and optionally
+vision_encoder_params.
 """
 
 import os
@@ -19,7 +20,10 @@ ENV_VAR = "GEMMA_MINI_PRESETS"
 
 
 def parse_config_text(text: str) -> dict:
+    """key -> coerced value of each `key = value` line; a line without `=`
+    or a key set twice is a ValueError naming the line or lines."""
     values: dict = {}
+    seen: dict = {}  # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -27,7 +31,11 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        values[key.strip()] = _coerce(value.strip())
+        key = key.strip()
+        if key in seen:
+            raise ValueError(f"line {lineno}: {key} is already set on line {seen[key]}")
+        seen[key] = lineno
+        values[key] = _coerce(value.strip())
     return values
 
 

@@ -78,34 +78,28 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
 
 
 def _rms_norm(
-    v: np.ndarray, gain: np.ndarray, eps: float, div: Optional[np.ndarray] = None,
+    v: np.ndarray, gain: np.ndarray, div: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(div, out) of rms_norm on a float64 array v, without its checks: the
-    divisor sqrt(mean(v^2) + eps) along the last axis, kept with length 1,
-    which the training tape keeps, and gain * v / div, divided in place. A
-    given div is used as is. Every norm on the layer path, and every output
-    the backward rebuilds from a taped divisor, runs this body."""
+    divisor sqrt(mean(v^2) + RMS_EPS) along the last axis, kept with length
+    1, which the training tape keeps, and gain * v / div, divided in place.
+    A given div is used as is. Every norm on the layer path, and every
+    output the backward rebuilds from a taped divisor, runs this body."""
     if div is None:  # np.mean's own sum and divide, without its Python wrapper
-        div = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True) / v.shape[-1] + eps)
+        div = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True) / v.shape[-1] + RMS_EPS)
     out = np.multiply(gain, v)
     out /= div
     return div, out
 
 
-def rms_norm(
-    v: np.ndarray, gain: np.ndarray, eps: float = RMS_EPS, div: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """out[i] = gain[i] * v[i] / sqrt(mean(v^2) + eps), along the last axis.
-
-    div, if given, is the divisor _rms_norm computes, kept by the caller.
-    """
+def rms_norm(v: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    """out[i] = gain[i] * v[i] / sqrt(mean(v^2) + RMS_EPS), along the last axis:
+    _rms_norm's output, after checking that gain fits v."""
     v = np.asarray(v, dtype=np.float64)
     gain = np.asarray(gain, dtype=np.float64)
     if gain.shape[-1] != v.shape[-1]:
         raise ShapeError(f"gain length {gain.shape[-1]} != vector length {v.shape[-1]}")
-    if div is None and eps <= 0:
-        raise ConfigError(f"eps must be > 0, got {eps}")
-    return _rms_norm(v, gain, eps, div)[1]
+    return _rms_norm(v, gain)[1]
 
 
 def rope_cos_sin(positions: np.ndarray, p: RopeParams) -> tuple[np.ndarray, np.ndarray]:

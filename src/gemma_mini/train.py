@@ -13,10 +13,11 @@ import numpy as np
 
 from .attention import attend_backward, plan
 from .model import (
-    GELU_A, GELU_C, ModelConfig, _gelu, _merge_heads, _split_heads, _vocab_ids, forward_full,
-    init_params,
+    GELU_A, GELU_C, ModelConfig, _heads, _mlp, _vocab_ids, forward_full, init_params,
 )
-from .tensor import rms_norm, rope_rotate, softmax_rows
+from .tensor import rope_rotate, softmax_rows
+
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def _rms_norm_bwd(v, gain, div, dy):
@@ -47,23 +48,21 @@ def cross_entropy(logits: np.ndarray, targets: Sequence[int]):
     return loss, dlogits
 
 
-def _mlp_backward(p, g: dict, t: dict, dh: np.ndarray) -> np.ndarray:
+def _mlp_backward(params, w: dict, g: dict, t: dict, dh: np.ndarray) -> np.ndarray:
     """d(x1) of one layer's h = x1 + rms_norm(mlp(rms_norm(x1)), post_mlp_norm)
-    given d(h) and the layer's rebuilt t["attn_out"], storing the MLP half's
-    parameter gradients in g. x1, the pre-MLP norm's output, gate, up, the
-    GELU and mlp_out are rebuilt with the forward's own operations. Its
-    temporaries are freed on return, before the attention half runs."""
-    x1 = t["x0"] + rms_norm(t["attn_out"], p("post_attn_norm"), div=t["div_attn"])
-    ln2 = rms_norm(x1, p("pre_mlp_norm"), div=t["div_ln2"])
-    gate = ln2 @ p("w_gate")
-    up = ln2 @ p("w_up")
-    th, gelu_gate = _gelu(gate)
-    act = gelu_gate * up
-    dmlp_out, dg_post = _rms_norm_bwd(act @ p("w_down"), p("post_mlp_norm"), t["div_mlp"], dh)
+    given d(h), storing the MLP half's parameter gradients in g. w maps the
+    layer's short parameter names to their keys in params. model._mlp, the
+    body _layer runs, rebuilds attn_out, x1, the pre-MLP norm's output,
+    gate, up, the GELU and its tanh term, act and mlp_out from the layer's
+    tape entry t; attn_out is left in t for the attention half. Every other
+    temporary is freed on return, before the attention half runs."""
+    x1, mlp_out, t["attn_out"], ln2, gate, up, th, gelu_gate, act = _mlp(
+        params, w, t["x0"], t["merged"], t["div_attn"], t["div_ln2"])[2:]
+    dmlp_out, dg_post = _rms_norm_bwd(mlp_out, params[w["post_mlp_norm"]], t["div_mlp"], dh)
     g["post_mlp_norm"] = dg_post.sum(axis=0)
-    dact = dmlp_out @ p("w_down").T
+    dact = dmlp_out @ params[w["w_down"]].T
     g["w_down"] = act.T @ dmlp_out
-    del act, dmlp_out, dg_post  # each del here lowers the T=512 step's heap peak
+    del mlp_out, act, dmlp_out, dg_post  # each del here lowers the T=512 step's heap peak
     # d gelu / d gate, term by term in two buffers:
     # 0.5 * (1 + th) + 0.5 * gate * (1 - th^2) * GELU_C * (1 + 3 * GELU_A * gate^2)
     dgelu = np.multiply(th, th)
@@ -81,42 +80,38 @@ def _mlp_backward(p, g: dict, t: dict, dh: np.ndarray) -> np.ndarray:
     dgate = np.multiply(np.multiply(dact, up, out=tmp), dgelu, out=dgelu)
     dup = np.multiply(dact, gelu_gate, out=dact)
     del th, tmp, gelu_gate
-    dln2 = dgate @ p("w_gate").T + dup @ p("w_up").T
+    dln2 = dgate @ params[w["w_gate"]].T + dup @ params[w["w_up"]].T
     g["w_gate"] = ln2.T @ dgate
     g["w_up"] = ln2.T @ dup
-    dx1_ln2, dg_pre = _rms_norm_bwd(x1, p("pre_mlp_norm"), t["div_ln2"], dln2)
+    dx1_ln2, dg_pre = _rms_norm_bwd(x1, params[w["pre_mlp_norm"]], t["div_ln2"], dln2)
     g["pre_mlp_norm"] = dg_pre.sum(axis=0)
     return dh + dx1_ln2
 
 
-def _attention_backward(p, g: dict, t: dict, att, kind_plan: tuple,
+def _attention_backward(params, w: dict, g: dict, t: dict, att, kind_plan: tuple,
                         dx1: np.ndarray) -> np.ndarray:
     """d(x0) of one layer's x1 = x0 + rms_norm(attn(rms_norm(x0)), post_attn_norm)
     given d(x1), storing the attention half's parameter gradients in g.
-    t["attn_out"], the layer's rebuilt attn_out, is popped and freed after
+    t["attn_out"], which _mlp_backward rebuilt, is popped and freed after
     the post-attention norm's backward. kind_plan is attention.plan's for
-    the layer kind, as the forward made it. Every head is rebuilt from the
-    pre-attention norm's output with model._layer's own expression, and the
-    rotated query and key heads from them as the forward made them; they
-    go through the inverse rotation and the qk-norm backward at once, as
-    the forward ran them. wqkv's gradient is one product over the q, k and
-    v heads' columns, and d(ln1) sums one product per column block, as
-    three separate projections summed it."""
+    the layer kind, as the forward made it. model._heads, the body _layer
+    runs, rebuilds the pre-attention norm's output, every head and the
+    rotated query and key heads; their gradients go through the inverse
+    rotation and the qk-norm backward at once, as the forward ran them.
+    wqkv's gradient is one product over the q, k and v heads' columns, and
+    d(ln1) sums one product per column block, as three separate projections
+    summed it."""
     cos, sin, band = kind_plan
     dattn_out, dg_post_a = _rms_norm_bwd(
-        t.pop("attn_out"), p("post_attn_norm"), t["div_attn"], dx1)
+        t.pop("attn_out"), params[w["post_attn_norm"]], t["div_attn"], dx1)
     g["post_attn_norm"] = dg_post_a.sum(axis=0)
-    dmerged = dattn_out @ p("wo").T
+    dmerged = dattn_out @ params[w["wo"]].T
     g["wo"] = t["merged"].T @ dattn_out
     del dattn_out, dg_post_a
 
-    n_q, n_qk = att.num_query_heads, att.num_query_heads + att.num_kv_heads
-    ln1 = rms_norm(t["x0"], p("pre_attn_norm"), div=t["div_ln1"])
-    qkv = np.ascontiguousarray(
-        (ln1 @ p("wqkv")).reshape(ln1.shape[0], -1, att.head_dim).transpose(1, 0, 2))
-    qk, v = qkv[:n_qk], qkv[n_qk:]
-    dattn = _split_heads(dmerged, n_q, att.head_dim)
-    qkr = rope_rotate(rms_norm(qk, p("qk_gain")[:, None], div=t["div_qk"]), cos, sin)
+    n_q, T, hd = att.num_query_heads, dmerged.shape[0], att.head_dim
+    qkr, v, ln1, qk = _heads(params, w, att, t["x0"], cos, sin, t["div_ln1"], t["div_qk"])[2:]
+    dattn = dmerged.reshape(T, n_q, hd).transpose(1, 0, 2)  # (heads, T, head_dim)
     dqr, dkr, dv = attend_backward(qkr[:n_q], qkr[n_q:], v, dattn, att, band)
     del qkr, dattn, dmerged
 
@@ -124,18 +119,19 @@ def _attention_backward(p, g: dict, t: dict, att, kind_plan: tuple,
     dqkn = rope_rotate(np.concatenate((dqr, dkr)), cos, -sin)
 
     # qk-norm: per-head rms norm with per-head gains (n_q + n_kv, hd)
-    dqk, dg_qk = _rms_norm_bwd(qk, p("qk_gain")[:, None, :], t["div_qk"], dqkn)
+    dqk, dg_qk = _rms_norm_bwd(qk, params[w["qk_gain"]][:, None, :], t["div_qk"], dqkn)
     g["qk_gain"] = dg_qk.sum(axis=1)
 
-    # the columns of ln1 @ wqkv: d(ln1) sums the q, k and v blocks' products in that order
-    dqkv = _merge_heads(np.concatenate((dqk, dv)))
-    wqkv, q_end = p("wqkv"), att.num_query_heads * att.head_dim
-    k_end = q_end + att.num_kv_heads * att.head_dim
+    # the columns of ln1 @ wqkv, back to (T, heads * head_dim): d(ln1) sums the q, k and
+    # v blocks' products in that order
+    dqkv = np.concatenate((dqk, dv)).transpose(1, 0, 2).reshape(T, -1)
+    wqkv, q_end = params[w["wqkv"]], n_q * hd
+    k_end = q_end + att.num_kv_heads * hd
     dln1 = (dqkv[:, :q_end] @ wqkv[:, :q_end].T + dqkv[:, q_end:k_end] @ wqkv[:, q_end:k_end].T
             + dqkv[:, k_end:] @ wqkv[:, k_end:].T)
     g["wqkv"] = ln1.T @ dqkv
 
-    dx0_ln1, dg_pre_a = _rms_norm_bwd(t["x0"], p("pre_attn_norm"), t["div_ln1"], dln1)
+    dx0_ln1, dg_pre_a = _rms_norm_bwd(t["x0"], params[w["pre_attn_norm"]], t["div_ln1"], dln1)
     g["pre_attn_norm"] = dg_pre_a.sum(axis=0)
     return dx1 + dx0_ln1
 
@@ -148,12 +144,13 @@ def backward_full(params: dict, cfg: ModelConfig, tape: dict, dlogits: np.ndarra
     such as Adam.step may update each one as it arrives, bit for bit.
 
     Each norm's divisor is read from the tape. Every other activation the
-    backward reads and the tape does not keep is rebuilt from the tape with
-    the forward's own operations in the forward's order, so bit for bit:
-    attn_out once per layer for both halves, the norm outputs, x1, gate,
-    up, the GELU, mlp_out, every head, the rotated query and key heads and,
-    under plans made again from the tape's positions, the attention
-    probabilities.
+    backward reads and the tape does not keep is rebuilt from the tape by
+    the forward's own bodies, model._mlp and model._heads given the taped
+    divisors, so bit for bit: attn_out once per layer for both halves, the
+    norm outputs, x1, gate, up, the GELU, mlp_out, every head, the rotated
+    query and key heads and, under plans made again from the tape's
+    positions, the attention probabilities. This module holds only the
+    derivative arithmetic.
 
     The tape is spent: hf and h_last are popped from it and freed after the
     final norm's backward, and each layer's entry is popped from
@@ -177,17 +174,13 @@ def backward_full(params: dict, cfg: ModelConfig, tape: dict, dlogits: np.ndarra
     layers = tape["layers"]
     for i in reversed(range(cfg.n_layers)):
         t = layers.pop()  # layer i, the last one left
-        names = cfg._layer_keys[i]
-        p = lambda name: params[names[name]]
-        g = {}
-        kind = t["kind"]
-        t["attn_out"] = t["merged"] @ p("wo")  # read by both halves, dropped by the second
+        w, g, kind = cfg._layer_keys[i], {}, t["kind"]
         # dh is rebound to each half's result, so no earlier gradient outlives its half,
         # and each half's parameter gradients leave g as they are handed over
-        dh = _mlp_backward(p, g, t, dh)
-        yield from ((names[name], g.pop(name)) for name in list(g))
-        dh = _attention_backward(p, g, t, cfg.attn_for(kind), plans[kind], dh)
-        yield from ((names[name], g.pop(name)) for name in list(g))
+        dh = _mlp_backward(params, w, g, t, dh)
+        yield from ((w[name], g.pop(name)) for name in list(g))
+        dh = _attention_backward(params, w, g, t, cfg.attn_for(kind), plans[kind], dh)
+        yield from ((w[name], g.pop(name)) for name in list(g))
 
     np.add.at(dembed, tape["tokens"], dh)
     yield "embed", dembed
@@ -221,22 +214,22 @@ def loss_and_grads(
 
 
 class Adam:
-    """Plain Adam; state is keyed by parameter name, and a parameter's update
-    reads only its own gradient and moments, so the order of gradients is free."""
+    """Plain Adam with the ADAM_* constants; state is keyed by parameter name, and a
+    parameter's update reads only its own gradient and moments, so their order is free."""
 
-    def __init__(self, lr=3e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, lr=3e-3):
+        self.lr = lr
         self.m: dict = {}
         self.v: dict = {}
         self.t = 0
 
     def step(self, params: dict, grads) -> None:
         """params -= lr * m_hat / (sqrt(v_hat) + eps) in place, in that order of operations;
-        grads is a dict or (name, grad) pairs, each applied as it arrives, then dropped."""
+        grads is (name, grad) pairs, a dict's .items() too, each applied, then dropped."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         c1, c2 = 1 - b1**self.t, 1 - b2**self.t
-        for name, grad in grads.items() if isinstance(grads, dict) else grads:
+        for name, grad in grads:
             if name not in self.m:  # its first step
                 self.m[name], self.v[name] = np.zeros_like(grad), np.zeros_like(grad)
             m, v = self.m[name], self.v[name]
@@ -248,7 +241,7 @@ class Adam:
             v += tmp
             denom = np.divide(v, c2)  # v_hat
             np.sqrt(denom, out=denom)
-            denom += self.eps
+            denom += ADAM_EPS
             np.divide(m, c1, out=tmp)  # m_hat
             tmp *= self.lr
             tmp /= denom

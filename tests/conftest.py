@@ -60,3 +60,11 @@ def heap_peak(run) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def with_line(text: str, line: str) -> str:
+    """Config text with `line` in place of the line that sets the same key
+    (appended where no line does): a config file sets each key once."""
+    key = line.partition("=")[0].strip()
+    kept = [raw for raw in text.splitlines() if raw.partition("=")[0].strip() != key]
+    return "\n".join(kept + [line]) + "\n"

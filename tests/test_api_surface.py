@@ -1,6 +1,7 @@
 """Every public function of the kernel modules has a user: a call somewhere
 in the package, or an import by the acceptance criteria, which are the
-contract. A kernel that neither runs nor is promised is dead code."""
+contract. A kernel that neither runs nor is promised is dead code, and so
+is a private helper of the layer path that nothing in the package calls."""
 
 import ast
 import inspect
@@ -8,7 +9,7 @@ import pathlib
 
 import pytest
 
-from gemma_mini import attention, tensor
+from gemma_mini import attention, model, tensor, train
 
 PACKAGE = pathlib.Path(tensor.__file__).parent
 ACCEPTANCE = pathlib.Path(__file__).with_name("test_acceptance.py")
@@ -39,3 +40,13 @@ def test_every_public_function_is_called_or_in_the_contract(module):
     assert public  # the walk found the module's functions
     unused = public - called_in_package() - imported_by_acceptance()
     assert not unused, f"{module.__name__} functions nothing runs: {sorted(unused)}"
+
+
+@pytest.mark.parametrize("module", [tensor, attention, model, train], ids=lambda m: m.__name__)
+def test_every_private_function_is_called_in_the_package(module):
+    private = {name for name, obj in vars(module).items()
+               if name.startswith("_") and inspect.isfunction(obj)
+               and obj.__module__ == module.__name__}
+    assert private  # the walk found the module's helpers
+    unused = private - called_in_package()
+    assert not unused, f"{module.__name__} helpers nothing calls: {sorted(unused)}"

@@ -10,6 +10,8 @@ from gemma_mini.kvcache import kv_bytes
 from gemma_mini.model import ModelConfig, init_params, layer_kinds, save_weights
 from gemma_mini.presets import parse_config_text
 
+from conftest import with_line
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -187,6 +189,12 @@ class TestGenerateConfigFile:
         assert code == 1 and out == ""
         assert err == "error: config is missing required keys: num_kv_heads\n"
 
+    def test_repeated_key_is_one_line_error(self, capsys, tmp_path):
+        text = self.TINY + "num_kv_heads = 1\nwindow = 16\n"
+        code, out, err = self._generate(capsys, tmp_path, text)
+        assert code == 1 and out == ""
+        assert err == "error: line 10: window is already set on line 8\n"
+
     @pytest.mark.parametrize("line, message", [
         ("window = abc", "window must be int, got 'abc'"),
         ("d_model = 64.5", "d_model must be int, got 64.5"),
@@ -198,8 +206,7 @@ class TestGenerateConfigFile:
     ], ids=["string-window", "float-width", "bool-layers", "zero-width", "tie_embeddings",
             "rope_scale_local", "rms_eps"])
     def test_bad_field_is_one_line_error(self, capsys, tmp_path, line, message):
-        # a later line overrides an earlier one of the same key
-        text = self.TINY + "num_kv_heads = 1\n" + line + "\n"
+        text = with_line(self.TINY + "num_kv_heads = 1\n", line)
         code, out, err = self._generate(capsys, tmp_path, text)
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
@@ -223,7 +230,7 @@ class TestPlanPresetFile:
         monkeypatch.setenv("GEMMA_MINI_PRESETS", str(tmp_path))
         (tmp_path / "mine.cfg").write_text(self.PRESET)
         assert run_cli(capsys, "plan", "--preset", "mine")[0] == 0
-        (tmp_path / "mine.cfg").write_text(self.PRESET + line + "\n")
+        (tmp_path / "mine.cfg").write_text(with_line(self.PRESET, line))
         code, out, err = run_cli(capsys, "plan", "--preset", "mine")
         assert code == 1 and out == ""
         assert err == f"error: preset 'mine': {message}\n"

@@ -8,6 +8,8 @@ from gemma_mini.memplan import GB, SCHEMES, MemoryReport, PrecisionScheme, repor
 from gemma_mini.model import ModelConfig, make_cache
 from gemma_mini.presets import list_presets, load_preset, preset_values
 
+from conftest import with_line
+
 # Published reference points: (embedding, non-embedding) parameter counts
 # and the bf16 footprint in decimal GB.
 PUBLISHED = {
@@ -208,4 +210,4 @@ class TestPresetIsAModelConfig:
     ])
     def test_bad_count_is_refused(self, tmp_path, monkeypatch, line, message):
         with pytest.raises(ConfigError, match=f"^preset 'mine': {message}$"):
-            self._load(tmp_path, monkeypatch, COUNTS + TOY_SHAPES + line + "\n")
+            self._load(tmp_path, monkeypatch, with_line(COUNTS + TOY_SHAPES, line))

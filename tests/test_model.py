@@ -45,7 +45,7 @@ def layer_qk_norm(qk, qk_gain):
     """The layer path's qk-norm, as _layer runs it: every query and key head
     of qk (heads, T, head_dim) at once, under per-head gains (heads, head_dim).
     test_tape_rotation_equals_the_public_kernels ties it to the tape bit for bit."""
-    return _rms_norm(qk, qk_gain[:, None], RMS_EPS)[1]
+    return _rms_norm(qk, qk_gain[:, None])[1]
 
 
 class TestQkNorm:

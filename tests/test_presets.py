@@ -28,6 +28,11 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="line 2"):
             parse_config_text("a = 1\nbroken line\n")
 
+    def test_repeated_key_is_an_error(self):
+        # the later line would otherwise win without a word
+        with pytest.raises(ValueError, match="^line 3: window is already set on line 1$"):
+            parse_config_text("window = 8\nn_layers = 2\nwindow = 16\n")
+
     def test_model_config_from_file(self, tmp_path):
         path = tmp_path / "m.cfg"
         path.write_text(

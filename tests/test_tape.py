@@ -75,7 +75,7 @@ def rebuilt(params, cfg, i, t, positions):
     qk, v = heads[:n_q + n_kv], heads[n_q + n_kv:]
     attn_out = t["merged"] @ p("wo")
     x1 = t["x0"] + p("post_attn_norm") * attn_out / old_divisor(attn_out, eps)
-    ln2 = rms_norm(x1, p("pre_mlp_norm"), eps)
+    ln2 = rms_norm(x1, p("pre_mlp_norm"))
     gate, up = ln2 @ p("w_gate"), ln2 @ p("w_up")
     act = old_gelu(gate) * up
     qkn = p("qk_gain")[:, None] * qk / old_divisor(qk, eps)

@@ -94,17 +94,15 @@ class TestRmsNorm:
 
     def test_given_divisor_is_the_divisor_step(self):
         """The layer path's body returns rms_norm's divisor and output, and
-        rms_norm given that divisor returns the same bits."""
+        given that divisor it returns the same bits."""
         rng = np.random.default_rng(10)
         v = rng.normal(size=(3, 5, 16)) * 3.0
         gain = rng.normal(size=16)
-        div, out = _rms_norm(v, gain, 1e-6)
+        div, out = _rms_norm(v, gain)
         assert div.shape == (3, 5, 1)
         np.testing.assert_array_equal(div, np.sqrt(np.mean(v * v, axis=-1, keepdims=True) + 1e-6))
-        np.testing.assert_array_equal(out, rms_norm(v, gain, 1e-6))
-        np.testing.assert_array_equal(rms_norm(v, gain, 1e-6, div), out)
-        with pytest.raises(ConfigError):
-            rms_norm(v, gain, 0.0)
+        np.testing.assert_array_equal(out, rms_norm(v, gain))
+        np.testing.assert_array_equal(_rms_norm(v, gain, div)[1], out)
 
 
 ROPE = RopeParams(base_freq=10_000.0, scale=1.0, head_dim=8)

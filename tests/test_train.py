@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from gemma_mini import cli, presets, train
+from gemma_mini import cli, model, presets, train
 from gemma_mini.model import ModelConfig, forward_full, init_params
 from gemma_mini.train import (
     Adam, backward_full, cross_entropy, loss_and_grads, mean_ce, train_byte_lm,
@@ -123,6 +123,25 @@ class TestBackward:
         train_byte_lm(cfg, tokens, steps=2, batch_len=8, grad_fn_for=grad_fn_for)
         assert len(alive) == 3 * cfg.n_layers and not any(alive)
 
+    def test_the_backward_rebuilds_through_the_forwards_own_body(self, monkeypatch):
+        """model._heads and model._mlp are the one layer body: in one pass on
+        `toy`, each runs once per layer in the forward, through model's
+        binding, and once per layer in the backward's rebuild, through
+        train's, so the backward restates none of the forward's arithmetic."""
+        calls = {}
+        for module in (model, train):
+            for name in ("_heads", "_mlp"):
+                def counted(*args, _key=(module.__name__, name), _real=getattr(module, name)):
+                    calls[_key] = calls.get(_key, 0) + 1
+                    return _real(*args)
+
+                monkeypatch.setattr(module, name, counted)
+        cfg = ModelConfig.from_dict(presets.preset_values("toy"))
+        tokens = np.random.default_rng(3).integers(0, cfg.vocab_size, size=33)
+        loss_and_grads(init_params(cfg, seed=0), cfg, tokens)
+        assert calls == {(module.__name__, name): cfg.n_layers
+                         for module in (model, train) for name in ("_heads", "_mlp")}
+
     def test_tape_holds_nothing_quadratic_in_T(self):
         """At T=512 on `toy` no tape array has T * T elements or more (the
         packed tile probabilities once had 589,824) and no layer entry holds
@@ -169,7 +188,7 @@ class TestAdam:
         params = {"x": np.array([5.0, -3.0])}
         opt = Adam(lr=0.1)
         for _ in range(400):
-            opt.step(params, {"x": 2 * params["x"]})
+            opt.step(params, {"x": 2 * params["x"]}.items())
         np.testing.assert_allclose(params["x"], 0.0, atol=1e-3)
 
     def test_three_steps_equal_the_textbook_update_bit_for_bit(self):
@@ -182,14 +201,14 @@ class TestAdam:
         v = {name: np.zeros_like(p) for name, p in params.items()}
         for t in range(1, 4):
             grads = {name: rng.normal(size=p.shape) for name, p in params.items()}
-            opt.step(params, grads)
+            opt.step(params, grads.items())
             for name, grad in grads.items():
                 m[name] = b1 * m[name] + (1 - b1) * grad
                 v[name] = b2 * v[name] + (1 - b2) * grad * grad
                 m_hat = m[name] / (1 - b1**t)
                 v_hat = v[name] / (1 - b2**t)
                 want[name] = want[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
-            # the same gradients as (name, grad) pairs, in reverse name order
+            # the same gradients in reverse name order
             pair_opt.step(pair_params, ((name, grads[name]) for name in sorted(grads)[::-1]))
             for name in params:
                 for got, o in ((params, opt), (pair_params, pair_opt)):
@@ -236,7 +255,7 @@ class TestTrainByteLm:
         )
         expected = {k: v.copy() for k, v in init.items()}
         _, grads = loss_and_grads(expected, cfg, windows[0])
-        Adam(lr=5e-3).step(expected, grads)
+        Adam(lr=5e-3).step(expected, grads.items())
         assert set(result.params) == set(expected)
         for name, value in expected.items():
             np.testing.assert_array_equal(result.params[name], value, err_msg=name)
@@ -281,7 +300,7 @@ class TestTrainByteLm:
             loss, grads = loss_and_grads(expected, cfg, window)
             losses.append(loss)
             opt.lr = lr * (0.1 + 0.45 * (1.0 + math.cos(math.pi * step / steps)))
-            opt.step(expected, grads)
+            opt.step(expected, grads.items())
         assert len(windows) == steps and len(opts) == 1
         assert result.losses == losses
         for name, value in expected.items():
