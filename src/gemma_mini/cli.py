@@ -140,10 +140,6 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    if args.preset and "embedding_params" in presets.preset_values(args.preset):
-        # published sizes: init_params would allocate gigabytes before any other check
-        raise ValueError(f"preset {args.preset!r} carries published parameter counts: "
-                         "it is a planning preset for plan, not a model to generate with")
     if args.weights:
         params, cfg = load_weights(args.weights)
     else:
@@ -226,15 +222,11 @@ def _cmd_panscan(args) -> int:
         try:
             from PIL import Image
         except ImportError:
-            print("--image needs Pillow (pip install gemma-mini[image])", file=sys.stderr)
-            return 1
+            raise RuntimeError("--image needs Pillow (pip install gemma-mini[image])") from None
         img = np.asarray(Image.open(args.image).convert("RGB"), dtype=np.float64)
         if img.shape[1] != args.width or img.shape[0] != args.height:
-            print(
-                f"image is {img.shape[1]}x{img.shape[0]}, not {args.width}x{args.height}",
-                file=sys.stderr,
-            )
-            return 1
+            raise ValueError(
+                f"image is {img.shape[1]}x{img.shape[0]}, not {args.width}x{args.height}")
         crops = panscan.extract_and_resize(img, plan, target=args.target)
         os.makedirs(args.out_dir, exist_ok=True)
         manifest = []
@@ -306,10 +298,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _COMMANDS[args.command](args)
-    except (KeyError, ValueError, RuntimeError, OSError) as exc:
-        # a KeyError's str() is its argument's repr, quotes included: print the message
-        print(f"error: {exc.args[0] if isinstance(exc, KeyError) and exc.args else exc}",
-              file=sys.stderr)
+    except (ValueError, RuntimeError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

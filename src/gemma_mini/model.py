@@ -57,9 +57,6 @@ def layer_kinds(n_layers: int, local_per_global: int = 5) -> list[LayerKind]:
 
 
 _TAKES = {int: int, float: (int, float)}  # field type -> what from_dict takes
-# former fields, now fixed (a tied readout, unscaled local positions, tensor.RMS_EPS):
-# from_dict refuses them rather than ignore a setting the model would not honour
-RETIRED_KEYS = ("tie_embeddings", "rope_scale_local", "rms_eps")
 
 
 @dataclass(frozen=True)
@@ -140,22 +137,21 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """The config of a config file's or a weight archive's values; keys that
-        are no field are ignored, but a RETIRED_KEYS one is refused. An int
-        field takes an int, a float field an int or a float, neither a bool."""
+        """The config of a config file's or a weight archive's values. Each key is
+        a field: any other, a typo or a former field alike, is refused by name. An
+        int field takes an int, a float field an int or a float, neither a bool."""
         names = cls.__dataclass_fields__
-        for key in RETIRED_KEYS:
-            if key in d:
-                raise ConfigError(f"{key} is no longer a config key: remove it")
+        unknown = sorted(k for k in d if k not in names)
+        if unknown:
+            raise ConfigError(f"config has unknown keys: {', '.join(map(repr, unknown))}")
         missing = [n for n, f in names.items() if f.default is MISSING and n not in d]
         if missing:
             raise ConfigError(f"config is missing required keys: {', '.join(missing)}")
-        values = {k: v for k, v in d.items() if k in names}
-        for name, value in values.items():
+        for name, value in d.items():
             want = names[name].type
             if isinstance(value, bool) or not isinstance(value, _TAKES[want]):
                 raise ConfigError(f"{name} must be {want.__name__}, got {value!r}")
-        return cls(**values)
+        return cls(**d)
 
 
 # ---------------------------------------------------------------------------

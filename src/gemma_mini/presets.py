@@ -3,9 +3,9 @@
 Config syntax: one `key = value` per line, each key once, `#` comments,
 values parsed as int, float, bool or string. GEMMA_MINI_PRESETS may point
 at a directory of extra .cfg files; its entries shadow the built-ins on
-name clashes. A planning preset is a full model config plus
-embedding_params, non_embedding_params and optionally
-vision_encoder_params.
+name clashes. A preset's name is its file name. Every key of a config file
+or preset is a ModelConfig field, except that a planning preset adds
+embedding_params, non_embedding_params and optionally vision_encoder_params.
 """
 
 import os
@@ -17,6 +17,8 @@ from .memplan import ModelPreset
 from .model import ModelConfig
 
 ENV_VAR = "GEMMA_MINI_PRESETS"
+# the ModelPreset counts a planning preset adds to its ModelConfig fields
+PLANNING_KEYS = ("embedding_params", "non_embedding_params", "vision_encoder_params")
 
 
 def parse_config_text(text: str) -> dict:
@@ -84,21 +86,18 @@ def preset_values(name: str) -> dict:
     builtin = _builtin_dir() / (name + ".cfg")
     if builtin.is_file():
         return parse_config_text(builtin.read_text())
-    raise KeyError(f"unknown preset {name!r}; available: {', '.join(list_presets())}")
+    raise ConfigError(f"unknown preset {name!r}; available: {', '.join(list_presets())}")
 
 
 def load_preset(name: str) -> ModelPreset:
-    """The planning preset of a preset file; a ConfigError names the preset."""
+    """The planning preset of a preset file: its PLANNING_KEYS counts, popped,
+    and the ModelConfig of the rest; a ConfigError names the preset."""
     values = preset_values(name)
+    for key in PLANNING_KEYS[:2]:  # vision_encoder_params defaults to 0
+        if key not in values:
+            raise ConfigError(f"preset {name!r} is missing required key {key!r}")
+    counts = {key: values.pop(key, 0) for key in PLANNING_KEYS}
     try:
-        return ModelPreset(
-            name=values.get("name", name),
-            embedding_params=values["embedding_params"],
-            non_embedding_params=values["non_embedding_params"],
-            vision_encoder_params=values.get("vision_encoder_params", 0),
-            config=ModelConfig.from_dict(values),
-        )
-    except KeyError as exc:
-        raise KeyError(f"preset {name!r} is missing required key {exc}") from exc
+        return ModelPreset(name=name, config=ModelConfig.from_dict(values), **counts)
     except ConfigError as exc:
         raise ConfigError(f"preset {name!r}: {exc}") from None

@@ -27,8 +27,8 @@ class RopeParams:
     """
 
     base_freq: float
-    scale: float = 1.0
-    head_dim: int = 0
+    scale: float
+    head_dim: int
 
     def __post_init__(self):
         if self.head_dim % 2 != 0 or self.head_dim <= 0:

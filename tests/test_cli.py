@@ -1,5 +1,8 @@
+import importlib.util
 import json
 import os
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -66,7 +69,7 @@ class TestPlan:
         ("nope", "unknown preset 'nope'; available: "),
     ], ids=["no-counts", "unknown"])
     def test_preset_key_error_is_one_unquoted_line(self, capsys, preset, message):
-        """A KeyError prints its message, not its repr in double quotes."""
+        """A preset error prints its message, not a repr in double quotes."""
         code, out, err = run_cli(capsys, "plan", "--preset", preset)
         assert code == 1 and out == ""
         assert err.startswith("error: " + message), err
@@ -138,23 +141,23 @@ class TestGenerateCapacity:
         assert run_cli(capsys, "generate", "--prompt", "hi", "--max-new", "510")[0] == 0
 
 
+@pytest.fixture
+def no_init(monkeypatch):
+    monkeypatch.setattr(cli, "init_params", lambda *a, **k: pytest.fail("init_params ran"))
+
+
 class TestGeneratePlanningPreset:
     """A preset with published parameter counts is sized for plan: random
-    init of gemma3-1b would be 8 GB of float64, so generate refuses it
-    before init_params runs."""
+    init of gemma3-1b would be 8 GB of float64. Its counts are no config
+    field, so generate refuses it by name before init_params runs."""
 
-    MESSAGE = ("error: preset {!r} carries published parameter counts: "
-               "it is a planning preset for plan, not a model to generate with\n")
-
-    @pytest.fixture
-    def no_init(self, monkeypatch):
-        monkeypatch.setattr(cli, "init_params", lambda *a, **k: pytest.fail("init_params ran"))
+    MESSAGE = "error: config has unknown keys: 'embedding_params', 'non_embedding_params'"
 
     @pytest.mark.parametrize("preset", ["gemma3-1b", "gemma3-27b"])
     def test_shipped_planning_preset_refused_before_init(self, capsys, no_init, preset):
         code, out, err = run_cli(capsys, "generate", "--preset", preset, "--prompt", "a")
         assert code == 1 and out == ""
-        assert err == self.MESSAGE.format(preset)
+        assert err == self.MESSAGE + ", 'vision_encoder_params'\n"
 
     def test_planning_preset_from_the_preset_directory_refused_before_init(
             self, capsys, tmp_path, monkeypatch, no_init):
@@ -162,7 +165,7 @@ class TestGeneratePlanningPreset:
         (tmp_path / "mine.cfg").write_text(TestPlanPresetFile.PRESET)
         code, out, err = run_cli(capsys, "generate", "--preset", "mine", "--prompt", "a")
         assert code == 1 and out == ""
-        assert err == self.MESSAGE.format("mine")
+        assert err == self.MESSAGE + "\n"
 
     def test_toy_preset_still_runs(self, capsys):
         code, _, err = run_cli(capsys, "generate", "--preset", "toy", "--prompt", "a",
@@ -200,12 +203,21 @@ class TestGenerateConfigFile:
         ("d_model = 64.5", "d_model must be int, got 64.5"),
         ("n_layers = true", "n_layers must be int, got True"),
         ("d_model = 0", "d_model must be >= 1, got 0"),
-        ("tie_embeddings = false", "tie_embeddings is no longer a config key: remove it"),
-        ("rope_scale_local = 1", "rope_scale_local is no longer a config key: remove it"),
-        ("rms_eps = 1e-6", "rms_eps is no longer a config key: remove it"),
+        ("tie_embeddings = false", "config has unknown keys: 'tie_embeddings'"),
+        ("rope_scale_local = 1", "config has unknown keys: 'rope_scale_local'"),
+        ("rms_eps = 1e-6", "config has unknown keys: 'rms_eps'"),
+        # a typo is not dropped for the field's default: windw = 16 would leave window 1024
+        ("windw = 16", "config has unknown keys: 'windw'"),
+        ("local_per_globl = 1", "config has unknown keys: 'local_per_globl'"),
+        ("rope_scale_globl = 8", "config has unknown keys: 'rope_scale_globl'"),
+        ("windw = 16\nlocal_per_globl = 1\nrope_scale_globl = 8",
+         "config has unknown keys: 'local_per_globl', 'rope_scale_globl', 'windw'"),
+        ("= 16", "config has unknown keys: ''"),
+        ("window 8 = 3", "config has unknown keys: 'window 8'"),
     ], ids=["string-window", "float-width", "bool-layers", "zero-width", "tie_embeddings",
-            "rope_scale_local", "rms_eps"])
-    def test_bad_field_is_one_line_error(self, capsys, tmp_path, line, message):
+            "rope_scale_local", "rms_eps", "windw", "local_per_globl", "rope_scale_globl",
+            "all-three-typos", "no-key", "spaced-key"])
+    def test_bad_field_is_one_line_error(self, capsys, tmp_path, no_init, line, message):
         text = with_line(self.TINY + "num_kv_heads = 1\n", line)
         code, out, err = self._generate(capsys, tmp_path, text)
         assert code == 1 and out == ""
@@ -221,10 +233,13 @@ class TestPlanPresetFile:
     @pytest.mark.parametrize("line, message", [
         ("window = 0", "window 0 must lie in [1, max_context=64]"),
         ("n_layers = six", "n_layers must be int, got 'six'"),
-        ("tie_embeddings = true", "tie_embeddings is no longer a config key: remove it"),
-        ("rope_scale_local = 1", "rope_scale_local is no longer a config key: remove it"),
-        ("rms_eps = 1e-6", "rms_eps is no longer a config key: remove it"),
-    ], ids=["zero-window", "string-layers", "tie_embeddings", "rope_scale_local", "rms_eps"])
+        ("tie_embeddings = true", "config has unknown keys: 'tie_embeddings'"),
+        ("rope_scale_local = 1", "config has unknown keys: 'rope_scale_local'"),
+        ("rms_eps = 1e-6", "config has unknown keys: 'rms_eps'"),
+        ("windw = 16", "config has unknown keys: 'windw'"),
+        ("name = mine", "config has unknown keys: 'name'"),
+    ], ids=["zero-window", "string-layers", "tie_embeddings", "rope_scale_local", "rms_eps",
+            "typo", "name"])
     def test_bad_preset_field_is_one_line_error(self, capsys, tmp_path, monkeypatch,
                                                 line, message):
         monkeypatch.setenv("GEMMA_MINI_PRESETS", str(tmp_path))
@@ -365,6 +380,27 @@ class TestPanscanCommand:
         assert len(manifest["crops"]) == len(json.loads(out)["crops"])
         first = np.fromfile(out_dir / manifest["crops"][0]["file"], dtype=np.uint8)
         assert first.size == 64 * 64 * 3
+
+    def test_image_without_pillow_is_one_line_error(self, capsys, tmp_path):
+        if importlib.util.find_spec("PIL") is not None:
+            pytest.skip("Pillow is installed")
+        code, out, err = run_cli(capsys, "panscan", "--width", "100", "--height", "100",
+                                 "--image", str(tmp_path / "any.png"))
+        assert code == 1
+        assert json.loads(out)["grid"]  # the plan prints before the image is read
+        assert err == "error: --image needs Pillow (pip install gemma-mini[image])\n"
+
+    def test_image_of_another_size_is_one_line_error(self, capsys, tmp_path, monkeypatch):
+        image = types.ModuleType("PIL.Image")
+        image.open = lambda path: types.SimpleNamespace(
+            convert=lambda mode: np.zeros((20, 30, 3), dtype=np.uint8))
+        monkeypatch.setitem(sys.modules, "PIL", types.SimpleNamespace(Image=image))
+        monkeypatch.setitem(sys.modules, "PIL.Image", image)
+        code, _, err = run_cli(capsys, "panscan", "--width", "100", "--height", "100",
+                               "--image", str(tmp_path / "any.png"), "--out-dir", str(tmp_path))
+        assert code == 1
+        assert err == "error: image is 30x20, not 100x100\n"
+        assert not (tmp_path / "crops.json").exists()
 
 
 class TestAuditCommand:

@@ -6,7 +6,7 @@ import pytest
 from gemma_mini.errors import ConfigError
 from gemma_mini.memplan import GB, SCHEMES, MemoryReport, PrecisionScheme, report, weight_bytes
 from gemma_mini.model import ModelConfig, make_cache
-from gemma_mini.presets import list_presets, load_preset, preset_values
+from gemma_mini.presets import PLANNING_KEYS, list_presets, load_preset, preset_values
 
 from conftest import with_line
 
@@ -136,7 +136,7 @@ class TestReport:
         assert "54.0" in table
 
     def test_unknown_preset(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigError, match="^unknown preset 'gemma3-999b'; available: "):
             load_preset("gemma3-999b")
 
 
@@ -162,14 +162,16 @@ class TestPresets:
 
     def test_env_dir_shadows_builtin(self, tmp_path, monkeypatch):
         custom = tmp_path / "gemma3-1b.cfg"
-        custom.write_text("name = gemma3-1b\n" + COUNTS + TOY_SHAPES)
+        custom.write_text(COUNTS + TOY_SHAPES)
         monkeypatch.setenv("GEMMA_MINI_PRESETS", str(tmp_path))
         assert load_preset("gemma3-1b").embedding_params == 1000
         assert load_preset("gemma3-1b").config.head_dim == 16
 
     def test_config_is_the_model_config_of_the_file(self):
+        # the file's values, less the counts load_preset pops
         for name in PUBLISHED:
-            assert load_preset(name).config == ModelConfig.from_dict(preset_values(name))
+            values = {k: v for k, v in preset_values(name).items() if k not in PLANNING_KEYS}
+            assert load_preset(name).config == ModelConfig.from_dict(values)
 
 
 class TestPresetIsAModelConfig:

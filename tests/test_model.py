@@ -25,7 +25,7 @@ from gemma_mini.model import (
     param_shapes,
     save_weights,
 )
-from gemma_mini.presets import list_presets, model_config_from_file, preset_values
+from gemma_mini.presets import list_presets, load_preset, model_config_from_file, preset_values
 from gemma_mini.tensor import RMS_EPS, _rms_norm, rope_apply
 from gemma_mini.train import loss_and_grads
 
@@ -181,10 +181,11 @@ class TestConfigChecks:
         ("rms_eps", 1e-6),
     ])
     def test_retired_key_refused_by_from_dict(self, name, value):
-        """A retired key is not ignored like an unknown one: tie_embeddings =
-        false would otherwise build a tied model without a word."""
+        """A former field is a key like any other that is no field: refused,
+        since tie_embeddings = false would otherwise build a tied model
+        without a word."""
         values = {**dataclasses.asdict(toy_config()), name: value}
-        with pytest.raises(ConfigError, match=f"^{name} is no longer a config key"):
+        with pytest.raises(ConfigError, match=f"^config has unknown keys: '{name}'$"):
             ModelConfig.from_dict(values)
 
 
@@ -797,8 +798,9 @@ class TestCountParams:
 
     SHIPPED = {"toy_config": toy_config, "student": cli._toy_student_config,
                "teacher": cli._toy_teacher_config,
-               **{name: lambda name=name: ModelConfig.from_dict(preset_values(name))
-                  for name in list_presets()}}
+               "toy": lambda: ModelConfig.from_dict(preset_values("toy")),
+               **{name: lambda name=name: load_preset(name).config
+                  for name in list_presets() if name != "toy"}}
 
     @pytest.mark.parametrize("config", SHIPPED.values(), ids=SHIPPED.keys())
     def test_equals_the_closed_form_for_every_shipped_config(self, config):
