@@ -228,7 +228,6 @@ def model_generator(params: dict, cfg) -> Callable[[Sequence[int], int], list[in
     from .model import generate
 
     def generate_fn(prefix: Sequence[int], n: int) -> list[int]:
-        out = generate(params, cfg, prefix, max_new=n, sampler="greedy")
-        return out[len(prefix):]
+        return generate(params, cfg, prefix, max_new=n)[len(prefix):]
 
     return generate_fn

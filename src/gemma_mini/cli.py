@@ -36,7 +36,7 @@ def _nonnegative_int(text: str) -> int:
 
 def _ascending_positive_ints(text: str) -> list[int]:
     try:
-        values = [_positive_int(item) for item in text.split(",") if item]
+        values = [_positive_int(item) for item in text.split(",")]  # an empty item too
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers >= 1, got {text!r}") from exc
@@ -45,10 +45,10 @@ def _ascending_positive_ints(text: str) -> list[int]:
     return values
 
 
-def _positive_float(text: str) -> float:
+def _nonnegative_float(text: str) -> float:
     value = float(text)
-    if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {value}")
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {value}")
     return value
 
 
@@ -66,20 +66,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--context", type=_positive_int, default=32768)
     p.add_argument("--kv-bits", type=_positive_int, default=8)
     p.add_argument("--scheme", choices=sorted(memplan.SCHEMES), default=None,
-                   help="restrict the table to one precision scheme")
+                   help="report one precision scheme alone, in the table and --json")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("generate", help="decode from a prompt with the byte model")
     source = p.add_mutually_exclusive_group()
-    source.add_argument("--preset", default=None, help="config preset name (default: toy)")
+    source.add_argument("--preset", default=None, help="preset name (default: toy); errors name it")
     source.add_argument("--config", default=None, help="config file")
     source.add_argument("--weights", default=None, help="weight file; random init if omitted")
     p.add_argument("--prompt", required=True)
     p.add_argument("--chat", action="store_true",
                    help="wrap the prompt as a single user turn and stop at end_of_turn")
     p.add_argument("--max-new", type=_positive_int, default=64)
-    p.add_argument("--sampler", choices=["greedy", "temperature"], default="greedy")
-    p.add_argument("--temperature", type=_positive_float, default=1.0)
+    p.add_argument("--temperature", type=_nonnegative_float, default=0.0,
+                   help="0 (the default) is greedy; t > 0 samples softmax(logits / t)")
     p.add_argument("--seed", type=_nonnegative_int, default=0)
 
     p = sub.add_parser("distill", help="toy teacher->student run; emits step,loss CSV")
@@ -131,11 +131,9 @@ def _cmd_pattern(args) -> int:
 def _cmd_plan(args) -> int:
     preset = presets.load_preset(args.preset)
     rep = memplan.report(preset, context=args.context, kv_bits=args.kv_bits)
-    if args.json:
-        print(rep.to_json())
-    else:
-        schemes = [args.scheme] if args.scheme else None
-        print(rep.format_table(schemes))
+    if args.scheme:  # the report itself, so the table and the JSON alike
+        rep.weights_gb = {args.scheme: rep.weights_gb[args.scheme]}
+    print(rep.to_json() if args.json else rep.format_table())
     return 0
 
 
@@ -144,7 +142,7 @@ def _cmd_generate(args) -> int:
         params, cfg = load_weights(args.weights)
     else:
         cfg = (presets.model_config_from_file(args.config) if args.config
-               else ModelConfig.from_dict(presets.preset_values(args.preset or "toy")))
+               else presets.preset_config(args.preset or "toy"))
         print("no weights given; using random init", file=sys.stderr)
         params = init_params(cfg, seed=args.seed)
     if args.chat:
@@ -154,10 +152,8 @@ def _cmd_generate(args) -> int:
         text = args.prompt
         stop_ids = (tokenizer.EOS_ID,)
     prompt_ids = tokenizer.tokenize_with_bos(text)
-    out = generate(
-        params, cfg, prompt_ids, max_new=args.max_new, sampler=args.sampler,
-        temperature=args.temperature, seed=args.seed, stop_ids=stop_ids,
-    )
+    out = generate(params, cfg, prompt_ids, max_new=args.max_new,
+                   temperature=args.temperature, seed=args.seed, stop_ids=stop_ids)
     print(tokenizer.decode(out[len(prompt_ids):]))
     return 0
 

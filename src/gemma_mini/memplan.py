@@ -97,14 +97,11 @@ class MemoryReport:
             raise ValueError(f"not a memory report: {exc}") from None
         return rep
 
-    def format_table(self, schemes: Optional[list[str]] = None) -> str:
-        names = schemes or list(self.weights_gb)
-        rows = [f"{self.model}  (context {self.context}, {self.kv_bits}-bit KV)"]
-        rows.append(f"{'scheme':<14}{'weights (GB)':>14}{'+KV (GB)':>12}")
-        for name in names:
-            rows.append(
-                f"{name:<14}{self.weights_gb[name]:>14.1f}{self.totals_gb[name]:>12.1f}"
-            )
+    def format_table(self) -> str:
+        rows = [f"{self.model}  (context {self.context}, {self.kv_bits}-bit KV)",
+                f"{'scheme':<14}{'weights (GB)':>14}{'+KV (GB)':>12}"]
+        for name, total in self.totals_gb.items():
+            rows.append(f"{name:<14}{self.weights_gb[name]:>14.1f}{total:>12.1f}")
         return "\n".join(rows)
 
 

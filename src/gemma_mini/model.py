@@ -409,8 +409,7 @@ def generate(
     cfg: ModelConfig,
     prompt: Sequence[int],
     max_new: int,
-    sampler: str = "greedy",
-    temperature: float = 1.0,
+    temperature: float = 0.0,
     seed: int = 0,
     stop_ids: Sequence[int] = (),
 ) -> list[int]:
@@ -421,15 +420,13 @@ def generate(
     since the last one's logits would go unread. So the prompt's length plus
     max_new - 1 positions must fit max_context, which is checked before the
     prefill. The stop token, when produced, is kept in the returned sequence.
-    Deterministic for a given seed; "greedy" ignores the seed entirely.
+    Temperature 0 (the default) is greedy, seed unused; t > 0 samples softmax(logits / t).
     """
     out = list(prompt)
     if not out:
         raise ValueError("prompt must be non-empty")
-    if sampler not in ("greedy", "temperature"):
-        raise ValueError(f"unknown sampler {sampler!r}")
-    if not temperature > 0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
+    if not 0 <= temperature < math.inf:
+        raise ValueError(f"temperature must be a finite number >= 0, got {temperature}")
     tokens = _check_tokens(cfg, out)
     if max_new < 1:
         return out
@@ -444,11 +441,10 @@ def generate(
     for step in range(max_new):
         if step:  # feed back the previous token; the last one's logits would go unread
             row = decode_step(params, cfg, cache, out[-1])
-        if sampler == "greedy":
+        if temperature == 0:
             nxt = int(np.argmax(row))
         else:
-            probs = softmax_rows(row[None, :] / temperature)[0]
-            nxt = int(rng.choice(cfg.vocab_size, p=probs))
+            nxt = int(rng.choice(cfg.vocab_size, p=softmax_rows(row[None, :] / temperature)[0]))
         out.append(nxt)
         if nxt in stop:
             break

@@ -9,6 +9,7 @@ embedding_params, non_embedding_params and optionally vision_encoder_params.
 """
 
 import os
+from contextlib import contextmanager
 from importlib import resources
 from typing import Union
 
@@ -89,6 +90,21 @@ def preset_values(name: str) -> dict:
     raise ConfigError(f"unknown preset {name!r}; available: {', '.join(list_presets())}")
 
 
+@contextmanager
+def _naming(name: str):  # a ConfigError of the block, prefixed `preset '<name>': `
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"preset {name!r}: {exc}") from None
+
+
+def preset_config(name: str) -> ModelConfig:
+    """The ModelConfig of a preset without counts, such as toy; a ConfigError names the preset."""
+    values = preset_values(name)
+    with _naming(name):
+        return ModelConfig.from_dict(values)
+
+
 def load_preset(name: str) -> ModelPreset:
     """The planning preset of a preset file: its PLANNING_KEYS counts, popped,
     and the ModelConfig of the rest; a ConfigError names the preset."""
@@ -97,7 +113,5 @@ def load_preset(name: str) -> ModelPreset:
         if key not in values:
             raise ConfigError(f"preset {name!r} is missing required key {key!r}")
     counts = {key: values.pop(key, 0) for key in PLANNING_KEYS}
-    try:
+    with _naming(name):
         return ModelPreset(name=name, config=ModelConfig.from_dict(values), **counts)
-    except ConfigError as exc:
-        raise ConfigError(f"preset {name!r}: {exc}") from None

@@ -48,20 +48,21 @@ def cross_entropy(logits: np.ndarray, targets: Sequence[int]):
     return loss, dlogits
 
 
-def _mlp_backward(params, w: dict, g: dict, t: dict, dh: np.ndarray) -> np.ndarray:
+def _mlp_backward(params, w: dict, t: dict, dh: np.ndarray):
     """d(x1) of one layer's h = x1 + rms_norm(mlp(rms_norm(x1)), post_mlp_norm)
-    given d(h), storing the MLP half's parameter gradients in g. w maps the
-    layer's short parameter names to their keys in params. model._mlp, the
-    body _layer runs, rebuilds attn_out, x1, the pre-MLP norm's output,
-    gate, up, the GELU and its tanh term, act and mlp_out from the layer's
-    tape entry t; attn_out is left in t for the attention half. Every other
-    temporary is freed on return, before the attention half runs."""
+    given d(h); yields each (params key, grad) of the MLP half after that
+    parameter's last read. w maps the layer's short parameter names to their
+    keys in params. model._mlp, the body _layer runs, rebuilds attn_out, x1,
+    the pre-MLP norm's output, gate, up, the GELU and its tanh term, act and
+    mlp_out from the layer's tape entry t; attn_out is left in t for the
+    attention half. Every other temporary is freed on return, before the
+    attention half runs."""
     x1, mlp_out, t["attn_out"], ln2, gate, up, th, gelu_gate, act = _mlp(
         params, w, t["x0"], t["merged"], t["div_attn"], t["div_ln2"])[2:]
     dmlp_out, dg_post = _rms_norm_bwd(mlp_out, params[w["post_mlp_norm"]], t["div_mlp"], dh)
-    g["post_mlp_norm"] = dg_post.sum(axis=0)
+    yield w["post_mlp_norm"], dg_post.sum(axis=0)
     dact = dmlp_out @ params[w["w_down"]].T
-    g["w_down"] = act.T @ dmlp_out
+    yield w["w_down"], act.T @ dmlp_out
     del mlp_out, act, dmlp_out, dg_post  # each del here lowers the T=512 step's heap peak
     # d gelu / d gate, term by term in two buffers:
     # 0.5 * (1 + th) + 0.5 * gate * (1 - th^2) * GELU_C * (1 + 3 * GELU_A * gate^2)
@@ -81,32 +82,31 @@ def _mlp_backward(params, w: dict, g: dict, t: dict, dh: np.ndarray) -> np.ndarr
     dup = np.multiply(dact, gelu_gate, out=dact)
     del th, tmp, gelu_gate
     dln2 = dgate @ params[w["w_gate"]].T + dup @ params[w["w_up"]].T
-    g["w_gate"] = ln2.T @ dgate
-    g["w_up"] = ln2.T @ dup
+    yield w["w_gate"], ln2.T @ dgate
+    yield w["w_up"], ln2.T @ dup
     dx1_ln2, dg_pre = _rms_norm_bwd(x1, params[w["pre_mlp_norm"]], t["div_ln2"], dln2)
-    g["pre_mlp_norm"] = dg_pre.sum(axis=0)
+    yield w["pre_mlp_norm"], dg_pre.sum(axis=0)
     return dh + dx1_ln2
 
 
-def _attention_backward(params, w: dict, g: dict, t: dict, att, kind_plan: tuple,
-                        dx1: np.ndarray) -> np.ndarray:
+def _attention_backward(params, w: dict, t: dict, att, kind_plan: tuple, dx1: np.ndarray):
     """d(x0) of one layer's x1 = x0 + rms_norm(attn(rms_norm(x0)), post_attn_norm)
-    given d(x1), storing the attention half's parameter gradients in g.
-    t["attn_out"], which _mlp_backward rebuilt, is popped and freed after
-    the post-attention norm's backward. kind_plan is attention.plan's for
-    the layer kind, as the forward made it. model._heads, the body _layer
-    runs, rebuilds the pre-attention norm's output, every head and the
-    rotated query and key heads; their gradients go through the inverse
-    rotation and the qk-norm backward at once, as the forward ran them.
-    wqkv's gradient is one product over the q, k and v heads' columns, and
-    d(ln1) sums one product per column block, as three separate projections
-    summed it."""
+    given d(x1); yields each (params key, grad) of the attention half after
+    that parameter's last read. t["attn_out"], which _mlp_backward rebuilt,
+    is popped and freed after the post-attention norm's backward. kind_plan
+    is attention.plan's for the layer kind, as the forward made it.
+    model._heads, the body _layer runs, rebuilds the pre-attention norm's
+    output, every head and the rotated query and key heads; their gradients
+    go through the inverse rotation and the qk-norm backward at once, as the
+    forward ran them. wqkv's gradient is one product over the q, k and v
+    heads' columns, and d(ln1) sums one product per column block, as three
+    separate projections summed it."""
     cos, sin, band = kind_plan
     dattn_out, dg_post_a = _rms_norm_bwd(
         t.pop("attn_out"), params[w["post_attn_norm"]], t["div_attn"], dx1)
-    g["post_attn_norm"] = dg_post_a.sum(axis=0)
+    yield w["post_attn_norm"], dg_post_a.sum(axis=0)
     dmerged = dattn_out @ params[w["wo"]].T
-    g["wo"] = t["merged"].T @ dattn_out
+    yield w["wo"], t["merged"].T @ dattn_out
     del dattn_out, dg_post_a
 
     n_q, T, hd = att.num_query_heads, dmerged.shape[0], att.head_dim
@@ -120,7 +120,7 @@ def _attention_backward(params, w: dict, g: dict, t: dict, att, kind_plan: tuple
 
     # qk-norm: per-head rms norm with per-head gains (n_q + n_kv, hd)
     dqk, dg_qk = _rms_norm_bwd(qk, params[w["qk_gain"]][:, None, :], t["div_qk"], dqkn)
-    g["qk_gain"] = dg_qk.sum(axis=1)
+    yield w["qk_gain"], dg_qk.sum(axis=1)
 
     # the columns of ln1 @ wqkv, back to (T, heads * head_dim): d(ln1) sums the q, k and
     # v blocks' products in that order
@@ -129,10 +129,10 @@ def _attention_backward(params, w: dict, g: dict, t: dict, att, kind_plan: tuple
     k_end = q_end + att.num_kv_heads * hd
     dln1 = (dqkv[:, :q_end] @ wqkv[:, :q_end].T + dqkv[:, q_end:k_end] @ wqkv[:, q_end:k_end].T
             + dqkv[:, k_end:] @ wqkv[:, k_end:].T)
-    g["wqkv"] = ln1.T @ dqkv
+    yield w["wqkv"], ln1.T @ dqkv
 
     dx0_ln1, dg_pre_a = _rms_norm_bwd(t["x0"], params[w["pre_attn_norm"]], t["div_ln1"], dln1)
-    g["pre_attn_norm"] = dg_pre_a.sum(axis=0)
+    yield w["pre_attn_norm"], dg_pre_a.sum(axis=0)
     return dx1 + dx0_ln1
 
 
@@ -174,13 +174,10 @@ def backward_full(params: dict, cfg: ModelConfig, tape: dict, dlogits: np.ndarra
     layers = tape["layers"]
     for i in reversed(range(cfg.n_layers)):
         t = layers.pop()  # layer i, the last one left
-        w, g, kind = cfg._layer_keys[i], {}, t["kind"]
-        # dh is rebound to each half's result, so no earlier gradient outlives its half,
-        # and each half's parameter gradients leave g as they are handed over
-        dh = _mlp_backward(params, w, g, t, dh)
-        yield from ((w[name], g.pop(name)) for name in list(g))
-        dh = _attention_backward(params, w, g, t, cfg.attn_for(kind), plans[kind], dh)
-        yield from ((w[name], g.pop(name)) for name in list(g))
+        w, kind = cfg._layer_keys[i], t["kind"]
+        # dh is rebound to each half's result, so no earlier gradient outlives its half
+        dh = yield from _mlp_backward(params, w, t, dh)
+        dh = yield from _attention_backward(params, w, t, cfg.attn_for(kind), plans[kind], dh)
 
     np.add.at(dembed, tape["tokens"], dh)
     yield "embed", dembed

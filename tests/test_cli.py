@@ -10,6 +10,7 @@ import pytest
 from gemma_mini import cli, model
 from gemma_mini import distill as distill_mod
 from gemma_mini.kvcache import kv_bytes
+from gemma_mini.memplan import MemoryReport
 from gemma_mini.model import ModelConfig, init_params, layer_kinds, save_weights
 from gemma_mini.presets import parse_config_text
 
@@ -48,6 +49,14 @@ class TestPlan:
         data = json.loads(out)
         assert data["model"] == "gemma3-1b"
         assert data["weights_gb"]["bf16"] == pytest.approx(2.0)
+
+    def test_scheme_narrows_the_json(self, capsys):
+        code, out, _ = run_cli(capsys, "plan", "--preset", "gemma3-1b", "--json",
+                               "--scheme", "int4")
+        assert code == 0
+        data = json.loads(out)
+        assert list(data["weights_gb"]) == list(data["totals_gb"]) == ["int4"]
+        assert MemoryReport.from_dict(data).to_dict() == data
 
     def test_negative_context_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "plan", "--preset", "gemma3-1b", "--context", "-5")
@@ -111,7 +120,7 @@ class TestDeterminism:
         save_weights(init_params(cfg, seed=1), cfg, str(weights))
         args = [
             "generate", "--weights", str(weights),
-            "--prompt", "ab", "--max-new", "8", "--sampler", "temperature",
+            "--prompt", "ab", "--max-new", "8", "--temperature", "1",
             "--seed", "5",
         ]
         code, first, _ = run_cli(capsys, *args)
@@ -141,6 +150,23 @@ class TestGenerateCapacity:
         assert run_cli(capsys, "generate", "--prompt", "hi", "--max-new", "510")[0] == 0
 
 
+class TestGenerateTemperature:
+    """--temperature is the one sampling knob: 0, the default, is greedy."""
+
+    ARGS = ("generate", "--prompt", "the ", "--max-new", "16")
+
+    def test_zero_is_the_default_greedy_run(self, capsys):
+        code, greedy, _ = run_cli(capsys, *self.ARGS)
+        assert code == 0
+        assert run_cli(capsys, *self.ARGS, "--temperature", "0")[1] == greedy
+
+    def test_positive_temperature_samples(self, capsys):
+        greedy = run_cli(capsys, *self.ARGS)[1]
+        code, sampled, _ = run_cli(capsys, *self.ARGS, "--temperature", "5")
+        assert code == 0
+        assert sampled != greedy
+
+
 @pytest.fixture
 def no_init(monkeypatch):
     monkeypatch.setattr(cli, "init_params", lambda *a, **k: pytest.fail("init_params ran"))
@@ -151,13 +177,14 @@ class TestGeneratePlanningPreset:
     init of gemma3-1b would be 8 GB of float64. Its counts are no config
     field, so generate refuses it by name before init_params runs."""
 
-    MESSAGE = "error: config has unknown keys: 'embedding_params', 'non_embedding_params'"
+    MESSAGE = ("error: preset '{}': config has unknown keys: 'embedding_params', "
+               "'non_embedding_params'")
 
     @pytest.mark.parametrize("preset", ["gemma3-1b", "gemma3-27b"])
     def test_shipped_planning_preset_refused_before_init(self, capsys, no_init, preset):
         code, out, err = run_cli(capsys, "generate", "--preset", preset, "--prompt", "a")
         assert code == 1 and out == ""
-        assert err == self.MESSAGE + ", 'vision_encoder_params'\n"
+        assert err == self.MESSAGE.format(preset) + ", 'vision_encoder_params'\n"
 
     def test_planning_preset_from_the_preset_directory_refused_before_init(
             self, capsys, tmp_path, monkeypatch, no_init):
@@ -165,7 +192,13 @@ class TestGeneratePlanningPreset:
         (tmp_path / "mine.cfg").write_text(TestPlanPresetFile.PRESET)
         code, out, err = run_cli(capsys, "generate", "--preset", "mine", "--prompt", "a")
         assert code == 1 and out == ""
-        assert err == self.MESSAGE + "\n"
+        assert err == self.MESSAGE.format("mine") + "\n"
+
+    def test_unknown_preset_is_one_unprefixed_line(self, capsys, no_init):
+        code, out, err = run_cli(capsys, "generate", "--preset", "nope", "--prompt", "a")
+        assert code == 1 and out == ""
+        assert err.startswith("error: unknown preset 'nope'; available: ")
+        assert err.count("\n") == 1
 
     def test_toy_preset_still_runs(self, capsys):
         code, _, err = run_cli(capsys, "generate", "--preset", "toy", "--prompt", "a",
@@ -485,8 +518,12 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv, option", [
         (["generate", "--prompt", "a", "--max-new", "-3"], "--max-new"),
-        (["generate", "--prompt", "a", "--temperature", "0"], "--temperature"),
+        (["generate", "--prompt", "a", "--temperature", "-1"], "--temperature"),
         (["generate", "--prompt", "a", "--temperature", "nan"], "--temperature"),
+        (["generate", "--prompt", "a", "--temperature", "inf"], "--temperature"),
+        (["generate", "--prompt", "a", "--sampler", "temperature"], "--sampler"),
+        (["kv-curve", "--contexts", ","], "--contexts"),
+        (["kv-curve", "--contexts", ""], "--contexts"),
         (["distill", "--corpus", "c.txt", "--k", "0"], "--k"),
         (["distill", "--corpus", "c.txt", "--steps", "0"], "--steps"),
         (["distill", "--corpus", "c.txt", "--teacher-steps", "-1"], "--teacher-steps"),

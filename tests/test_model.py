@@ -686,11 +686,18 @@ class TestGenerate:
     def test_temperature_is_seed_deterministic(self):
         cfg = toy_config()
         params = init_params(cfg, seed=7)
-        a = generate(params, cfg, [3], max_new=10, sampler="temperature", seed=11)
-        b = generate(params, cfg, [3], max_new=10, sampler="temperature", seed=11)
-        c = generate(params, cfg, [3], max_new=10, sampler="temperature", seed=12)
+        a = generate(params, cfg, [3], max_new=10, temperature=1.0, seed=11)
+        b = generate(params, cfg, [3], max_new=10, temperature=1.0, seed=11)
+        c = generate(params, cfg, [3], max_new=10, temperature=1.0, seed=12)
         assert a == b
         assert a != c  # overwhelmingly likely for 10 draws over 48 ids
+
+    def test_zero_temperature_is_greedy_and_ignores_the_seed(self):
+        cfg = toy_config()
+        params = init_params(cfg, seed=7)
+        greedy = generate(params, cfg, [3], max_new=10)
+        assert generate(params, cfg, [3], max_new=10, temperature=0.0, seed=12) == greedy
+        assert greedy != generate(params, cfg, [3], max_new=10, temperature=1.0, seed=12)
 
     def test_stop_id_halts_and_is_kept(self):
         cfg = toy_config()
@@ -778,12 +785,13 @@ class TestGenerate:
         # the last new token is never fed back: 10 + 7 positions fit, with 17 tokens out
         assert len(generate(params, cfg, prompt, max_new=7)) == 17
 
-    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan")])
-    def test_nonpositive_temperature_rejected(self, temperature):
+    @pytest.mark.parametrize("temperature", [-1.0, float("nan"), float("inf")])
+    def test_bad_temperature_rejected_before_the_prefill(self, monkeypatch, temperature):
         cfg = toy_config()
+        params = init_params(cfg, seed=0)
+        monkeypatch.setattr(model, "_run", lambda *a: pytest.fail("a pass ran"))
         with pytest.raises(ValueError, match="temperature"):
-            generate(init_params(cfg, seed=0), cfg, [1], max_new=1,
-                     sampler="temperature", temperature=temperature)
+            generate(params, cfg, [1], max_new=1, temperature=temperature)
 
 
 class TestCountParams:
