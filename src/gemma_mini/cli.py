@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="report one precision scheme alone, in the table and --json")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("generate", help="decode from a prompt with the byte model")
+    p = sub.add_parser("generate", help="decode from a prompt with the byte model (vocab 260)")
     source = p.add_mutually_exclusive_group()
     source.add_argument("--preset", default=None, help="preset name (default: toy); errors name it")
     source.add_argument("--config", default=None, help="config file")
@@ -79,8 +79,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="wrap the prompt as a single user turn and stop at end_of_turn")
     p.add_argument("--max-new", type=_positive_int, default=64)
     p.add_argument("--temperature", type=_nonnegative_float, default=0.0,
-                   help="0 (the default) is greedy; t > 0 samples softmax(logits / t)")
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
+                   help="0 (default) and tiny t are greedy; else samples softmax(logits / t)")
+    p.add_argument("--seed", type=_nonnegative_int, default=0,
+                   help="seeds sampling only; a random init always uses seed 0")
 
     p = sub.add_parser("distill", help="toy teacher->student run; emits step,loss CSV")
     p.add_argument("--corpus", required=True)
@@ -141,10 +142,14 @@ def _cmd_generate(args) -> int:
     if args.weights:
         params, cfg = load_weights(args.weights)
     else:
-        cfg = (presets.model_config_from_file(args.config) if args.config
-               else presets.preset_config(args.preset or "toy"))
-        print("no weights given; using random init", file=sys.stderr)
-        params = init_params(cfg, seed=args.seed)
+        params, cfg = None, (presets.model_config_from_file(args.config) if args.config
+                             else presets.preset_config(args.preset or "toy"))
+    if cfg.vocab_size != tokenizer.VOCAB_SIZE:  # the byte tokenizer could not print the rest
+        raise ValueError(f"generate needs vocab_size {tokenizer.VOCAB_SIZE}, the byte "
+                         f"tokenizer's; the model has vocab_size {cfg.vocab_size}")
+    if params is None:
+        print("no weights given; using random init (seed 0)", file=sys.stderr)
+        params = init_params(cfg, seed=0)  # --seed seeds sampling only
     if args.chat:
         text = tokenizer.format_chat([tokenizer.ChatTurn("user", args.prompt)])
         stop_ids = (tokenizer.END_OF_TURN_ID,)

@@ -98,12 +98,6 @@ def distill_loss(student_logits: np.ndarray, target: DistillTarget):
     return _sampled_ce(_log_softmax(student_logits), target)
 
 
-def distill_loss_grad(student_logits: np.ndarray, target: DistillTarget):
-    """Loss per row and its analytic gradient: softmax(student) - dense(target)."""
-    logp = _log_softmax(student_logits)
-    return _sampled_ce(logp, target), np.exp(logp) - target.dense(logp.shape[-1])
-
-
 def distill_grad_check(
     student_logits: np.ndarray, target: DistillTarget, h: float = 1e-5
 ) -> float:
@@ -112,9 +106,9 @@ def distill_grad_check(
     if not 1e-7 <= h <= 1e-4:
         raise ValueError(f"h must lie in [1e-7, 1e-4], got {h}")
     student_logits = np.asarray(student_logits, dtype=np.float64)
-    _, analytic = distill_loss_grad(student_logits, target)
-    bumps = h * np.eye(student_logits.shape[0])  # row j moves logit j
     rows = DistillTarget(target.support[None], target.probs[None])
+    analytic = sequence_distill_grad(student_logits[None], rows)[1][0]  # a one-row window
+    bumps = h * np.eye(student_logits.shape[0])  # row j moves logit j
     numeric = (distill_loss(student_logits + bumps, rows)
                - distill_loss(student_logits - bumps, rows)) / (2 * h)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
@@ -143,9 +137,11 @@ def window_seed(seed: int, window: np.ndarray) -> int:
 
 
 def sequence_distill_grad(student_logits: np.ndarray, targets: DistillTarget):
-    """Mean sampled-CE over a window's positions and d(loss)/d(logits)."""
-    loss, grad = distill_loss_grad(student_logits, targets)
-    return float(loss.mean()), grad / len(loss)
+    """Mean sampled-CE over a window's positions and d(loss)/d(logits):
+    (softmax(student) - dense(targets)) / T."""
+    logp = _log_softmax(student_logits)
+    loss = _sampled_ce(logp, targets)
+    return float(loss.mean()), (np.exp(logp) - targets.dense(logp.shape[-1])) / len(loss)
 
 
 @dataclass
@@ -179,15 +175,11 @@ def run_toy_distillation(
     its own step size from lr to lr / 10 over its steps.
 
     k, batch_len, the two configs' vocabularies and the corpus ids are
-    checked before the teacher trains: a batch_len window must fit both
-    models' max_context."""
+    checked before the teacher trains: a batch_len window, or with
+    batch_len None the whole training head, must fit both models'
+    max_context."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if batch_len is not None:
-        limit = min(teacher_cfg.max_context, student_cfg.max_context)
-        if not 1 <= batch_len <= limit:
-            raise ValueError(f"batch_len {batch_len} must lie in [1, {limit}], the smaller "
-                             "max_context of teacher and student")
     if teacher_cfg.vocab_size != student_cfg.vocab_size:
         raise ValueError(f"teacher vocab_size {teacher_cfg.vocab_size} != student "
                          f"vocab_size {student_cfg.vocab_size}")
@@ -199,6 +191,11 @@ def run_toy_distillation(
             f"corpus of {len(data)} tokens gives a {len(train)}-token training head and a "
             f"{len(held_out)}-token held-out tail; each needs at least 2"
         )
+    limit = min(teacher_cfg.max_context, student_cfg.max_context)
+    span = len(train) - 1 if batch_len is None else batch_len  # a window's targets
+    if not 1 <= span <= limit:
+        raise ValueError(f"batch_len {batch_len}: a window of {span} targets must lie in "
+                         f"[1, {limit}], the smaller max_context of teacher and student")
 
     teacher = train_byte_lm(
         teacher_cfg, train, steps=teacher_steps, lr=lr, seed=seed, batch_len=batch_len
@@ -206,7 +203,7 @@ def run_toy_distillation(
 
     ends: dict = {}  # targets of the head's first and last windows, by bytes
 
-    def grad_fn_for(window: np.ndarray):
+    def loss(window: np.ndarray, student_logits: np.ndarray):
         # targets depend only on the window's teacher inputs and the run's seed.
         # Clamped draws land on an end window in about 2 * batch_len /
         # (len(train) + batch_len) of the steps (full batch: in all), so those
@@ -219,11 +216,11 @@ def run_toy_distillation(
             targets = build_targets(teacher_logits, k=k, seed=window_seed(seed, inputs))
             if key in (train[:n].tobytes(), train[-n:].tobytes()):
                 ends[key] = targets
-        return lambda student_logits: sequence_distill_grad(student_logits, targets)
+        return sequence_distill_grad(student_logits, targets)
 
     student = train_byte_lm(
         student_cfg, train, steps=student_steps, lr=lr, seed=seed + 1,
-        batch_len=batch_len, grad_fn_for=grad_fn_for,
+        batch_len=batch_len, loss=loss,
     )
     result = DistillRunResult(
         step_losses=student.losses,

@@ -420,7 +420,8 @@ def generate(
     since the last one's logits would go unread. So the prompt's length plus
     max_new - 1 positions must fit max_context, which is checked before the
     prefill. The stop token, when produced, is kept in the returned sequence.
-    Temperature 0 (the default) is greedy, seed unused; t > 0 samples softmax(logits / t).
+    Temperature 0 (the default) is greedy, seed unused; t > 0 samples softmax(logits / t),
+    or takes the t -> 0 limit, the argmax with no draw, when the row's max / t overflows.
     """
     out = list(prompt)
     if not out:
@@ -441,10 +442,13 @@ def generate(
     for step in range(max_new):
         if step:  # feed back the previous token; the last one's logits would go unread
             row = decode_step(params, cfg, cache, out[-1])
-        if temperature == 0:
+        if temperature:
+            with np.errstate(over="ignore"):
+                scaled = row[None, :] / temperature
+        if not temperature or np.isinf(scaled.max()):  # t = 0, or t -> 0 in floats
             nxt = int(np.argmax(row))
         else:
-            nxt = int(rng.choice(cfg.vocab_size, p=softmax_rows(row[None, :] / temperature)[0]))
+            nxt = int(rng.choice(cfg.vocab_size, p=softmax_rows(scaled)[0]))
         out.append(nxt)
         if nxt in stop:
             break

@@ -183,30 +183,23 @@ def backward_full(params: dict, cfg: ModelConfig, tape: dict, dlogits: np.ndarra
     yield "embed", dembed
 
 
-def _loss_and_grad_stream(params, cfg, tokens, grad_fn):
-    """loss_and_grads' checks, forward pass and loss, then (loss, its
-    backward_full), which has not started yet."""
+def _loss_and_grad_stream(params, cfg, tokens, loss=None):
+    """loss_and_grads' checks, forward pass and loss (train_byte_lm's loss hook, or
+    next-token cross_entropy), then (loss, its backward_full), not yet started."""
     tokens = _vocab_ids(cfg, tokens)
     if len(tokens) < 2:
         raise ValueError(f"need at least 2 tokens to train on, got {len(tokens)}")
     logits, tape = forward_full(params, cfg, tokens[:-1], keep_tape=True)
-    step = list(cross_entropy(logits, tokens[1:]) if grad_fn is None else grad_fn(logits))
-    del logits  # the backward reads dlogits only
-    # popped into the call, so backward_full holds dlogits's only reference
-    return step[0], backward_full(params, cfg, tape, step.pop())
+    value, dlogits = cross_entropy(logits, tokens[1:]) if loss is None else loss(tokens, logits)
+    del logits  # the backward reads dlogits only, and holds its only reference after the return
+    return value, backward_full(params, cfg, tape, dlogits)
 
 
-def loss_and_grads(
-    params: dict,
-    cfg: ModelConfig,
-    tokens: Sequence[int],
-    grad_fn: Optional[Callable] = None,
-):
-    """One forward/backward pass: (loss, a dict of every gradient), which
-    train_byte_lm never collects. grad_fn(logits) -> (loss, dlogits); the
-    default is next-token cross-entropy over the sequence. Every id, the last
-    target too, is checked before any work."""
-    loss, grads = _loss_and_grad_stream(params, cfg, tokens, grad_fn)
+def loss_and_grads(params: dict, cfg: ModelConfig, tokens: Sequence[int]):
+    """One forward/backward pass of next-token cross-entropy over the
+    sequence: (loss, a dict of every gradient), which train_byte_lm never
+    collects. Every id, the last target too, is checked before any work."""
+    loss, grads = _loss_and_grad_stream(params, cfg, tokens)
     return loss, dict(grads)
 
 
@@ -261,7 +254,7 @@ def train_byte_lm(
     seed: int = 0,
     batch_len: Optional[int] = None,
     checkpoint_steps: Sequence[int] = (),
-    grad_fn_for: Optional[Callable] = None,
+    loss: Optional[Callable] = None,
     init: Optional[dict] = None,
 ) -> TrainResult:
     """Full-batch (or random-window) Adam training on one token sequence of
@@ -279,8 +272,8 @@ def train_byte_lm(
     full lr, so a run of steps=1 is exactly one Adam(lr) step.
 
     checkpoint_steps snapshots parameters *before* the numbered step, so 0
-    captures the initialization. grad_fn_for(window_tokens) may supply a
-    custom per-window loss (used by distillation); default is hard-label CE.
+    captures the initialization. loss(window, logits) -> (loss, dlogits) scores a step's
+    window from its inputs' logits (distillation passes one); None is next-token cross_entropy.
     Each gradient goes to Adam as backward_full makes it, so no step holds
     more than one layer half's gradients (bit for bit as if it did).
     """
@@ -307,11 +300,10 @@ def train_byte_lm(
             window = data[start : start + batch_len + 1]
         else:
             window = data
-        grad_fn = grad_fn_for(window) if grad_fn_for is not None else None
         opt.lr = lr * (0.1 + 0.45 * (1.0 + math.cos(math.pi * step / steps)))
-        loss, grads = _loss_and_grad_stream(params, cfg, window, grad_fn)
+        value, grads = _loss_and_grad_stream(params, cfg, window, loss)
         opt.step(params, grads)
-        result.losses.append(loss)
+        result.losses.append(value)
     if steps in wanted:
         result.checkpoints[steps] = {k: v.copy() for k, v in params.items()}
     return result

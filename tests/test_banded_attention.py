@@ -60,14 +60,7 @@ def small_config(window, group, rope_scale_global=1.0):
 
 
 def logits_and_grads(params, cfg, tokens):
-    seen = []
-
-    def grad_fn(logits):
-        seen.append(logits)
-        return cross_entropy(logits, tokens[1:])
-
-    grads = loss_and_grads(params, cfg, tokens, grad_fn)[1]
-    return seen[0], grads
+    return forward_full(params, cfg, tokens[:-1])[0], loss_and_grads(params, cfg, tokens)[1]
 
 
 CASES = [

@@ -3,6 +3,7 @@ import json
 import os
 import sys
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,24 @@ class TestGenerateTemperature:
         assert code == 0
         assert sampled != greedy
 
+    def test_seed_seeds_sampling_only(self, capsys):
+        """Without --weights the random init is seed 0's whatever --seed is,
+        so a greedy run ignores the seed altogether."""
+        greedy = run_cli(capsys, *self.ARGS)[1]
+        code, out, err = run_cli(capsys, *self.ARGS, "--seed", "9")
+        assert code == 0, err
+        assert out == greedy
+
+    def test_tiny_temperature_is_the_greedy_limit(self, capsys):
+        """1e-310 overflows logits / t: the t -> 0 limit, the argmax, is taken
+        with no numpy warning."""
+        greedy = run_cli(capsys, *self.ARGS)[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *self.ARGS, "--temperature", "1e-310")
+        assert code == 0, err
+        assert out == greedy
+
 
 @pytest.fixture
 def no_init(monkeypatch):
@@ -214,6 +233,14 @@ class TestGenerateConfigFile:
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(text)
         return run_cli(capsys, "generate", "--config", str(cfg_path), "--prompt", "a")
+
+    def test_vocabulary_the_byte_tokenizer_cannot_print_refused_before_init(
+            self, capsys, tmp_path, no_init):
+        text = self.TINY.replace("vocab_size = 260", "vocab_size = 300") + "num_kv_heads = 1\n"
+        code, out, err = self._generate(capsys, tmp_path, text)
+        assert code == 1 and out == ""
+        assert err == ("error: generate needs vocab_size 260, the byte tokenizer's; "
+                       "the model has vocab_size 300\n")
 
     def test_zero_kv_heads_is_one_line_error(self, capsys, tmp_path):
         code, out, err = self._generate(capsys, tmp_path, self.TINY + "num_kv_heads = 0\n")
@@ -339,6 +366,42 @@ class TestDistillCommand:
         )
         assert code == 1 and out == ""
         assert err.startswith(f"error: {flag}: ") and "nodir" in err
+
+    ONE_STEP = ("--teacher-steps", "1", "--steps", "1")
+
+    def _corpus(self, tmp_path):
+        corpus = tmp_path / "docs.txt"
+        corpus.write_text("abcdefgh " * 20)
+        return str(corpus)
+
+    def test_out_file_holds_the_csv_stdout_would(self, capsys, tmp_path):
+        corpus = self._corpus(tmp_path)
+        code, printed, err = run_cli(capsys, "distill", "--corpus", corpus, *self.ONE_STEP)
+        assert code == 0, err
+        losses = tmp_path / "losses.csv"
+        code, out, err = run_cli(capsys, "distill", "--corpus", corpus, *self.ONE_STEP,
+                                 "--out", str(losses))
+        assert code == 0, err
+        assert out == ""
+        assert losses.read_text() == printed
+
+    def test_save_teacher_writes_the_runs_teacher(self, capsys, tmp_path, monkeypatch):
+        runs, run = [], distill_mod.run_toy_distillation
+
+        def recorded(*args, **kwargs):
+            runs.append(run(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(cli.distill_mod, "run_toy_distillation", recorded)
+        teacher = tmp_path / "t.bin"
+        code, _, err = run_cli(capsys, "distill", "--corpus", self._corpus(tmp_path),
+                               *self.ONE_STEP, "--save-teacher", str(teacher))
+        assert code == 0, err
+        params, cfg = model.load_weights(str(teacher))
+        assert cfg == cli._toy_teacher_config()
+        assert len(runs) == 1 and set(params) == set(runs[0].teacher_params)
+        for name, value in runs[0].teacher_params.items():
+            np.testing.assert_array_equal(params[name], value, err_msg=name)
 
 
 def _no_training(*args, **kwargs):

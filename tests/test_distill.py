@@ -9,7 +9,6 @@ from gemma_mini.distill import (
     build_targets,
     distill_grad_check,
     distill_loss,
-    distill_loss_grad,
     renormalize,
     run_toy_distillation,
     sample_support,
@@ -160,7 +159,7 @@ class TestDistillGrad:
     def test_uniform_stationary_point(self):
         vocab = 8
         target = renormalize(np.full(vocab, 1 / vocab), np.arange(vocab))
-        _, grad = distill_loss_grad(np.zeros(vocab), target)
+        _, grad = sequence_distill_grad(np.zeros((1, vocab)), one_row(target))
         np.testing.assert_allclose(grad, 0.0, atol=1e-15)
 
     def test_gradient_sums_to_zero(self):
@@ -168,7 +167,7 @@ class TestDistillGrad:
         logits = rng.normal(size=10)
         teacher = rng.dirichlet(np.ones(10))
         target = renormalize(teacher, sample_support(teacher, k=4, seed=2))
-        _, grad = distill_loss_grad(logits, target)
+        _, grad = sequence_distill_grad(logits[None], one_row(target))
         assert grad.sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_central_difference_check(self):
@@ -182,6 +181,11 @@ class TestDistillGrad:
         target = renormalize(np.array([1.0]), np.array([0]))
         with pytest.raises(ValueError):
             distill_grad_check(np.zeros(1), target, h=1e-2)
+
+
+def one_row(target):
+    """A one-position target as a one-row window's."""
+    return DistillTarget(target.support[None], target.probs[None])
 
 
 def position(target, t):
@@ -214,8 +218,9 @@ class TestSequenceTargets:
             per_pos = [distill_loss(student_logits[t], position(targets, t)) for t in range(4)]
             assert loss == pytest.approx(np.mean(per_pos), rel=1e-12)
             for t in range(4):
-                _, g = distill_loss_grad(student_logits[t], position(targets, t))
-                np.testing.assert_allclose(grad[t], g / 4, atol=1e-12)
+                _, g = sequence_distill_grad(student_logits[t][None],
+                                             one_row(position(targets, t)))
+                np.testing.assert_allclose(grad[t], g[0] / 4, atol=1e-12)
         # the underflowed window: row 2 is one-hot on id 0 and padded to width 8
         np.testing.assert_array_equal(targets.dense(16)[2], np.eye(16)[0])
         with pytest.raises(ValueError):  # padding is not a one-position target
@@ -320,13 +325,13 @@ class TestTeacherQueries:
             calls.append(cfg)
             return forward_full(params, cfg, tokens, *args, **kwargs)
 
-        def recording_train_byte_lm(cfg, data, *args, grad_fn_for=None, **kwargs):
-            def recording_grad_fn_for(window):
+        def recording_train_byte_lm(cfg, data, *args, loss=None, **kwargs):
+            def recording_loss(window, logits):
                 windows.append(window.tobytes())
-                return grad_fn_for(window)
+                return loss(window, logits)
 
-            if grad_fn_for is not None:
-                kwargs["grad_fn_for"] = recording_grad_fn_for
+            if loss is not None:
+                kwargs["loss"] = recording_loss
             return train_byte_lm(cfg, data, *args, **kwargs)
 
         monkeypatch.setattr(distill, "forward_full", counting_forward_full)
@@ -374,10 +379,16 @@ class TestRunChecksBeforeTraining:
         (ModelConfig(n_layers=1, d_model=16, hidden_dim=32, vocab_size=VOCAB_SIZE,
                      max_context=64, num_query_heads=4, num_kv_heads=2, head_dim=4,
                      window=4), dict(batch_len=128), "batch_len"),
+        # full batch: the 12-word corpus's 48-token head has 47 targets
+        (ModelConfig(n_layers=1, d_model=16, hidden_dim=32, vocab_size=VOCAB_SIZE,
+                     max_context=32, num_query_heads=4, num_kv_heads=2, head_dim=4,
+                     window=4), dict(batch_len=None),
+         r"window of 47 targets must lie in \[1, 32\], the smaller max_context"),
         (ModelConfig(n_layers=1, d_model=16, hidden_dim=32, vocab_size=300,
                      max_context=1024, num_query_heads=4, num_kv_heads=2, head_dim=4,
                      window=4), dict(), "vocab_size"),
-    ], ids=["k-0", "batch_len-0", "batch_len-above-max_context", "vocab-mismatch"])
+    ], ids=["k-0", "batch_len-0", "batch_len-above-max_context", "head-above-max_context",
+            "vocab-mismatch"])
     def test_refused_before_any_training(self, monkeypatch, student, kwargs, match):
         runs = []
 

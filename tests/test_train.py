@@ -13,6 +13,15 @@ from gemma_mini.train import (
 from conftest import OVERFIT_STEPS, heap_peak
 
 
+def recording_ce(windows):
+    """A loss hook for train_byte_lm: next-token cross_entropy, as with no
+    hook, after appending a copy of each step's window to windows."""
+    def loss(window, logits):
+        windows.append(window.copy())
+        return cross_entropy(logits, window[1:])
+    return loss
+
+
 def tiny_config(**overrides):
     base = dict(
         n_layers=3, d_model=16, hidden_dim=32, vocab_size=32, max_context=64,
@@ -104,13 +113,12 @@ class TestBackward:
         cfg = tiny_config()
         refs, alive = [], []
 
-        def grad_fn_for(window):
-            def grad_fn(logits):
-                loss, dlogits = cross_entropy(logits, window[1:])
-                refs.append(weakref.ref(dlogits))
-                return loss, dlogits
-            return grad_fn
+        def referenced_ce(logits, targets):
+            loss, dlogits = cross_entropy(logits, targets)
+            refs.append(weakref.ref(dlogits))
+            return loss, dlogits
 
+        monkeypatch.setattr(train, "cross_entropy", referenced_ce)  # loss_and_grads' loss
         mlp_backward = train._mlp_backward
 
         def checked(*args):
@@ -119,8 +127,9 @@ class TestBackward:
 
         monkeypatch.setattr(train, "_mlp_backward", checked)
         tokens = np.arange(20) % cfg.vocab_size
-        loss_and_grads(init_params(cfg, seed=5, scale=0.3), cfg, tokens, grad_fn_for(tokens))
-        train_byte_lm(cfg, tokens, steps=2, batch_len=8, grad_fn_for=grad_fn_for)
+        loss_and_grads(init_params(cfg, seed=5, scale=0.3), cfg, tokens)
+        train_byte_lm(cfg, tokens, steps=2, batch_len=8,
+                      loss=lambda window, logits: referenced_ce(logits, window[1:]))
         assert len(alive) == 3 * cfg.n_layers and not any(alive)
 
     def test_the_backward_rebuilds_through_the_forwards_own_body(self, monkeypatch):
@@ -230,10 +239,9 @@ class TestTrainByteLm:
         batch_len = 8
         windows = []
         steps = 300
-        # grad_fn_for records each window; returning None keeps the default CE
         train_byte_lm(
             cfg, data, steps=steps, lr=1e-3, seed=0, batch_len=batch_len,
-            grad_fn_for=lambda window: windows.append(window.copy()),
+            loss=recording_ce(windows),
         )
         assert len(windows) == steps
         for w in windows:  # always a full, contiguous slice of the data
@@ -251,7 +259,7 @@ class TestTrainByteLm:
         windows = []
         result = train_byte_lm(
             cfg, data, steps=1, lr=5e-3, seed=3, batch_len=12, init=init,
-            grad_fn_for=lambda window: windows.append(window.copy()),
+            loss=recording_ce(windows),
         )
         expected = {k: v.copy() for k, v in init.items()}
         _, grads = loss_and_grads(expected, cfg, windows[0])
@@ -264,7 +272,7 @@ class TestTrainByteLm:
         ([5], None), ([], None), ([5], 4), (np.arange(20), 0), (np.arange(20), -1),
     ])
     def test_bad_inputs_refused_before_step_zero(self, monkeypatch, data, batch_len):
-        # a step calls grad_fn_for and then runs a pass; the error is the input
+        # a step runs a pass and then calls loss; the error is the input
         # check's own, not that of a window too short to train on
         monkeypatch.setattr(train, "forward_full", lambda *a, **k: pytest.fail("ran a pass"))
         cfg = tiny_config()
@@ -272,7 +280,7 @@ class TestTrainByteLm:
         with pytest.raises(ValueError,
                            match="batch_len must be" if bad_batch_len else "at least 2 tokens"):
             train_byte_lm(cfg, data, steps=3, batch_len=batch_len,
-                          grad_fn_for=lambda window: pytest.fail("step 0 began"))
+                          loss=lambda window, logits: pytest.fail("step 0 began"))
 
     def test_streamed_steps_equal_loss_and_grads_plus_adam_bit_for_bit(self, monkeypatch):
         """Three steps on random windows with the step size decaying are three
@@ -293,7 +301,7 @@ class TestTrainByteLm:
         lr, steps, windows = 4e-3, 3, []
         result = train_byte_lm(
             cfg, data, steps=steps, lr=lr, seed=8, batch_len=12, init=init,
-            grad_fn_for=lambda window: windows.append(window.copy()),
+            loss=recording_ce(windows),
         )
         expected, opt, losses = {k: v.copy() for k, v in init.items()}, Adam(lr=lr), []
         for step, window in enumerate(windows):
