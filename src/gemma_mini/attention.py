@@ -12,10 +12,10 @@ again from the tape's positions.
 Scores are computed in blocks, with query heads grouped under the kv head
 they read. A chunk runs one of two ways:
 
-- Banded: a LOCAL chunk from position 0 over more than 2 * window rows
-  cuts its rows into blocks of `window` queries, each scoring only its own
-  key block and the one before, all in one batch, so it costs O(T * window)
-  instead of O(T^2).
+- Banded: a LOCAL chunk from position 0 over more than 2 * window rows,
+  window <= 62, cuts its rows into blocks of `window` queries, each scoring
+  only its own key block and the one before, all in one batch, so it costs
+  O(T * window) instead of O(T^2).
 - Causal tiles: every other chunk, whether a short pass, a chunk after
   earlier rows or a decode step, runs in query tiles of up to 64 rows. Tile
   [b, e) scores keys [lo, R + e) of the R earlier keys followed by the
@@ -129,16 +129,16 @@ def plan(cfg: AttentionConfig, positions: np.ndarray):
     """(cos, sin, band): what every layer of cfg's kind shares over a chunk
     at consecutive `positions`.
 
-    band is band_mask(T, window) for a LOCAL chunk from position 0 over more
-    than 2 * window rows, and None for every other chunk, which runs in
-    causal tiles. Over fewer rows a band, which scores 2 * window keys per
-    row, would score no fewer than the tiles; a chunk after position 0
-    reads earlier keys, which the band has no block for.
+    band is band_mask(T, window) for a LOCAL chunk from position 0 where its
+    2 * window keys per row are fewer than both T and a tile's _TILE +
+    window - 1 (so window <= 62), and None for every other chunk, which runs
+    in causal tiles: elsewhere a band would score no fewer keys per row, and
+    a chunk after position 0 reads earlier keys, which it has no block for.
     """
     cos, sin = rope_cos_sin(positions, cfg.rope)
-    T = positions.shape[0]
-    if cfg.kind is LayerKind.LOCAL and T > 2 * cfg.window and positions[0] == 0:
-        return cos, sin, band_mask(T, cfg.window)
+    T, w = positions.shape[0], cfg.window
+    if cfg.kind is LayerKind.LOCAL and 2 * w < min(T, _TILE + w - 1) and positions[0] == 0:
+        return cos, sin, band_mask(T, w)
     return cos, sin, None
 
 

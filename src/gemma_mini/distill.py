@@ -3,7 +3,8 @@ vocabulary entries, zero the rest, renormalize, and train the student with
 cross-entropy against that sparse target.
 
 Sampling, targets and the loss work along the last axis: (vocab,) is one
-position, (T, vocab) a window. All sampling is seeded and pure.
+position, (T, vocab) a window. All sampling is seeded and pure. The loss is
+train.cross_entropy's, of which a hard label is the one-id case.
 """
 
 import hashlib
@@ -14,7 +15,7 @@ import numpy as np
 
 from .model import ModelConfig, _vocab_ids, forward_full
 from .tensor import softmax_rows
-from .train import mean_ce, train_byte_lm
+from .train import _row_ce, cross_entropy, mean_ce, train_byte_lm
 
 SUPPORT_K = 256
 
@@ -38,11 +39,6 @@ class DistillTarget:
             raise ValueError("probs must be > 0 on the support, padding of narrower rows aside")
         if not np.all(np.abs(self.probs.sum(axis=-1) - 1.0) <= 1e-12):
             raise ValueError("probs must sum to 1")
-
-    def dense(self, vocab_size: int) -> np.ndarray:
-        out = np.zeros(self.support.shape[:-1] + (vocab_size,))
-        np.put_along_axis(out, self.support, self.probs, axis=-1)
-        return out
 
 
 def sample_support(
@@ -82,32 +78,23 @@ def renormalize(teacher_probs: np.ndarray, support: np.ndarray) -> DistillTarget
     return DistillTarget(support=support, probs=mass / total)
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    logits = np.asarray(logits, dtype=np.float64)
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
-def _sampled_ce(logp: np.ndarray, target: DistillTarget) -> np.ndarray:
-    return -np.sum(target.probs * np.take_along_axis(logp, target.support, axis=-1), axis=-1)
-
-
 def distill_loss(student_logits: np.ndarray, target: DistillTarget):
-    """-sum target(i) * log softmax(student)(i) per row; softmax over the full
-    vocab. A float for one position, (T,) for a window."""
-    return _sampled_ce(_log_softmax(student_logits), target)
+    """Per row, -sum target(i) * log softmax(student)(i) as cross_entropy sums it:
+    a float for one position, (n,) for n logit rows against n target rows or one."""
+    picked = np.take_along_axis(softmax_rows(student_logits), target.support, axis=-1)
+    return _row_ce(picked, target.probs)
 
 
 def distill_grad_check(
     student_logits: np.ndarray, target: DistillTarget, h: float = 1e-5
 ) -> float:
-    """Max relative error of one position's analytic gradient vs central
-    differences."""
+    """Max relative error of one position's training gradient (cross_entropy's
+    over a one-row window) vs central differences of distill_loss."""
     if not 1e-7 <= h <= 1e-4:
         raise ValueError(f"h must lie in [1e-7, 1e-4], got {h}")
     student_logits = np.asarray(student_logits, dtype=np.float64)
     rows = DistillTarget(target.support[None], target.probs[None])
-    analytic = sequence_distill_grad(student_logits[None], rows)[1][0]  # a one-row window
+    analytic = cross_entropy(student_logits[None], rows.support, rows.probs)[1][0]
     bumps = h * np.eye(student_logits.shape[0])  # row j moves logit j
     numeric = (distill_loss(student_logits + bumps, rows)
                - distill_loss(student_logits - bumps, rows)) / (2 * h)
@@ -134,14 +121,6 @@ def window_seed(seed: int, window: np.ndarray) -> int:
     digest = hashlib.blake2b(np.asarray(window, dtype=np.int64).tobytes(), digest_size=16)
     entropy = [seed, int.from_bytes(digest.digest(), "little")]
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
-
-
-def sequence_distill_grad(student_logits: np.ndarray, targets: DistillTarget):
-    """Mean sampled-CE over a window's positions and d(loss)/d(logits):
-    (softmax(student) - dense(targets)) / T."""
-    logp = _log_softmax(student_logits)
-    loss = _sampled_ce(logp, targets)
-    return float(loss.mean()), (np.exp(logp) - targets.dense(logp.shape[-1])) / len(loss)
 
 
 @dataclass
@@ -216,7 +195,7 @@ def run_toy_distillation(
             targets = build_targets(teacher_logits, k=k, seed=window_seed(seed, inputs))
             if key in (train[:n].tobytes(), train[-n:].tobytes()):
                 ends[key] = targets
-        return sequence_distill_grad(student_logits, targets)
+        return cross_entropy(student_logits, targets.support, targets.probs)
 
     student = train_byte_lm(
         student_cfg, train, steps=student_steps, lr=lr, seed=seed + 1,

@@ -3,6 +3,7 @@
 The backward pass exists for the toy training and distillation paths only;
 it walks the tape recorded by forward_full in reverse, layer by layer, and
 hands each gradient to Adam as it is made (a fused update, as in LOMO).
+cross_entropy is the one loss, of next-token labels and teacher targets alike.
 """
 
 import math
@@ -12,6 +13,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .attention import attend_backward, plan
+from .errors import CapacityError
 from .model import (
     GELU_A, GELU_C, ModelConfig, _heads, _mlp, _vocab_ids, forward_full, init_params,
 )
@@ -37,14 +39,26 @@ def _rms_norm_bwd(v, gain, div, dy):
     return dv, tmp
 
 
-def cross_entropy(logits: np.ndarray, targets: Sequence[int]):
-    """Mean next-token CE and its gradient w.r.t. logits."""
+def _row_ce(picked: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per row, -sum(weights * log(picked + 1e-300)) of the probabilities picked
+    at its weighted ids."""
+    return -np.sum(weights * np.log(picked + 1e-300), axis=-1)
+
+
+def cross_entropy(logits: np.ndarray, targets, weights: Optional[np.ndarray] = None):
+    """Mean CE of (T, vocab) logits and its d(logits): targets is one id per
+    row (labels, each one id of weight 1), or (T, k) distinct ids with their
+    weights, such as a DistillTarget's support and probs, zero-weight padding
+    included. With p = softmax_rows(logits), the loss is the mean over rows of
+    -sum(w * log(p[ids] + 1e-300)), and d(logits) is p less w at the ids, / T."""
     targets = np.asarray(targets, dtype=np.int64)
-    T = logits.shape[0]
+    if weights is None:
+        targets, weights = targets[:, None], np.ones((len(targets), 1))
+    rows = np.arange(len(targets))[:, None]
     dlogits = softmax_rows(logits)  # the probabilities, then their gradient in place
-    loss = float(-np.mean(np.log(dlogits[np.arange(T), targets] + 1e-300)))
-    dlogits[np.arange(T), targets] -= 1.0
-    dlogits /= T
+    loss = float(np.mean(_row_ce(dlogits[rows, targets], weights)))
+    dlogits[rows, targets] -= weights
+    dlogits /= len(rows)
     return loss, dlogits
 
 
@@ -258,7 +272,8 @@ def train_byte_lm(
     init: Optional[dict] = None,
 ) -> TrainResult:
     """Full-batch (or random-window) Adam training on one token sequence of
-    at least 2 tokens; batch_len, when set, is at least 1.
+    at least 2 tokens; batch_len, when set, is at least 1, and a window's
+    targets fit max_context (a CapacityError), checked before any work.
 
     With batch_len set and shorter than the data, each step trains on a
     window of batch_len + 1 tokens. Its start is drawn uniformly from
@@ -282,6 +297,10 @@ def train_byte_lm(
         raise ValueError(f"batch_len must be >= 1, got {batch_len}")
     if len(data) < 2:
         raise ValueError(f"need at least 2 tokens to train on, got {len(data)}")
+    span = min(batch_len or len(data), len(data) - 1)  # a window's targets
+    if span > cfg.max_context:
+        raise CapacityError(f"batch_len {batch_len}: a window of {span} targets exceeds "
+                            f"max_context {cfg.max_context}")
     rng = np.random.default_rng(seed)
     # steps mutate arrays in place; never touch a caller's dict
     params = (

@@ -50,7 +50,8 @@ def test_every_public_function_is_called_or_in_the_contract(module):
     assert not unused, f"{module.__name__} functions nothing runs: {sorted(unused)}"
 
 
-@pytest.mark.parametrize("module", [tensor, attention, model, train, distill, presets, panscan],
+# distill has no private helper of its own: its loss is train's
+@pytest.mark.parametrize("module", [tensor, attention, model, train, presets, panscan],
                          ids=lambda m: m.__name__)
 def test_every_private_function_is_called_in_the_package(module):
     private = {name for name, obj in vars(module).items()

@@ -107,6 +107,16 @@ def test_long_local_layers_run_banded(T, local_shape):
     assert plan(local_att, np.arange(3, 3 + T))[2] is None
 
 
+@pytest.mark.parametrize("window, banded", [(62, True), (64, False)])
+def test_a_local_chunk_is_banded_only_where_the_band_scores_fewer_keys(window, banded):
+    """Banded, a row scores 2 * window keys; tiled, at most 64 + window - 1:
+    124 against 125 at window 62, 128 against 127 at window 64."""
+    att = small_config(window, 2).attn_for(LayerKind.LOCAL)
+    for T in (2 * window + 1, 499, 512):
+        band = plan(att, np.arange(T))[2]
+        assert (band is not None) == banded, T
+
+
 def test_a_window_1_chunk_after_position_0_runs_tiles():
     """The plan follows from positions alone, at window 1 too, where the
     cache returns no earlier row (window - 1 = 0): a long LOCAL chunk is

@@ -3,7 +3,9 @@
 Each run happens in a fresh interpreter whose OPENBLAS_NUM_THREADS is set
 before numpy loads, so the BLAS really runs with that many threads. The two
 runs must agree bit for bit: a seeded training run's parameters, a seeded
-temperature sample and an extraction audit's report.
+temperature sample, an extraction audit's report and a short distillation
+at the CLI's shapes: its student's losses and parameters, and its held-out
+cross-entropy over more than 2 * window rows.
 """
 
 import os
@@ -16,6 +18,8 @@ RUN = """
 import sys
 import numpy as np
 from gemma_mini.audit import make_samples, model_generator, run_audit
+from gemma_mini.cli import _toy_student_config, _toy_teacher_config
+from gemma_mini.distill import run_toy_distillation
 from gemma_mini.model import ModelConfig, generate
 from gemma_mini.presets import preset_values
 from gemma_mini.train import train_byte_lm
@@ -26,8 +30,14 @@ params = train_byte_lm(cfg, data, steps=3, seed=0, batch_len=512).params
 sample = generate(params, cfg, list(data[:40]), 30, temperature=1.0, seed=3)
 corpus = [("a", list(data[:300])), ("b", list(data[300:600]))]
 report = run_audit(model_generator(params, cfg), make_samples(corpus, stride=100))
+# an 800-byte corpus leaves a 160-byte held-out tail
+run = run_toy_distillation(list(data[:800]), _toy_teacher_config(), _toy_student_config(),
+                           teacher_steps=2, student_steps=2, seed=0, batch_len=128)
 np.savez(sys.argv[1], sample=np.array(sample), report=np.array(report.to_json()),
-         **{"param." + name: arr for name, arr in params.items()})
+         student_losses=np.array(run.step_losses),
+         held_out_ce=np.array(run.held_out_ce_distilled),
+         **{"param." + name: arr for name, arr in params.items()},
+         **{"student." + name: arr for name, arr in run.student_params.items()})
 """
 
 

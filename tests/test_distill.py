@@ -12,12 +12,11 @@ from gemma_mini.distill import (
     renormalize,
     run_toy_distillation,
     sample_support,
-    sequence_distill_grad,
 )
 from gemma_mini.model import ModelConfig, forward_full
 from gemma_mini.tensor import softmax_rows
 from gemma_mini.tokenizer import VOCAB_SIZE
-from gemma_mini.train import train_byte_lm
+from gemma_mini.train import cross_entropy, train_byte_lm
 
 
 def full_cross_entropy(student_logits, teacher_probs):
@@ -77,17 +76,20 @@ class TestRenormalize:
     def test_full_support_returns_teacher(self):
         teacher = np.array([0.6, 0.3, 0.1])
         target = renormalize(teacher, np.array([0, 1, 2]))
-        np.testing.assert_allclose(target.dense(3), teacher, atol=1e-15)
+        np.testing.assert_array_equal(target.support, [0, 1, 2])
+        np.testing.assert_allclose(target.probs, teacher, atol=1e-15)
 
     def test_partial_support(self):
         teacher = np.array([0.6, 0.3, 0.1])
-        target = renormalize(teacher, np.array([0, 1]))
-        np.testing.assert_allclose(target.dense(3), [2 / 3, 1 / 3, 0.0], atol=1e-15)
+        target = renormalize(teacher, np.array([0, 1]))  # id 2 gets no weight
+        np.testing.assert_array_equal(target.support, [0, 1])
+        np.testing.assert_allclose(target.probs, [2 / 3, 1 / 3], atol=1e-15)
 
     def test_singleton_is_one_hot(self):
         teacher = np.array([0.6, 0.3, 0.1])
         target = renormalize(teacher, np.array([2]))
-        np.testing.assert_array_equal(target.dense(3), [0.0, 0.0, 1.0])
+        np.testing.assert_array_equal(target.support, [2])
+        np.testing.assert_array_equal(target.probs, [1.0])
 
     def test_ratio_preservation_exact(self):
         # target(i)/target(j) == teacher(i)/teacher(j) on the support
@@ -159,7 +161,7 @@ class TestDistillGrad:
     def test_uniform_stationary_point(self):
         vocab = 8
         target = renormalize(np.full(vocab, 1 / vocab), np.arange(vocab))
-        _, grad = sequence_distill_grad(np.zeros((1, vocab)), one_row(target))
+        _, grad = window_ce(np.zeros((1, vocab)), one_row(target))
         np.testing.assert_allclose(grad, 0.0, atol=1e-15)
 
     def test_gradient_sums_to_zero(self):
@@ -167,7 +169,7 @@ class TestDistillGrad:
         logits = rng.normal(size=10)
         teacher = rng.dirichlet(np.ones(10))
         target = renormalize(teacher, sample_support(teacher, k=4, seed=2))
-        _, grad = sequence_distill_grad(logits[None], one_row(target))
+        _, grad = window_ce(logits[None], one_row(target))
         assert grad.sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_central_difference_check(self):
@@ -181,6 +183,11 @@ class TestDistillGrad:
         target = renormalize(np.array([1.0]), np.array([0]))
         with pytest.raises(ValueError):
             distill_grad_check(np.zeros(1), target, h=1e-2)
+
+
+def window_ce(logits, targets):
+    """The student's loss and d(logits) over a window's targets."""
+    return cross_entropy(logits, targets.support, targets.probs)
 
 
 def one_row(target):
@@ -214,24 +221,30 @@ class TestSequenceTargets:
         underflowed[2, 0] = 0.0
         for teacher, k in ((teacher_logits, 16), (underflowed, 8)):
             targets = build_targets(teacher, k=k, seed=1)
-            loss, grad = sequence_distill_grad(student_logits, targets)
+            loss, grad = window_ce(student_logits, targets)
             per_pos = [distill_loss(student_logits[t], position(targets, t)) for t in range(4)]
             assert loss == pytest.approx(np.mean(per_pos), rel=1e-12)
             for t in range(4):
-                _, g = sequence_distill_grad(student_logits[t][None],
-                                             one_row(position(targets, t)))
+                _, g = window_ce(student_logits[t][None], one_row(position(targets, t)))
                 np.testing.assert_allclose(grad[t], g[0] / 4, atol=1e-12)
-        # the underflowed window: row 2 is one-hot on id 0 and padded to width 8
-        np.testing.assert_array_equal(targets.dense(16)[2], np.eye(16)[0])
+        # the underflowed window: row 2 is one-hot on id 0 and padded to width 8,
+        # so its gradient is softmax less 1 at id 0 alone
+        drawn = targets.probs[2] > 0
+        np.testing.assert_array_equal(targets.support[2][drawn], [0])
+        np.testing.assert_array_equal(targets.probs[2][drawn], [1.0])
+        assert targets.support.shape == (4, 8)
+        want = softmax_rows(student_logits[2]) - np.eye(16)[0]
+        np.testing.assert_allclose(grad[2], want / 4, rtol=0, atol=1e-15)
         with pytest.raises(ValueError):  # padding is not a one-position target
             DistillTarget(targets.support[2], targets.probs[2])
 
     def test_window_target_validation(self):
         support = np.array([[0, 1, 2], [3, 4, 5]])
         probs = np.array([[0.5, 0.3, 0.2], [1.0, 0.0, 0.0]])  # row 1 padded
-        np.testing.assert_array_equal(
-            DistillTarget(support, probs).dense(6), [[0.5, 0.3, 0.2, 0, 0, 0], [0, 0, 0, 1, 0, 0]]
-        )
+        # at uniform logits the gradient is (1/6 - the dense target) / 2
+        _, grad = window_ce(np.zeros((2, 6)), DistillTarget(support, probs))
+        dense = [[0.5, 0.3, 0.2, 0, 0, 0], [0, 0, 0, 1, 0, 0]]
+        np.testing.assert_allclose(grad, (1 / 6 - np.array(dense)) / 2, rtol=0, atol=1e-15)
         bad = [
             (np.array([[0, 1, 2], [3, 4, 3]]), probs),  # repeated id in one row
             (support, np.array([[0.8, 0.2, 0.0], [1.0, 0.0, 0.0]])),  # wider than any row

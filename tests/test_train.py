@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gemma_mini import cli, model, presets, train
+from gemma_mini.errors import CapacityError
 from gemma_mini.model import ModelConfig, forward_full, init_params
 from gemma_mini.train import (
     Adam, backward_full, cross_entropy, loss_and_grads, mean_ce, train_byte_lm,
@@ -191,6 +192,37 @@ class TestCrossEntropy:
         loss, _ = cross_entropy(logits, [1, 2])
         assert loss == pytest.approx(0.0, abs=1e-12)
 
+    def test_a_label_is_one_id_of_weight_one_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        logits = rng.normal(size=(7, 11)) * 3
+        ids = rng.integers(0, 11, size=7)
+        loss, dlogits = cross_entropy(logits, ids)
+        weighted_loss, weighted_dlogits = cross_entropy(logits, ids[:, None], np.ones((7, 1)))
+        assert np.array_equal(loss, weighted_loss)
+        assert np.array_equal(dlogits, weighted_dlogits)
+
+    def test_weighted_ids_match_the_log_softmax_formula(self):
+        """Against a log-softmax oracle written out here: the weights' sum over
+        the ids of log softmax, and (softmax - dense target) / T, to 1e-12.
+        Row 1 is padded with zero-weight ids, as a window target's narrower
+        rows are."""
+        rng = np.random.default_rng(1)
+        T, vocab, k = 6, 40, 9
+        for _ in range(5):
+            logits = rng.normal(size=(T, vocab)) * 4
+            ids = np.stack([rng.choice(vocab, size=k, replace=False) for _ in range(T)])
+            weights = rng.dirichlet(np.ones(k), size=T)
+            weights[1, 3:] = 0.0  # padding: row 1 keeps three ids
+            weights[1] /= weights[1].sum()
+            z = logits - logits.max(axis=-1, keepdims=True)
+            logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+            want_loss = np.mean(-np.sum(weights * np.take_along_axis(logp, ids, axis=-1), axis=-1))
+            dense = np.zeros((T, vocab))
+            np.put_along_axis(dense, ids, weights, axis=-1)
+            loss, dlogits = cross_entropy(logits, ids, weights)
+            assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+            np.testing.assert_allclose(dlogits, (np.exp(logp) - dense) / T, rtol=0, atol=1e-12)
+
 
 class TestAdam:
     def test_descends_a_quadratic(self):
@@ -281,6 +313,20 @@ class TestTrainByteLm:
                            match="batch_len must be" if bad_batch_len else "at least 2 tokens"):
             train_byte_lm(cfg, data, steps=3, batch_len=batch_len,
                           loss=lambda window, logits: pytest.fail("step 0 began"))
+
+    @pytest.mark.parametrize("batch_len, targets", [(600, 600), (None, 1023)],
+                             ids=["batch_len-600", "full-batch-1023"])
+    def test_a_window_above_max_context_refused_before_init(self, monkeypatch, batch_len,
+                                                             targets):
+        """1,024 bytes on toy (max_context 512): a window of 600 targets, or the
+        whole data's 1,023, is refused before the parameters are made."""
+        inits = []
+        monkeypatch.setattr(train, "init_params", lambda *a, **k: inits.append(a))
+        cfg = ModelConfig.from_dict(presets.preset_values("toy"))
+        with pytest.raises(CapacityError, match=rf"batch_len {batch_len}: a window of "
+                                                rf"{targets} targets exceeds max_context 512"):
+            train_byte_lm(cfg, np.arange(1024) % 256, steps=1, batch_len=batch_len)
+        assert inits == []
 
     def test_streamed_steps_equal_loss_and_grads_plus_adam_bit_for_bit(self, monkeypatch):
         """Three steps on random windows with the step size decaying are three
